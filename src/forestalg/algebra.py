@@ -16,6 +16,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import terms
 from .terms import Context, Forest, apply_context
 
@@ -117,23 +119,61 @@ class ForestAlgebra:
         return None
 
 
+def _index_array(table, shape):
+    """A table of indices as an integer array.  Entries too large for int64
+    are kept as Python ints; they are out of range and the range checks
+    report them."""
+    try:
+        return np.array(table, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(table, dtype=object).reshape(shape)
+
+
+def _first(mask):
+    """Index of the first true entry of a boolean vector, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _check_range(arr, size, law):
+    bad = _first(((arr < 0) | (arr >= size)).ravel())
+    if bad is not None:
+        raise AlgebraLawError(law, (int(arr.flat[bad]),), "entry out of range")
+
+
+def _row_keys(arr):
+    """The bytes of each row of a 2-d integer array, as dict keys."""
+    arr = np.ascontiguousarray(arr)
+    if arr.shape[1] == 0:
+        return [b""] * arr.shape[0]
+    return arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel().tolist()
+
+
 def _check_monoid(size, table, unit, name, commutative):
+    """Check the monoid laws of a size x size table; return it as an array."""
     if len(table) != size or any(len(row) != size for row in table):
         raise AlgebraLawError(name + "-shape", (), "table is not %d x %d" % (size, size))
-    for row in table:
-        for x in row:
-            if not (0 <= x < size):
-                raise AlgebraLawError(name + "-shape", (x,), "entry out of range")
+    t = _index_array(table, (size, size))
+    _check_range(t, size, name + "-shape")
+    elems = np.arange(size)
+    x = _first((t[unit] != elems) | (t[:, unit] != elems)) if size else None
+    if x is not None:
+        raise AlgebraLawError(name + "-identity", (x,), "unit law fails")
+    # row x: commutativity xy = yx, then associativity (xy)z = x(yz) over all
+    # y, z; checked one x at a time so no size^3 array is built
+    comm_bad = np.zeros(size, dtype=bool)
     for x in range(size):
-        if table[unit][x] != x or table[x][unit] != x:
-            raise AlgebraLawError(name + "-identity", (x,), "unit law fails")
-    for x in range(size):
-        for y in range(size):
-            if commutative and table[x][y] != table[y][x]:
-                raise AlgebraLawError(name + "-commutativity", (x, y), "xy != yx")
-            for z in range(size):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise AlgebraLawError(name + "-associativity", (x, y, z), "(xy)z != x(yz)")
+        if commutative:
+            comm_bad = t[x] != t[:, x]
+        assoc_bad = t[t[x]] != t[x][t]
+        y = _first(comm_bad | assoc_bad.any(axis=1))
+        if y is None:
+            continue
+        if comm_bad[y]:
+            raise AlgebraLawError(name + "-commutativity", (x, y), "xy != yx")
+        z = _first(assoc_bad[y])
+        raise AlgebraLawError(name + "-associativity", (x, y, z), "(xy)z != x(yz)")
+    return t
 
 
 def _derive_ins(h_size, add, v_size, act):
@@ -163,38 +203,49 @@ def validate_algebra(h_add, zero, v_mul, one, act, ins=None):
     violation as an AlgebraLawError with concrete indices."""
     h_size = len(h_add)
     v_size = len(v_mul)
-    _check_monoid(h_size, h_add, zero, "h", commutative=True)
-    _check_monoid(v_size, v_mul, one, "v", commutative=False)
+    add = _check_monoid(h_size, h_add, zero, "h", commutative=True)
+    mul = _check_monoid(v_size, v_mul, one, "v", commutative=False)
     if len(act) != h_size or any(len(row) != v_size for row in act):
         raise AlgebraLawError("action-shape", (), "act is not %d x %d" % (h_size, v_size))
-    for row in act:
-        for x in row:
-            if not (0 <= x < h_size):
-                raise AlgebraLawError("action-shape", (x,), "entry out of range")
+    a = _index_array(act, (h_size, v_size))
+    _check_range(a, h_size, "action-shape")
     for h in range(h_size):
-        if act[h][one] != h:
+        if a[h, one] != h:
             raise AlgebraLawError("action-identity", (h,), "h.1 != h")
-        for v1 in range(v_size):
-            for v2 in range(v_size):
-                if act[act[h][v1]][v2] != act[h][v_mul[v1][v2]]:
-                    raise AlgebraLawError("action-composition", (h, v1, v2), "(hv1)v2 != h(v1v2)")
-    for v1 in range(v_size):
-        for v2 in range(v1 + 1, v_size):
-            if all(act[h][v1] == act[h][v2] for h in range(h_size)):
-                raise AlgebraLawError("faithfulness", (v1, v2), "distinct v act identically")
+        comp_bad = a[a[h]] != a[h][mul]
+        v1 = _first(comp_bad.any(axis=1))
+        if v1 is not None:
+            v2 = _first(comp_bad[v1])
+            raise AlgebraLawError("action-composition", (h, v1, v2), "(hv1)v2 != h(v1v2)")
+    # the lexicographically first pair of equal columns is the first two
+    # occurrences of the repeated column that occurs first
+    first_of = {}
+    clash = None
+    for v, column in enumerate(_row_keys(a.T)):
+        v1 = first_of.setdefault(column, v)
+        if v1 != v and (clash is None or v1 < clash[0]):
+            clash = (v1, v)
+    if clash is not None:
+        raise AlgebraLawError("faithfulness", clash, "distinct v act identically")
     if ins is None:
         ins = _derive_ins(h_size, h_add, v_size, act)
     else:
         if len(ins) != v_size or any(len(row) != h_size for row in ins):
             raise AlgebraLawError("insertion-shape", (), "ins is not %d x %d" % (v_size, h_size))
+        ins_arr = _index_array(ins, (v_size, h_size))
         for v in range(v_size):
-            for h in range(h_size):
-                w = ins[v][h]
-                if not (0 <= w < v_size):
-                    raise AlgebraLawError("insertion-shape", (v, h), "entry out of range")
-                for g in range(h_size):
-                    if act[g][w] != h_add[act[g][v]][h]:
-                        raise AlgebraLawError("insertion", (v, h, g), "g.ins(v,h) != g.v + h")
+            row = ins_arr[v]
+            out_of_range = (row < 0) | (row >= v_size)
+            # mismatch[g, h] is g.ins(v, h) != g.v + h
+            in_range = np.where(out_of_range, 0, row).astype(np.int64, copy=False)
+            mismatch = a[:, in_range] != add[a[:, v]]
+            h = _first(out_of_range | mismatch.any(axis=0))
+            if h is None:
+                continue
+            if out_of_range[h]:
+                raise AlgebraLawError("insertion-shape", (v, h), "entry out of range")
+            g = _first(mismatch[:, h])
+            raise AlgebraLawError("insertion", (v, h, g), "g.ins(v,h) != g.v + h")
     return ForestAlgebra(
         h_size=h_size,
         add=_freeze(h_add),
@@ -210,7 +261,6 @@ def validate_algebra(h_add, zero, v_mul, one, act, ins=None):
 def flat_algebra(add_table, zero):
     """The flat algebra (H, H) of a commutative monoid acting on itself by
     addition; idempotent H gives the flat idempotent-commutative case."""
-    n = len(add_table)
     return validate_algebra(add_table, zero, add_table, zero, add_table, add_table)
 
 
@@ -389,59 +439,63 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     acting first, then element j.
     """
     n = len(h_add)
-    _check_monoid(n, h_add, zero, "h", commutative=True)
-    ident = tuple(range(n))
+    add = _check_monoid(n, h_add, zero, "h", commutative=True)
+    ident = np.arange(n, dtype=np.int64)
     gens = [(ident, ("one",))]
     letter_of = {}
     for a in sorted(letter_maps):
         tau = tuple(letter_maps[a])
         if len(tau) != n or any(not (0 <= x < n) for x in tau):
             raise ValueError("letter map for %r is not a transformation of the states" % a)
-        letter_of[a] = tau
-        gens.append((tau, ("letter", a)))
+        letter_of[a] = np.array(tau, dtype=np.int64)
+        gens.append((letter_of[a], ("letter", a)))
     for g in range(n):
-        gens.append((tuple(h_add[h][g] for h in range(n)), ("addh", g)))
+        gens.append((add[:, g], ("addh", g)))
+    # V is the rows of elems[:size], keyed by their bytes; elements are
+    # processed in admission order, each against every element known then
     v_index = {}
-    v_elems = []
     v_derivs = []
+    elems = np.empty((max(16, len(gens)), n), dtype=np.int64)
+    size = 0
 
-    def admit(tau, deriv):
-        if tau not in v_index:
-            v_index[tau] = len(v_elems)
-            v_elems.append(tau)
-            v_derivs.append(deriv)
-            return True
-        return False
+    def admit(key, row, deriv):
+        nonlocal elems, size
+        if size == len(elems):
+            elems = np.concatenate([elems, np.empty_like(elems)])
+        v_index[key] = size
+        elems[size] = row
+        v_derivs.append(deriv)
+        size += 1
 
-    queue = []
     for tau, deriv in gens:
-        if admit(tau, deriv):
-            queue.append(tau)
-    while queue:
-        tau = queue.pop(0)
-        ti = v_index[tau]
-        for sigma in list(v_elems):
-            si = v_index[sigma]
-            # tau then sigma, and sigma then tau
-            for comp, deriv in (
-                (tuple(sigma[tau[h]] for h in range(n)), ("mul", ti, si)),
-                (tuple(tau[sigma[h]] for h in range(n)), ("mul", si, ti)),
+        if tau.tobytes() not in v_index:
+            admit(tau.tobytes(), tau, deriv)
+    ti = 0
+    while ti < size:
+        tau = elems[ti]
+        known = elems[:size]
+        # row si: tau then sigma, and sigma then tau
+        after = known[:, tau]
+        before = tau[known]
+        for si, (key_after, key_before) in enumerate(zip(_row_keys(after), _row_keys(before))):
+            for key, row, deriv in (
+                (key_after, after[si], ("mul", ti, si)),
+                (key_before, before[si], ("mul", si, ti)),
             ):
-                if admit(comp, deriv):
-                    queue.append(comp)
-                    if len(v_elems) > budget:
+                if key not in v_index:
+                    admit(key, row, deriv)
+                    if size > budget:
                         raise BudgetError(
                             "transformation monoid exceeded budget",
-                            {"v": len(v_elems), "budget": budget},
+                            {"v": size, "budget": budget},
                         )
-    mul = [[v_index[tuple(w[u[h]] for h in range(n))] for w in v_elems] for u in v_elems]
-    act = [[u[h] for u in v_elems] for h in range(n)]
-    ins = [
-        [v_index[tuple(h_add[u[h]][g] for h in range(n))] for g in range(n)]
-        for u in v_elems
-    ]
-    alg = validate_algebra(h_add, zero, mul, v_index[ident], act, ins)
-    letters = {a: v_index[tau] for a, tau in letter_of.items()}
+        ti += 1
+    elems = elems[:size]
+    mul = [[v_index[key] for key in _row_keys(elems[:, u])] for u in elems]
+    act = elems.T.tolist()
+    ins = [[v_index[key] for key in _row_keys(add[u].T)] for u in elems]
+    alg = validate_algebra(h_add, zero, mul, v_index[ident.tobytes()], act, ins)
+    letters = {a: v_index[tau.tobytes()] for a, tau in letter_of.items()}
     return alg, letters, tuple(v_derivs)
 
 
@@ -985,7 +1039,6 @@ def tm_to_division(target, ambient, w: TmDivisionWitness, budget=200000) -> Divi
     v_pairs = {(ambient.v_one, target.one)}
     gens = [(w.hat[v], v) for v in sorted(w.hat)]
     changed = True
-    steps = 0
     while changed:
         changed = False
         for u, gu in list(v_pairs):
@@ -1010,7 +1063,6 @@ def tm_to_division(target, ambient, w: TmDivisionWitness, budget=200000) -> Divi
                 if z not in h_pairs:
                     h_pairs.add(z)
                     changed = True
-        steps += 1
         if len(h_pairs) + len(v_pairs) > budget:
             raise BudgetError("tm_to_division closure exceeded budget")
     h_map, v_map = {}, {}
@@ -1041,7 +1093,7 @@ def search_division(target, ambient, h_cap=8, v_cap=12, max_gens=3):
     v_all = list(range(ambient.v_size))
     for size in range(0, min(max_gens, ambient.v_size) + 1):
         for gens in itertools.combinations(v_all, size):
-            sub, h_embed, v_embed = generated_subalgebra(ambient, (), gens)
+            _, h_embed, v_embed = generated_subalgebra(ambient, (), gens)
             # derivations: rebuild closure order to force images
             for assign in itertools.product(range(target.v_size), repeat=len(gens)):
                 w = _try_assignment(target, ambient, gens, assign, h_embed, v_embed)

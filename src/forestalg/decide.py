@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import terms
 from .algebra import (
     BudgetError,
@@ -89,19 +91,6 @@ def _level_sizes(n_letters, k, cap):
             )
         sizes.append(nxt)
     return sizes
-
-
-def _trunc_tables(n_letters, sizes):
-    """tables[j][code at level j] = code at level j-1, for j >= 1."""
-    tables = []
-    for j in range(1, len(sizes)):
-        prev = sizes[j - 1]
-        table = []
-        for code in range(sizes[j]):
-            a_idx, s = code >> prev.bit_length() - 1 if False else divmod(code, 1 << prev)
-            table.append(None)
-        tables.append(table)
-    return tables
 
 
 class _TypeCoder:
@@ -209,7 +198,6 @@ def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
     coder = _TypeCoder(alphabet, k)
     m = syn.recognizer.morphism
     pairs = _joint_closure(m, coder, budget)
-    n_h = syn.algebra.h_size
     # group: A[mask] = set of values realizable with exactly that root set
     a_of = {}
     for (h, mask) in pairs:
@@ -222,7 +210,6 @@ def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
     for (h, mask) in pairs:
         b_of.setdefault(mask, set()).add(h)
         rep.setdefault((mask, h), (h, mask))
-    order = sorted(b_of)
     for bit in range(size):
         for mask in list(b_of):
             if mask & (1 << bit):
@@ -273,20 +260,6 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
         raise ValueError("saturation strategy requires an idempotent horizontal monoid")
     letters = sorted(alphabet)
     m = syn.recognizer.morphism
-    if k == 0:
-        # the typed-tree table at depth 0: every tree has the atom type
-        w_table = {0: {}}
-        coder = None
-        p_pairs = {(alg.zero, 0): ("zero",)}
-        coder = _TypeCoder(alphabet, 0)
-        p_pairs = _joint_closure(m, coder, budget)
-        for (h, mask) in p_pairs:
-            if mask:
-                pass
-        # trees realizing the single depth-0 type
-        w_values = {}
-        for (h, mask), d in p_pairs.items():
-            pass
     # level k-1 realizable (root set, value) table
     coder = _TypeCoder(alphabet, max(k - 1, 0))
     p_pairs = _joint_closure(m, coder, budget)
@@ -444,37 +417,49 @@ class IdentityOutcome:
         return self.status == "holds" and self.relation_r.exact and self.relation_s.exact
 
 
+def _first_violation(add, left, right, cols):
+    """First (row, col) in row-major order with add[left][col] !=
+    add[right][col], over the rows where left and right differ, or None."""
+    rows = np.flatnonzero(left != right)
+    if not rows.size:
+        return None
+    bad = add[left[rows]][:, cols] != add[right[rows]][:, cols]
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return None
+    row, col = divmod(int(hits[0]), len(cols))
+    return int(rows[row]), col
+
+
+def _add_act(alg):
+    return (
+        np.array(alg.add, dtype=np.int64).reshape(alg.h_size, alg.h_size),
+        np.array(alg.act, dtype=np.int64).reshape(alg.h_size, alg.v_size),
+    )
+
+
 def _check_identity_i(syn, rel: Relation):
-    alg = syn.algebra
+    add, act = _add_act(syn.algebra)
     for (hr, hs) in sorted(rel.pairs):
-        hrs = alg.add[hr][hs]
-        for vt in range(alg.v_size):
-            left_t = alg.act[hrs][vt]
-            right_t = alg.act[hs][vt]
-            if left_t == right_t:
-                continue
-            for vu in range(alg.v_size):
-                ru = alg.act[hr][vu]
-                if alg.add[left_t][ru] != alg.add[right_t][ru]:
-                    r_term, s_term = rel.witnesses[(hr, hs)]
-                    return ("i", r_term, s_term, syn.v_terms[vt], syn.v_terms[vu])
+        # act[hr + hs][vt] + act[hr][vu] versus act[hs][vt] + act[hr][vu]
+        hit = _first_violation(add, act[add[hr, hs]], act[hs], act[hr])
+        if hit is not None:
+            vt, vu = hit
+            r_term, s_term = rel.witnesses[(hr, hs)]
+            return ("i", r_term, s_term, syn.v_terms[vt], syn.v_terms[vu])
     return None
 
 
 def _check_identity_ii(syn, rel: Relation):
-    alg = syn.algebra
+    add, act = _add_act(syn.algebra)
     for (hr, vp) in sorted(rel.pairs):
-        rp = alg.act[hr][vp]
-        for vq in range(alg.v_size):
-            rpq = alg.act[rp][vq]
-            rq = alg.act[hr][vq]
-            if rpq == rq:
-                continue
-            for vq2 in range(alg.v_size):
-                tail = alg.act[rp][vq2]
-                if alg.add[rpq][tail] != alg.add[rq][tail]:
-                    r_term, p_term = rel.witnesses[(hr, vp)]
-                    return ("ii", r_term, p_term, syn.v_terms[vq], syn.v_terms[vq2])
+        # act[rp][vq] + act[rp][vq2] versus act[hr][vq] + act[rp][vq2]
+        rp = act[hr, vp]
+        hit = _first_violation(add, act[rp], act[hr], act[rp])
+        if hit is not None:
+            vq, vq2 = hit
+            r_term, p_term = rel.witnesses[(hr, vp)]
+            return ("ii", r_term, p_term, syn.v_terms[vq], syn.v_terms[vq2])
     return None
 
 
@@ -615,12 +600,14 @@ def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
                 if lt == rt:
                     steps += 1
                     if steps > budgets.search_cap:
+                        counters["search_steps"] = steps
                         counters["search_truncated"] = True
                         return None
                     continue
                 for u in contexts:
                     steps += 1
                     if steps > budgets.search_cap:
+                        counters["search_steps"] = steps
                         counters["search_truncated"] = True
                         return None
                     witness = ("i", r, s, t, u)
@@ -635,6 +622,7 @@ def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
                 for q2 in contexts:
                     steps += 1
                     if steps > budgets.search_cap:
+                        counters["search_steps"] = steps
                         counters["search_truncated"] = True
                         return None
                     witness = ("ii", r, p, q, q2)

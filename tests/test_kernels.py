@@ -1,0 +1,392 @@
+"""Differential tests of the numpy table kernels against the loop versions
+they replaced.
+
+The reference functions below are the plain quantifier loops: they define
+which violation is "first".  The kernels must raise the same law with the
+same witness indices, build identical transformation algebras (tables,
+letter map, derivation log, budget error point) and return the same identity
+witness.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from forestalg import algebra, ktypes, samples
+from forestalg.algebra import (
+    AlgebraLawError,
+    BudgetError,
+    _check_monoid,
+    transformation_algebra,
+    validate_algebra,
+)
+from forestalg.decide import (
+    Relation,
+    _check_identity_i,
+    _check_identity_ii,
+    relation_r,
+    relation_s,
+)
+
+# --- reference loops ---------------------------------------------------------
+
+
+def ref_check_monoid(size, table, unit, name, commutative):
+    if len(table) != size or any(len(row) != size for row in table):
+        raise AlgebraLawError(name + "-shape", (), "table is not %d x %d" % (size, size))
+    for row in table:
+        for x in row:
+            if not (0 <= x < size):
+                raise AlgebraLawError(name + "-shape", (x,), "entry out of range")
+    for x in range(size):
+        if table[unit][x] != x or table[x][unit] != x:
+            raise AlgebraLawError(name + "-identity", (x,), "unit law fails")
+    for x in range(size):
+        for y in range(size):
+            if commutative and table[x][y] != table[y][x]:
+                raise AlgebraLawError(name + "-commutativity", (x, y), "xy != yx")
+            for z in range(size):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    raise AlgebraLawError(name + "-associativity", (x, y, z), "(xy)z != x(yz)")
+
+
+def ref_validate(h_add, zero, v_mul, one, act, ins):
+    h_size = len(h_add)
+    v_size = len(v_mul)
+    ref_check_monoid(h_size, h_add, zero, "h", commutative=True)
+    ref_check_monoid(v_size, v_mul, one, "v", commutative=False)
+    if len(act) != h_size or any(len(row) != v_size for row in act):
+        raise AlgebraLawError("action-shape", (), "act is not %d x %d" % (h_size, v_size))
+    for row in act:
+        for x in row:
+            if not (0 <= x < h_size):
+                raise AlgebraLawError("action-shape", (x,), "entry out of range")
+    for h in range(h_size):
+        if act[h][one] != h:
+            raise AlgebraLawError("action-identity", (h,), "h.1 != h")
+        for v1 in range(v_size):
+            for v2 in range(v_size):
+                if act[act[h][v1]][v2] != act[h][v_mul[v1][v2]]:
+                    raise AlgebraLawError("action-composition", (h, v1, v2), "(hv1)v2 != h(v1v2)")
+    for v1 in range(v_size):
+        for v2 in range(v1 + 1, v_size):
+            if all(act[h][v1] == act[h][v2] for h in range(h_size)):
+                raise AlgebraLawError("faithfulness", (v1, v2), "distinct v act identically")
+    if len(ins) != v_size or any(len(row) != h_size for row in ins):
+        raise AlgebraLawError("insertion-shape", (), "ins is not %d x %d" % (v_size, h_size))
+    for v in range(v_size):
+        for h in range(h_size):
+            w = ins[v][h]
+            if not (0 <= w < v_size):
+                raise AlgebraLawError("insertion-shape", (v, h), "entry out of range")
+            for g in range(h_size):
+                if act[g][w] != h_add[act[g][v]][h]:
+                    raise AlgebraLawError("insertion", (v, h, g), "g.ins(v,h) != g.v + h")
+
+
+def ref_transformation_algebra(h_add, zero, letter_maps, budget=100000):
+    """Returns (mul, one, act, ins, letters, derivations)."""
+    n = len(h_add)
+    ident = tuple(range(n))
+    gens = [(ident, ("one",))]
+    letter_of = {}
+    for a in sorted(letter_maps):
+        tau = tuple(letter_maps[a])
+        letter_of[a] = tau
+        gens.append((tau, ("letter", a)))
+    for g in range(n):
+        gens.append((tuple(h_add[h][g] for h in range(n)), ("addh", g)))
+    v_index = {}
+    v_elems = []
+    v_derivs = []
+
+    def admit(tau, deriv):
+        if tau not in v_index:
+            v_index[tau] = len(v_elems)
+            v_elems.append(tau)
+            v_derivs.append(deriv)
+            return True
+        return False
+
+    queue = []
+    for tau, deriv in gens:
+        if admit(tau, deriv):
+            queue.append(tau)
+    while queue:
+        tau = queue.pop(0)
+        ti = v_index[tau]
+        for sigma in list(v_elems):
+            si = v_index[sigma]
+            for comp, deriv in (
+                (tuple(sigma[tau[h]] for h in range(n)), ("mul", ti, si)),
+                (tuple(tau[sigma[h]] for h in range(n)), ("mul", si, ti)),
+            ):
+                if admit(comp, deriv):
+                    queue.append(comp)
+                    if len(v_elems) > budget:
+                        raise BudgetError(
+                            "transformation monoid exceeded budget",
+                            {"v": len(v_elems), "budget": budget},
+                        )
+    mul = [[v_index[tuple(w[u[h]] for h in range(n))] for w in v_elems] for u in v_elems]
+    act = [[u[h] for u in v_elems] for h in range(n)]
+    ins = [
+        [v_index[tuple(h_add[u[h]][g] for h in range(n))] for g in range(n)]
+        for u in v_elems
+    ]
+    letters = {a: v_index[tau] for a, tau in letter_of.items()}
+    return mul, v_index[ident], act, ins, letters, tuple(v_derivs)
+
+
+def ref_check_identity_i(syn, rel):
+    alg = syn.algebra
+    for (hr, hs) in sorted(rel.pairs):
+        hrs = alg.add[hr][hs]
+        for vt in range(alg.v_size):
+            left_t = alg.act[hrs][vt]
+            right_t = alg.act[hs][vt]
+            if left_t == right_t:
+                continue
+            for vu in range(alg.v_size):
+                ru = alg.act[hr][vu]
+                if alg.add[left_t][ru] != alg.add[right_t][ru]:
+                    r_term, s_term = rel.witnesses[(hr, hs)]
+                    return ("i", r_term, s_term, syn.v_terms[vt], syn.v_terms[vu])
+    return None
+
+
+def ref_check_identity_ii(syn, rel):
+    alg = syn.algebra
+    for (hr, vp) in sorted(rel.pairs):
+        rp = alg.act[hr][vp]
+        for vq in range(alg.v_size):
+            rpq = alg.act[rp][vq]
+            rq = alg.act[hr][vq]
+            if rpq == rq:
+                continue
+            for vq2 in range(alg.v_size):
+                tail = alg.act[rp][vq2]
+                if alg.add[rpq][tail] != alg.add[rq][tail]:
+                    r_term, p_term = rel.witnesses[(hr, vp)]
+                    return ("ii", r_term, p_term, syn.v_terms[vq], syn.v_terms[vq2])
+    return None
+
+
+# --- inputs ------------------------------------------------------------------
+
+
+def _even_node_types(nodes, roots):
+    return len(nodes) % 2 == 0
+
+
+def _one_root_type(nodes, roots):
+    return len(roots) == 1
+
+
+PREDICATES = (_even_node_types, _one_root_type)
+
+
+def _captured_automata():
+    """The (h_add, zero, letter_maps, budget) inputs that the sample
+    recognizers and small lt_recognizer machines hand to
+    transformation_algebra."""
+    calls = []
+
+    def record(h_add, zero, letter_maps, budget=100000):
+        calls.append((h_add, zero, letter_maps, budget))
+        return transformation_algebra(h_add, zero, letter_maps, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samples, "transformation_algebra", record)
+        mp.setattr(ktypes, "transformation_algebra", record)
+        samples.a_has_b_child("ab")
+        samples.a_has_b_child("abc")
+        for alphabet, pred in itertools.product(("a", "ab"), PREDICATES):
+            ktypes.lt_recognizer(alphabet, 1, pred)
+    return calls
+
+
+AUTOMATA = _captured_automata()
+
+
+def _tables(alg):
+    return (alg.add, alg.zero, alg.mul, alg.one, alg.act, alg.ins)
+
+
+VALID = [_tables(transformation_algebra(*args)[0]) for args in AUTOMATA] + [
+    _tables(samples.flat_z3()),
+    _tables(samples.flat_trunc3()),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except AlgebraLawError as e:
+        return (e.law, e.where)
+    return None
+
+
+def _lists(table):
+    return [list(row) for row in table]
+
+
+# --- law checks --------------------------------------------------------------
+
+
+def test_valid_inputs_pass_both():
+    assert len(AUTOMATA) == 6
+    for tables in VALID:
+        assert _outcome(ref_validate, *tables) is None
+        assert _outcome(validate_algebra, *tables) is None
+
+
+# codomain of each table: index 0 is H, 1 is V
+_CODOMAIN = {"add": 0, "mul": 1, "act": 0, "ins": 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_single_corrupted_entry_reports_the_reference_violation(data):
+    add, zero, mul, one, act, ins = data.draw(st.sampled_from(VALID))
+    add, mul, act, ins = map(_lists, (add, mul, act, ins))
+    tables = {"add": add, "mul": mul, "act": act, "ins": ins}
+    name = data.draw(st.sampled_from(sorted(tables)))
+    table = tables[name]
+    i = data.draw(st.integers(0, len(table) - 1))
+    j = data.draw(st.integers(0, len(table[i]) - 1))
+    bound = (len(add), len(mul))[_CODOMAIN[name]]
+    values = st.one_of(st.integers(-1, bound), st.just(2**70))
+    table[i][j] = data.draw(values.filter(lambda x: x != table[i][j]))
+    want = _outcome(ref_validate, add, zero, mul, one, act, ins)
+    assert _outcome(validate_algebra, add, zero, mul, one, act, ins) == want
+    if name == "add":
+        assert _outcome(_check_monoid, len(add), add, zero, "h", True) == _outcome(
+            ref_check_monoid, len(add), add, zero, "h", True
+        )
+    if name == "mul":
+        assert _outcome(_check_monoid, len(mul), mul, one, "v", False) == _outcome(
+            ref_check_monoid, len(mul), mul, one, "v", False
+        )
+
+
+def _inflate(tables, copies, perm):
+    """The algebra with V replaced by V x Z_copies, the second factor acting
+    trivially on H, and V relabelled by perm: every law holds except
+    faithfulness."""
+    add, zero, mul, one, act, ins = tables
+    n = len(mul) * copies
+    inv = {old: new for new, old in enumerate(perm)}
+
+    def code(v, c):
+        return inv[v * copies + c]
+
+    new_mul = [[None] * n for _ in range(n)]
+    new_act = [[None] * n for _ in range(len(add))]
+    new_ins = [[None] * len(add) for _ in range(n)]
+    for v, c in itertools.product(range(len(mul)), range(copies)):
+        for w, d in itertools.product(range(len(mul)), range(copies)):
+            new_mul[code(v, c)][code(w, d)] = code(mul[v][w], (c + d) % copies)
+        for h in range(len(add)):
+            new_act[h][code(v, c)] = act[h][v]
+            new_ins[code(v, c)][h] = code(ins[v][h], c)
+    return add, zero, new_mul, code(one, 0), new_act, new_ins
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_faithfulness_reports_the_first_pair(data):
+    # V grows by the factor copies; small bases keep the reference loops quick
+    tables = data.draw(st.sampled_from([t for t in VALID if len(t[2]) <= 12]))
+    copies = data.draw(st.integers(2, 3))
+    perm = data.draw(st.permutations(range(len(tables[2]) * copies)))
+    inflated = _inflate(tables, copies, perm)
+    want = _outcome(ref_validate, *inflated)
+    assert want is not None and want[0] == "faithfulness"
+    assert _outcome(validate_algebra, *inflated) == want
+
+
+# --- transformation algebra --------------------------------------------------
+
+
+def _assert_same_transformation_algebra(h_add, zero, letter_maps, budget):
+    try:
+        want = ref_transformation_algebra(h_add, zero, letter_maps, budget)
+    except BudgetError as e:
+        with pytest.raises(BudgetError) as got:
+            transformation_algebra(h_add, zero, letter_maps, budget)
+        assert (str(got.value), got.value.stats) == (str(e), e.stats)
+        return
+    alg, letters, derivs = transformation_algebra(h_add, zero, letter_maps, budget)
+    mul, one, act, ins, ref_letters, ref_derivs = want
+    assert alg.mul == tuple(map(tuple, mul))
+    assert alg.one == one
+    assert alg.act == tuple(map(tuple, act))
+    assert alg.ins == tuple(map(tuple, ins))
+    assert letters == ref_letters
+    assert derivs == ref_derivs
+
+
+@pytest.mark.parametrize("args", AUTOMATA, ids=range(len(AUTOMATA)))
+def test_transformation_algebra_matches_reference(args):
+    _assert_same_transformation_algebra(*args)
+
+
+_STATE_MONOIDS = [
+    [[0, 1], [1, 1]],
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+    [[min(i + j, 2) for j in range(3)] for i in range(3)],
+    [[i | j for j in range(4)] for i in range(4)],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_automata_match_reference(data):
+    h_add = data.draw(st.sampled_from(_STATE_MONOIDS))
+    n = len(h_add)
+    letters = data.draw(st.sampled_from(["a", "ab"]))
+    letter_maps = {
+        a: data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for a in letters
+    }
+    budget = data.draw(st.sampled_from([3, 8, 20, 100000]))
+    _assert_same_transformation_algebra(h_add, 0, letter_maps, budget)
+
+
+# --- identity checks ---------------------------------------------------------
+
+
+def _recognizers():
+    yield samples.contains_a()
+    yield samples.parity_a()
+    yield samples.a_has_b_child("ab")
+    for alphabet, pred in itertools.product(("a", "ab"), PREDICATES):
+        yield ktypes.lt_recognizer(alphabet, 1, pred).recognizer
+
+
+SYNTACTIC = [algebra.syntactic_algebra(rec) for rec in _recognizers()]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_identity_witnesses_match_reference(index, k):
+    syn = SYNTACTIC[index]
+    rel_r = relation_r(syn, k)
+    rel_s = relation_s(syn, k)
+    assert _check_identity_i(syn, rel_r) == ref_check_identity_i(syn, rel_r)
+    assert _check_identity_ii(syn, rel_s) == ref_check_identity_ii(syn, rel_s)
+
+
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_identity_witnesses_match_reference_on_all_pairs(index):
+    # every pair, realizable or not, so that violations are plentiful
+    syn = SYNTACTIC[index]
+    hs = range(syn.algebra.h_size)
+    vs = range(syn.algebra.v_size)
+    pairs_r = frozenset(itertools.product(hs, hs))
+    pairs_s = frozenset(itertools.product(hs, vs))
+    rel_r = Relation("R", 0, "all", False, pairs_r, {p: p for p in pairs_r})
+    rel_s = Relation("S", 0, "all", False, pairs_s, {p: p for p in pairs_s})
+    assert _check_identity_i(syn, rel_r) == ref_check_identity_i(syn, rel_r)
+    assert _check_identity_ii(syn, rel_s) == ref_check_identity_ii(syn, rel_s)
