@@ -26,7 +26,8 @@ is sound but partial in the middle and exact at the extremes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,8 +133,6 @@ class _TypeCoder:
         if self.k == 0:
             return 1  # the single atom
         child = self.trunc_mask(self.k, mask) if self.k > 1 else (1 if mask else 0)
-        if self.k == 1:
-            child = 1 if mask else 0
         return 1 << (a_idx * (1 << self.sizes[self.k - 1]) + child)
 
 
@@ -184,6 +183,27 @@ def _replay_joint(pairs, p):
     return _replay_joint(pairs, d[1]) + _replay_joint(pairs, d[2])
 
 
+class _Replayed(Mapping):
+    """Read-only pair -> witness terms that keeps one derivation handle per
+    pair and replays the terms each time a pair is read."""
+
+    def __init__(self, handles, replay):
+        self._handles = handles
+        self._replay = replay
+
+    def __getitem__(self, key):
+        return self._replay(self._handles[key])
+
+    def __contains__(self, key):
+        return key in self._handles
+
+    def __iter__(self):
+        return iter(self._handles)
+
+    def __len__(self):
+        return len(self._handles)
+
+
 @dataclass
 class Relation:
     kind: str  # "R" or "S"
@@ -191,7 +211,9 @@ class Relation:
     strategy: str  # "exact-closure" | "saturation" | "sampled"
     exact: bool
     pairs: frozenset
-    witnesses: dict  # pair -> (Forest, Forest) for R, (Forest, Context) for S
+    # pair -> (Forest, Forest) for R, (Forest, Context) for S; the exact
+    # strategies replay the terms on read, the sampled one keeps them
+    witnesses: Mapping
 
 
 def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
@@ -237,21 +259,15 @@ def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
                         b_of[up].add(h)
                         rep[(up, h)] = rep[(mask, h)]
                         changed = True
-    out = set()
-    wit = {}
+    handles = {}
     for mask, hs in a_of.items():
         subs = b_of.get(mask, ())
         for h_s in hs:
             for h_r in subs:
-                key = (h_r, h_s)
-                if key not in out:
-                    out.add(key)
-                    r_pair = rep[(mask, h_r)]
-                    wit[key] = (
-                        _replay_joint(pairs, r_pair),
-                        _replay_joint(pairs, (h_s, mask)),
-                    )
-    return Relation("R", k, "exact-closure", True, frozenset(out), wit)
+                if (h_r, h_s) not in handles:
+                    handles[(h_r, h_s)] = (rep[(mask, h_r)], (h_s, mask))
+    wit = _Replayed(handles, lambda h: (_replay_joint(pairs, h[0]), _replay_joint(pairs, h[1])))
+    return Relation("R", k, "exact-closure", True, frozenset(handles), wit)
 
 
 def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
@@ -264,33 +280,33 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
     coder = _TypeCoder(alphabet, max(k - 1, 0))
     p_pairs = _joint_closure(m, coder, budget)
     # typed-tree value table at depth k: W[(a_idx, child mask)] = values
+    # w_tree[(t, value)] = (level k-1 pair, letter) of its first tree
     w_values = {}
-    w_witness = {}
+    w_tree = {}
     for (h, mask) in p_pairs:
         for i, a in enumerate(letters):
             t = (i, mask if k > 1 else (1 if mask else 0)) if k >= 1 else (0, 0)
-            if k == 0:
-                t = (0, 0)
             value = alg.act[h][m.letters[a]]
             w_values.setdefault(t, set())
             if value not in w_values[t]:
                 w_values[t].add(value)
-                w_witness[(t, value)] = _replay_joint(p_pairs, (h, mask)).adjoin(a)
+                w_tree[(t, value)] = ((h, mask), a)
+    # derivations: ("zero",) | ("base", r tree, s tree) | ("sum", pair,
+    # pair) | ("aug", pair, value added to s)
     base = set()
-    wit = {}
+    deriv = {}
     zero_key = (alg.zero, alg.zero)
     base.add(zero_key)
-    wit[zero_key] = (terms.EMPTY, terms.EMPTY)
+    deriv[zero_key] = ("zero",)
     for t, values in w_values.items():
         for h in values:
             for g in values:
                 key = (h, g)
                 if key not in base:
                     base.add(key)
-                    wit[key] = (w_witness[(t, h)], w_witness[(t, g)])
+                    deriv[key] = ("base", w_tree[(t, h)], w_tree[(t, g)])
     # close under componentwise addition and right augmentation by any
     # realizable value (every syntactic H value is realizable)
-    aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
     work = list(base)
     rel = set(base)
     while work:
@@ -299,16 +315,13 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
             cand = (alg.add[h][h2], alg.add[g][g2])
             if cand not in rel:
                 rel.add(cand)
-                w1 = wit[(h, g)]
-                w2 = wit[(h2, g2)]
-                wit[cand] = (w1[0] + w2[0], w1[1] + w2[1])
+                deriv[cand] = ("sum", (h, g), (h2, g2))
                 work.append(cand)
-        for (w, term) in aug:
+        for w in range(alg.h_size):
             cand = (h, alg.add[g][w])
             if cand not in rel:
                 rel.add(cand)
-                w1 = wit[(h, g)]
-                wit[cand] = (w1[0], w1[1] + term)
+                deriv[cand] = ("aug", (h, g), w)
                 work.append(cand)
     # closing against base elements only is enough for sums because the pair
     # monoid is generated by the base, but re-run against everything found to
@@ -322,12 +335,44 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
                 cand = (alg.add[p1[0]][p2[0]], alg.add[p1[1]][p2[1]])
                 if cand not in rel:
                     rel.add(cand)
-                    wit[cand] = (
-                        wit[p1][0] + wit[p2][0],
-                        wit[p1][1] + wit[p2][1],
-                    )
+                    deriv[cand] = ("sum", p1, p2)
                     changed = True
+    wit = _Replayed(deriv, lambda d: _replay_saturation(deriv, p_pairs, syn.h_terms, d))
     return Relation("R", k, "saturation", True, frozenset(rel), wit)
+
+
+def _replay_saturation(deriv, p_pairs, h_terms, root):
+    """The (r, s) terms a saturation derivation replays to.  Iterative, since
+    a derivation chain can be as long as the relation."""
+    done = {}
+    stack = [root]
+    while stack:
+        d = stack[-1]
+        if d in done:
+            stack.pop()
+            continue
+        if d[0] == "zero":
+            done[d] = (terms.EMPTY, terms.EMPTY)
+        elif d[0] == "base":
+            (r_pair, a), (s_pair, b) = d[1], d[2]
+            done[d] = (
+                _replay_joint(p_pairs, r_pair).adjoin(a),
+                _replay_joint(p_pairs, s_pair).adjoin(b),
+            )
+        else:
+            parts = [deriv[p] for p in (d[1:] if d[0] == "sum" else d[1:2])]
+            missing = [e for e in parts if e not in done]
+            if missing:
+                stack.extend(missing)
+                continue
+            r, s = done[parts[0]]
+            if d[0] == "sum":
+                r2, s2 = done[parts[1]]
+                done[d] = (r + r2, s + s2)
+            else:
+                done[d] = (r, s + h_terms[d[2]])
+        stack.pop()
+    return done[root]
 
 
 def _relation_r_sampled(syn, alphabet, k, bound, seed, sample):
@@ -362,14 +407,15 @@ def _relation_s_exact(syn, alphabet, k, budget):
     ka = ktype_algebra(alphabet, k, budget=budget)
     pa = pair_closure(syn.recognizer.morphism, ka.morphism, budget=budget)
     kalg = ka.algebra
-    out = {}
+    handles = {}
     for hi, (h1, hk) in enumerate(pa.h_pairs):
         for vi, (v1, vk) in enumerate(pa.v_pairs):
-            if kalg.act[hk][vk] == hk:
-                key = (h1, v1)
-                if key not in out:
-                    out[key] = (witness_forest(pa, hi), witness_context(pa, vi))
-    return Relation("S", k, "exact-closure", True, frozenset(out), dict(out))
+            if kalg.act[hk][vk] == hk and (h1, v1) not in handles:
+                handles[(h1, v1)] = (hi, vi)
+    # the replay helpers are looked up in this module when a pair is read, so
+    # a wrapper installed on decide.witness_forest sees every replay
+    wit = _Replayed(handles, lambda h: (witness_forest(pa, h[0]), witness_context(pa, h[1])))
+    return Relation("S", k, "exact-closure", True, frozenset(handles), wit)
 
 
 def _relation_s_sampled(syn, alphabet, k, bound, seed, sample):

@@ -36,9 +36,6 @@ __all__ = [
     "make_alphabet",
     "parse_forest",
     "parse_context",
-    "canonical",
-    "add",
-    "adjoin",
     "apply_context",
     "compose",
     "enumerate_forests",
@@ -222,19 +219,6 @@ class Context:
 
 
 HOLE = Context()
-
-
-def canonical(f):
-    """Canonical form; the constructors already canonicalize, so identity."""
-    return f
-
-
-def add(f, g):
-    return f + g
-
-
-def adjoin(f, label):
-    return f.adjoin(label)
 
 
 def apply_context(s, p):

@@ -1,6 +1,27 @@
-from forestalg import samples
+"""Tests of the decision pipeline's relations and search.
+
+The reference builders below are the eager versions of the exact relation
+strategies: they replay witness terms for every pair while the relation is
+built.  The relations must have the same pairs and the same keys, and each
+key must read back the same terms, though they are replayed only on read.
+"""
+
+import itertools
+
+import pytest
+
+from forestalg import decide, ktypes, samples, terms
 from forestalg.algebra import syntactic_algebra
-from forestalg.decide import DecideBudgets, _direct_witness_search
+from forestalg.decide import (
+    DecideBudgets,
+    _direct_witness_search,
+    _joint_closure,
+    _replay_joint,
+    _TypeCoder,
+    relation_r,
+    relation_s,
+)
+from forestalg.derived import pair_closure, witness_context, witness_forest
 
 
 def test_truncated_search_records_its_steps():
@@ -10,3 +31,231 @@ def test_truncated_search_records_its_steps():
     budgets = DecideBudgets(search_bound=2, search_cap=5)
     assert _direct_witness_search(syn, 5, budgets, counters) is None
     assert counters == {"search_steps": 6, "search_truncated": True}
+
+
+# --- eager reference builders ------------------------------------------------
+
+
+def ref_relation_r_exact(syn, k, budget=300000):
+    coder = _TypeCoder(syn.recognizer.alphabet, k)
+    pairs = _joint_closure(syn.recognizer.morphism, coder, budget)
+    a_of = {}
+    for (h, mask) in pairs:
+        a_of.setdefault(mask, set()).add(h)
+    size = coder.sizes[k]
+    b_of = {}
+    rep = {}
+    for (h, mask) in pairs:
+        b_of.setdefault(mask, set()).add(h)
+        rep.setdefault((mask, h), (h, mask))
+    for bit in range(size):
+        for mask in list(b_of):
+            if mask & (1 << bit):
+                continue
+            up = mask | (1 << bit)
+            if up in a_of or up in b_of:
+                tgt = b_of.setdefault(up, set())
+                for h in b_of[mask]:
+                    if h not in tgt:
+                        tgt.add(h)
+                        rep[(up, h)] = rep[(mask, h)]
+    changed = True
+    while changed:
+        changed = False
+        for mask in list(b_of):
+            for bit in range(size):
+                if mask & (1 << bit):
+                    continue
+                up = mask | (1 << bit)
+                if up not in b_of:
+                    continue
+                for h in b_of[mask]:
+                    if h not in b_of[up]:
+                        b_of[up].add(h)
+                        rep[(up, h)] = rep[(mask, h)]
+                        changed = True
+    wit = {}
+    for mask, hs in a_of.items():
+        subs = b_of.get(mask, ())
+        for h_s in hs:
+            for h_r in subs:
+                key = (h_r, h_s)
+                if key not in wit:
+                    wit[key] = (
+                        _replay_joint(pairs, rep[(mask, h_r)]),
+                        _replay_joint(pairs, (h_s, mask)),
+                    )
+    return frozenset(wit), wit
+
+
+def ref_relation_r_saturation(syn, k, budget=300000):
+    alg = syn.algebra
+    letters = sorted(syn.recognizer.alphabet)
+    m = syn.recognizer.morphism
+    coder = _TypeCoder(syn.recognizer.alphabet, max(k - 1, 0))
+    p_pairs = _joint_closure(m, coder, budget)
+    w_values = {}
+    w_witness = {}
+    for (h, mask) in p_pairs:
+        for i, a in enumerate(letters):
+            t = (i, mask if k > 1 else (1 if mask else 0)) if k >= 1 else (0, 0)
+            value = alg.act[h][m.letters[a]]
+            w_values.setdefault(t, set())
+            if value not in w_values[t]:
+                w_values[t].add(value)
+                w_witness[(t, value)] = _replay_joint(p_pairs, (h, mask)).adjoin(a)
+    base = set()
+    wit = {}
+    zero_key = (alg.zero, alg.zero)
+    base.add(zero_key)
+    wit[zero_key] = (terms.EMPTY, terms.EMPTY)
+    for t, values in w_values.items():
+        for h in values:
+            for g in values:
+                key = (h, g)
+                if key not in base:
+                    base.add(key)
+                    wit[key] = (w_witness[(t, h)], w_witness[(t, g)])
+    aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
+    work = list(base)
+    rel = set(base)
+    while work:
+        (h, g) = work.pop()
+        for (h2, g2) in list(base):
+            cand = (alg.add[h][h2], alg.add[g][g2])
+            if cand not in rel:
+                rel.add(cand)
+                w1 = wit[(h, g)]
+                w2 = wit[(h2, g2)]
+                wit[cand] = (w1[0] + w2[0], w1[1] + w2[1])
+                work.append(cand)
+        for (w, term) in aug:
+            cand = (h, alg.add[g][w])
+            if cand not in rel:
+                rel.add(cand)
+                w1 = wit[(h, g)]
+                wit[cand] = (w1[0], w1[1] + term)
+                work.append(cand)
+    changed = True
+    while changed:
+        changed = False
+        current = list(rel)
+        for p1 in current:
+            for p2 in current:
+                cand = (alg.add[p1[0]][p2[0]], alg.add[p1[1]][p2[1]])
+                if cand not in rel:
+                    rel.add(cand)
+                    wit[cand] = (
+                        wit[p1][0] + wit[p2][0],
+                        wit[p1][1] + wit[p2][1],
+                    )
+                    changed = True
+    return frozenset(rel), wit
+
+
+def ref_relation_s_exact(syn, k, budget=100000):
+    ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k, budget=budget)
+    pa = pair_closure(syn.recognizer.morphism, ka.morphism, budget=budget)
+    out = {}
+    for hi, (h1, hk) in enumerate(pa.h_pairs):
+        for vi, (v1, vk) in enumerate(pa.v_pairs):
+            if ka.algebra.act[hk][vk] == hk:
+                key = (h1, v1)
+                if key not in out:
+                    out[key] = (witness_forest(pa, hi), witness_context(pa, vi))
+    return frozenset(out), out
+
+
+# --- inputs ------------------------------------------------------------------
+
+
+def _even_node_types(nodes, roots):
+    return len(nodes) % 2 == 0
+
+
+def _one_root_type(nodes, roots):
+    return len(roots) == 1
+
+
+def _recognizers():
+    yield samples.contains_a()
+    yield samples.parity_a()
+    yield samples.contains_a_redundant()
+    yield samples.empty_language()
+    yield samples.a_has_b_child("ab")
+    for alphabet, pred in itertools.product(("a", "ab"), (_even_node_types, _one_root_type)):
+        yield ktypes.lt_recognizer(alphabet, 1, pred).recognizer
+
+
+SYNTACTIC = [syntactic_algebra(rec) for rec in _recognizers()]
+
+
+def _assert_matches(rel, ref):
+    ref_pairs, ref_wit = ref
+    assert rel.pairs == ref_pairs
+    assert list(rel.witnesses) == list(ref_wit)
+    assert len(rel.witnesses) == len(ref_wit)
+    for key, terms_ in ref_wit.items():
+        assert key in rel.witnesses
+        assert rel.witnesses[key] == terms_
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_relation_r_exact_matches_eager_reference(index, k):
+    syn = SYNTACTIC[index]
+    _assert_matches(relation_r(syn, k, "exact-closure"), ref_relation_r_exact(syn, k))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_relation_r_saturation_matches_eager_reference(index, k):
+    syn = SYNTACTIC[index]
+    if not syn.algebra.h_idempotent():
+        with pytest.raises(ValueError):
+            relation_r(syn, k, "saturation")
+        return
+    _assert_matches(relation_r(syn, k, "saturation"), ref_relation_r_saturation(syn, k))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_relation_s_exact_matches_eager_reference(index, k):
+    syn = SYNTACTIC[index]
+    _assert_matches(relation_s(syn, k, "exact-closure"), ref_relation_s_exact(syn, k))
+
+
+def test_building_relations_replays_no_terms(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("witness_forest", "witness_context", "_replay_joint"):
+        monkeypatch.setattr(decide, name, counting(getattr(decide, name)))
+    syn = SYNTACTIC[-1]
+    rel_s = relation_s(syn, 1)
+    rel_r = relation_r(syn, 1, "exact-closure")
+    rel_sat = relation_r(syn, 1, "saturation")
+    assert calls == []
+    # a read replays through the module's bindings
+    key = next(iter(rel_s.witnesses))
+    assert rel_s.witnesses[key] == ref_relation_s_exact(syn, 1)[1][key]
+    assert {"witness_forest", "witness_context"} <= set(calls)
+    calls.clear()
+    rel_r.witnesses[next(iter(rel_r.witnesses))]
+    rel_sat.witnesses[next(iter(rel_sat.witnesses))]
+    assert "_replay_joint" in calls
+
+
+def test_saturation_replay_walks_long_chains():
+    # each pair derives from the one before, deeper than the recursion limit
+    deriv = {(0, 0): ("zero",)}
+    for i in range(1, 5000):
+        deriv[(0, i)] = ("aug", (0, i - 1), 0) if i % 2 else ("sum", (0, i - 1), (0, 0))
+    got = decide._replay_saturation(deriv, {}, (terms.EMPTY,), deriv[(0, 4999)])
+    assert got == (terms.EMPTY, terms.EMPTY)
