@@ -211,8 +211,8 @@ class Relation:
     strategy: str  # "exact-closure" | "saturation" | "sampled"
     exact: bool
     pairs: frozenset
-    # pair -> (Forest, Forest) for R, (Forest, Context) for S; the exact
-    # strategies replay the terms on read, the sampled one keeps them
+    # pair -> (Forest, Forest) for R, (Forest, Context) for S; exact-closure
+    # replays the terms on read, saturation and sampled keep them
     witnesses: Mapping
 
 
@@ -280,9 +280,8 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
     coder = _TypeCoder(alphabet, max(k - 1, 0))
     p_pairs = _joint_closure(m, coder, budget)
     # typed-tree value table at depth k: W[(a_idx, child mask)] = values
-    # w_tree[(t, value)] = (level k-1 pair, letter) of its first tree
     w_values = {}
-    w_tree = {}
+    w_witness = {}
     for (h, mask) in p_pairs:
         for i, a in enumerate(letters):
             t = (i, mask if k > 1 else (1 if mask else 0)) if k >= 1 else (0, 0)
@@ -290,23 +289,22 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
             w_values.setdefault(t, set())
             if value not in w_values[t]:
                 w_values[t].add(value)
-                w_tree[(t, value)] = ((h, mask), a)
-    # derivations: ("zero",) | ("base", r tree, s tree) | ("sum", pair,
-    # pair) | ("aug", pair, value added to s)
+                w_witness[(t, value)] = _replay_joint(p_pairs, (h, mask)).adjoin(a)
     base = set()
-    deriv = {}
+    wit = {}
     zero_key = (alg.zero, alg.zero)
     base.add(zero_key)
-    deriv[zero_key] = ("zero",)
+    wit[zero_key] = (terms.EMPTY, terms.EMPTY)
     for t, values in w_values.items():
         for h in values:
             for g in values:
                 key = (h, g)
                 if key not in base:
                     base.add(key)
-                    deriv[key] = ("base", w_tree[(t, h)], w_tree[(t, g)])
+                    wit[key] = (w_witness[(t, h)], w_witness[(t, g)])
     # close under componentwise addition and right augmentation by any
     # realizable value (every syntactic H value is realizable)
+    aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
     work = list(base)
     rel = set(base)
     while work:
@@ -315,13 +313,16 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
             cand = (alg.add[h][h2], alg.add[g][g2])
             if cand not in rel:
                 rel.add(cand)
-                deriv[cand] = ("sum", (h, g), (h2, g2))
+                w1 = wit[(h, g)]
+                w2 = wit[(h2, g2)]
+                wit[cand] = (w1[0] + w2[0], w1[1] + w2[1])
                 work.append(cand)
-        for w in range(alg.h_size):
+        for (w, term) in aug:
             cand = (h, alg.add[g][w])
             if cand not in rel:
                 rel.add(cand)
-                deriv[cand] = ("aug", (h, g), w)
+                w1 = wit[(h, g)]
+                wit[cand] = (w1[0], w1[1] + term)
                 work.append(cand)
     # closing against base elements only is enough for sums because the pair
     # monoid is generated by the base, but re-run against everything found to
@@ -335,44 +336,12 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
                 cand = (alg.add[p1[0]][p2[0]], alg.add[p1[1]][p2[1]])
                 if cand not in rel:
                     rel.add(cand)
-                    deriv[cand] = ("sum", p1, p2)
+                    wit[cand] = (
+                        wit[p1][0] + wit[p2][0],
+                        wit[p1][1] + wit[p2][1],
+                    )
                     changed = True
-    wit = _Replayed(deriv, lambda d: _replay_saturation(deriv, p_pairs, syn.h_terms, d))
     return Relation("R", k, "saturation", True, frozenset(rel), wit)
-
-
-def _replay_saturation(deriv, p_pairs, h_terms, root):
-    """The (r, s) terms a saturation derivation replays to.  Iterative, since
-    a derivation chain can be as long as the relation."""
-    done = {}
-    stack = [root]
-    while stack:
-        d = stack[-1]
-        if d in done:
-            stack.pop()
-            continue
-        if d[0] == "zero":
-            done[d] = (terms.EMPTY, terms.EMPTY)
-        elif d[0] == "base":
-            (r_pair, a), (s_pair, b) = d[1], d[2]
-            done[d] = (
-                _replay_joint(p_pairs, r_pair).adjoin(a),
-                _replay_joint(p_pairs, s_pair).adjoin(b),
-            )
-        else:
-            parts = [deriv[p] for p in (d[1:] if d[0] == "sum" else d[1:2])]
-            missing = [e for e in parts if e not in done]
-            if missing:
-                stack.extend(missing)
-                continue
-            r, s = done[parts[0]]
-            if d[0] == "sum":
-                r2, s2 = done[parts[1]]
-                done[d] = (r + r2, s + s2)
-            else:
-                done[d] = (r, s + h_terms[d[2]])
-        stack.pop()
-    return done[root]
 
 
 def _relation_r_sampled(syn, alphabet, k, bound, seed, sample):

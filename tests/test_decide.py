@@ -1,6 +1,6 @@
 """Tests of the decision pipeline's relations and search.
 
-The reference builders below are the eager versions of the exact relation
+The reference builders below are the eager versions of the exact-closure
 strategies: they replay witness terms for every pair while the relation is
 built.  The relations must have the same pairs and the same keys, and each
 key must read back the same terms, though they are replayed only on read.
@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from forestalg import decide, ktypes, samples, terms
+from forestalg import decide, ktypes, samples
 from forestalg.algebra import syntactic_algebra
 from forestalg.decide import (
     DecideBudgets,
@@ -88,71 +88,6 @@ def ref_relation_r_exact(syn, k, budget=300000):
     return frozenset(wit), wit
 
 
-def ref_relation_r_saturation(syn, k, budget=300000):
-    alg = syn.algebra
-    letters = sorted(syn.recognizer.alphabet)
-    m = syn.recognizer.morphism
-    coder = _TypeCoder(syn.recognizer.alphabet, max(k - 1, 0))
-    p_pairs = _joint_closure(m, coder, budget)
-    w_values = {}
-    w_witness = {}
-    for (h, mask) in p_pairs:
-        for i, a in enumerate(letters):
-            t = (i, mask if k > 1 else (1 if mask else 0)) if k >= 1 else (0, 0)
-            value = alg.act[h][m.letters[a]]
-            w_values.setdefault(t, set())
-            if value not in w_values[t]:
-                w_values[t].add(value)
-                w_witness[(t, value)] = _replay_joint(p_pairs, (h, mask)).adjoin(a)
-    base = set()
-    wit = {}
-    zero_key = (alg.zero, alg.zero)
-    base.add(zero_key)
-    wit[zero_key] = (terms.EMPTY, terms.EMPTY)
-    for t, values in w_values.items():
-        for h in values:
-            for g in values:
-                key = (h, g)
-                if key not in base:
-                    base.add(key)
-                    wit[key] = (w_witness[(t, h)], w_witness[(t, g)])
-    aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
-    work = list(base)
-    rel = set(base)
-    while work:
-        (h, g) = work.pop()
-        for (h2, g2) in list(base):
-            cand = (alg.add[h][h2], alg.add[g][g2])
-            if cand not in rel:
-                rel.add(cand)
-                w1 = wit[(h, g)]
-                w2 = wit[(h2, g2)]
-                wit[cand] = (w1[0] + w2[0], w1[1] + w2[1])
-                work.append(cand)
-        for (w, term) in aug:
-            cand = (h, alg.add[g][w])
-            if cand not in rel:
-                rel.add(cand)
-                w1 = wit[(h, g)]
-                wit[cand] = (w1[0], w1[1] + term)
-                work.append(cand)
-    changed = True
-    while changed:
-        changed = False
-        current = list(rel)
-        for p1 in current:
-            for p2 in current:
-                cand = (alg.add[p1[0]][p2[0]], alg.add[p1[1]][p2[1]])
-                if cand not in rel:
-                    rel.add(cand)
-                    wit[cand] = (
-                        wit[p1][0] + wit[p2][0],
-                        wit[p1][1] + wit[p2][1],
-                    )
-                    changed = True
-    return frozenset(rel), wit
-
-
 def ref_relation_s_exact(syn, k, budget=100000):
     ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k, budget=budget)
     pa = pair_closure(syn.recognizer.morphism, ka.morphism, budget=budget)
@@ -209,17 +144,6 @@ def test_relation_r_exact_matches_eager_reference(index, k):
 
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("index", range(len(SYNTACTIC)))
-def test_relation_r_saturation_matches_eager_reference(index, k):
-    syn = SYNTACTIC[index]
-    if not syn.algebra.h_idempotent():
-        with pytest.raises(ValueError):
-            relation_r(syn, k, "saturation")
-        return
-    _assert_matches(relation_r(syn, k, "saturation"), ref_relation_r_saturation(syn, k))
-
-
-@pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
 def test_relation_s_exact_matches_eager_reference(index, k):
     syn = SYNTACTIC[index]
     _assert_matches(relation_s(syn, k, "exact-closure"), ref_relation_s_exact(syn, k))
@@ -240,7 +164,6 @@ def test_building_relations_replays_no_terms(monkeypatch):
     syn = SYNTACTIC[-1]
     rel_s = relation_s(syn, 1)
     rel_r = relation_r(syn, 1, "exact-closure")
-    rel_sat = relation_r(syn, 1, "saturation")
     assert calls == []
     # a read replays through the module's bindings
     key = next(iter(rel_s.witnesses))
@@ -248,14 +171,5 @@ def test_building_relations_replays_no_terms(monkeypatch):
     assert {"witness_forest", "witness_context"} <= set(calls)
     calls.clear()
     rel_r.witnesses[next(iter(rel_r.witnesses))]
-    rel_sat.witnesses[next(iter(rel_sat.witnesses))]
     assert "_replay_joint" in calls
 
-
-def test_saturation_replay_walks_long_chains():
-    # each pair derives from the one before, deeper than the recursion limit
-    deriv = {(0, 0): ("zero",)}
-    for i in range(1, 5000):
-        deriv[(0, i)] = ("aug", (0, i - 1), 0) if i % 2 else ("sum", (0, i - 1), (0, 0))
-    got = decide._replay_saturation(deriv, {}, (terms.EMPTY,), deriv[(0, 4999)])
-    assert got == (terms.EMPTY, terms.EMPTY)
