@@ -41,15 +41,8 @@ from .algebra import (
     wreath_generated,
 )
 from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
-from .ktypes import ktype_algebra, root_types, truncate, type_render
-from .terms import (
-    Context,
-    Forest,
-    apply_context,
-    compose,
-    enumerate_contexts,
-    enumerate_forests,
-)
+from .ktypes import _require_root_sets_fit, ktype_algebra, root_types, truncate, type_render
+from .terms import apply_context, enumerate_contexts, enumerate_forests
 
 __all__ = [
     "Relation",
@@ -107,7 +100,7 @@ class _TypeCoder:
             for code in range(self.sizes[j]):
                 a_idx, s = divmod(code, 1 << prev_bits)
                 if j == 1:
-                    table.append(a_idx)  # level-0 mask collapses to the atom
+                    table.append(0)  # every depth-1 type truncates to the atom
                 else:
                     mask = 0
                     rest = s
@@ -132,14 +125,14 @@ class _TypeCoder:
         """Root-type-set of adjoin(s, a) from the root-type-set of s."""
         if self.k == 0:
             return 1  # the single atom
-        child = self.trunc_mask(self.k, mask) if self.k > 1 else (1 if mask else 0)
-        return 1 << (a_idx * (1 << self.sizes[self.k - 1]) + child)
+        return 1 << (a_idx * (1 << self.sizes[self.k - 1]) + self.trunc_mask(self.k, mask))
 
 
 def _joint_closure(morphism: Morphism, coder: _TypeCoder, budget):
     """All realizable (value, root-type-set mask) pairs at depth k, with
     derivations: ("zero",) | ("tree", parent pair, letter) | ("sum", pair,
-    tree pair)."""
+    tree pair).  All masks are realizable; it fails up front if they exceed budget."""
+    _require_root_sets_fit(len(coder.letters), coder.k, budget)
     alg = morphism.algebra
     letters = coder.letters
     zero = (alg.zero, 0)
@@ -303,7 +296,9 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
                     base.add(key)
                     wit[key] = (w_witness[(t, h)], w_witness[(t, g)])
     # close under componentwise addition and right augmentation by any
-    # realizable value (every syntactic H value is realizable)
+    # realizable value (every syntactic H value is realizable); every element
+    # is a sum of base pairs plus (0, w), so adding base pairs alone closes it
+    # under all sums
     aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
     work = list(base)
     rel = set(base)
@@ -324,23 +319,6 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
                 w1 = wit[(h, g)]
                 wit[cand] = (w1[0], w1[1] + term)
                 work.append(cand)
-    # closing against base elements only is enough for sums because the pair
-    # monoid is generated by the base, but re-run against everything found to
-    # keep the fixpoint honest
-    changed = True
-    while changed:
-        changed = False
-        current = list(rel)
-        for p1 in current:
-            for p2 in current:
-                cand = (alg.add[p1[0]][p2[0]], alg.add[p1[1]][p2[1]])
-                if cand not in rel:
-                    rel.add(cand)
-                    wit[cand] = (
-                        wit[p1][0] + wit[p2][0],
-                        wit[p1][1] + wit[p2][1],
-                    )
-                    changed = True
     return Relation("R", k, "saturation", True, frozenset(rel), wit)
 
 
@@ -596,54 +574,58 @@ def _nonidempotent_evidence(syn: SyntacticResult, h):
 
 
 def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
-    """Bounded term-level search for identity violations whose side condition
-    holds at kstar; any hit is conclusive NotLT evidence."""
-    alphabet = syn.recognizer.alphabet
+    """Bounded search over enumerated terms for identity violations whose
+    side condition holds at kstar; any hit is conclusive NotLT evidence.
+
+    It runs on syntactic values: each term is evaluated once, root types are
+    computed once per r and per rp, and each (r, s) or (r, p) is tested over
+    all its (t, u) or (q, q') at once on the tables.  Only the first hit is
+    replayed into terms, and re-verified by `verify_violation_at`.
+    `search_steps` counts the candidates of the term-level loops in their
+    order: one per t with (r+s)t = st, else one per (t, u), and one per
+    (q, q'); past `search_cap` the search stops at cap + 1."""
     m = syn.recognizer.morphism
-    bound = budgets.search_bound
-    forests = list(enumerate_forests(alphabet, bound))
-    contexts = list(enumerate_contexts(alphabet, bound))
-    types = {s: root_types(s, kstar) for s in forests}
+    add, act = _add_act(syn.algebra)
+    forests = list(enumerate_forests(syn.recognizer.alphabet, budgets.search_bound))
+    contexts = list(enumerate_contexts(syn.recognizer.alphabet, budgets.search_bound))
+    h_of = [m.eval_forest(s) for s in forests]
+    v_of = np.array([m.eval_context(p) for p in contexts], dtype=np.int64)
+    types = [root_types(s, kstar) for s in forests]
+    n = len(contexts)
+
+    def block(left, right, cols, equal_rows_cost_one):
+        # rows (r+s)t vs st with columns ru, or rows rpq vs rq with columns rpq'
+        left, right = act[left, v_of], act[right, v_of]
+        cost = np.where((left == right) & equal_rows_cost_one, 1, n)
+        hit = _first_violation(add, left, right, act[cols, v_of])
+        if hit is None:
+            return int(cost.sum()), None
+        return int(cost[: hit[0]].sum()) + hit[1] + 1, hit
+
+    def candidates():
+        for i, r in enumerate(forests):
+            for j, s in enumerate(forests):
+                if types[i] <= types[j]:
+                    yield ("i", r, s), (int(add[h_of[i], h_of[j]]), h_of[j], h_of[i], True)
+        for i, r in enumerate(forests):
+            for p, vp in zip(contexts, v_of):
+                if root_types(apply_context(r, p), kstar) == types[i]:
+                    rp = int(act[h_of[i], vp])
+                    yield ("ii", r, p), (rp, h_of[i], rp, False)
+
+    blocks = {}  # a block's steps and first hit depend on its values only
     steps = 0
-    for r in forests:
-        for s in forests:
-            if not (types[r] <= types[s]):
-                continue
-            for t in contexts:
-                lt = m.eval_forest(apply_context(r + s, t))
-                rt = m.eval_forest(apply_context(s, t))
-                if lt == rt:
-                    steps += 1
-                    if steps > budgets.search_cap:
-                        counters["search_steps"] = steps
-                        counters["search_truncated"] = True
-                        return None
-                    continue
-                for u in contexts:
-                    steps += 1
-                    if steps > budgets.search_cap:
-                        counters["search_steps"] = steps
-                        counters["search_truncated"] = True
-                        return None
-                    witness = ("i", r, s, t, u)
-                    got = verify_violation_at(syn, witness, kstar)
-                    if got is not None:
-                        return got
-    for r in forests:
-        for p in contexts:
-            if root_types(apply_context(r, p), kstar) != root_types(r, kstar):
-                continue
-            for q in contexts:
-                for q2 in contexts:
-                    steps += 1
-                    if steps > budgets.search_cap:
-                        counters["search_steps"] = steps
-                        counters["search_truncated"] = True
-                        return None
-                    witness = ("ii", r, p, q, q2)
-                    got = verify_violation_at(syn, witness, kstar)
-                    if got is not None:
-                        return got
+    for head, key in candidates():
+        if key not in blocks:
+            blocks[key] = block(*key)
+        cost, hit = blocks[key]
+        if steps + cost > budgets.search_cap:
+            counters["search_steps"] = max(steps, budgets.search_cap) + 1
+            counters["search_truncated"] = True
+            return None
+        if hit is not None:
+            return verify_violation_at(syn, head + (contexts[hit[0]], contexts[hit[1]]), kstar)
+        steps += cost
     counters["search_steps"] = steps
     return None
 
@@ -718,9 +700,6 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
                 "s_level": rel_s.k,
                 "s_size": len(rel_s.pairs),
             }
-            # re-verify before emission
-            assert _check_identity_i(syn, rel_r) is None
-            assert _check_identity_ii(syn, rel_s) is None
             return LtVerdict(
                 "LT", k + 1, "identities-hold", kstar, evidence, progress, counters
             )

@@ -283,16 +283,31 @@ def _apply_letter_root(a, state, k):
     return frozenset({_UNIVERSE.intern(k, a, kids)})
 
 
+def _require_root_sets_fit(n_letters, k, budget):
+    """Every set of the T depth-k types (T_0 = 1, T_j = |A| * 2^T_{j-1}) is
+    the root-type set of a forest; raise BudgetError when 2^T > budget."""
+    n_types = 1
+    for depth in range(k + 1):
+        n_types = n_letters << n_types if depth else 1
+        if n_types >= budget.bit_length():  # and T only grows with the depth
+            raise BudgetError(
+                "2^%d root-type sets at depth %d exceed the budget" % (n_types, depth),
+                {"depth": depth, "types": n_types, "budget": budget},
+            )
+
+
 def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
     """Materialize the depth-k root-type quotient as a forest algebra.
 
-    H is the closure of the empty set under union and letter application;
-    V is the transformation monoid generated by the letter maps and the
-    union-with-state maps.  Budgets guard both closures.
+    H is the closure of the empty set under union and letter application,
+    all 2^T sets of the T depth-k types; V is the transformation monoid
+    generated by the letter maps and the union-with-state maps.  Budgets
+    guard both closures, H's before it starts.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     alphabet = terms.make_alphabet(alphabet)
+    _require_root_sets_fit(len(alphabet), k, budget)
     ordered, derivs = _discover(
         frozenset(), lambda a, st: _apply_letter_root(a, st, k), alphabet, budget
     )

@@ -1,27 +1,41 @@
-"""Tests of the decision pipeline's relations and search.
+"""Tests of the decision pipeline's relations, search and type coder.
 
 The reference builders below are the eager versions of the exact-closure
 strategies: they replay witness terms for every pair while the relation is
 built.  The relations must have the same pairs and the same keys, and each
 key must read back the same terms, though they are replayed only on read.
+The reference search is the term-level loop that the value-level
+`_direct_witness_search` must reproduce: same result, same counters.
 """
 
 import itertools
 
 import pytest
 
-from forestalg import decide, ktypes, samples
-from forestalg.algebra import syntactic_algebra
+from forestalg import decide, ktypes, samples, terms
+from forestalg.algebra import (
+    BudgetError,
+    Morphism,
+    Recognizer,
+    syntactic_algebra,
+    transformation_algebra,
+)
 from forestalg.decide import (
     DecideBudgets,
+    _check_identity_i,
+    _check_identity_ii,
     _direct_witness_search,
     _joint_closure,
     _replay_joint,
     _TypeCoder,
+    decide_lt,
     relation_r,
     relation_s,
+    verify_violation_at,
 )
 from forestalg.derived import pair_closure, witness_context, witness_forest
+from forestalg.ktypes import root_types
+from forestalg.terms import apply_context, enumerate_contexts, enumerate_forests
 
 
 def test_truncated_search_records_its_steps():
@@ -173,3 +187,341 @@ def test_building_relations_replays_no_terms(monkeypatch):
     rel_r.witnesses[next(iter(rel_r.witnesses))]
     assert "_replay_joint" in calls
 
+
+# --- the witness search --------------------------------------------------------
+
+
+def ref_direct_witness_search(syn, kstar, budgets, counters):
+    """The term-level search: every candidate is built as terms and checked
+    by verify_violation_at."""
+    alphabet = syn.recognizer.alphabet
+    m = syn.recognizer.morphism
+    bound = budgets.search_bound
+    forests = list(enumerate_forests(alphabet, bound))
+    contexts = list(enumerate_contexts(alphabet, bound))
+    types = {s: root_types(s, kstar) for s in forests}
+    steps = 0
+    for r in forests:
+        for s in forests:
+            if not (types[r] <= types[s]):
+                continue
+            for t in contexts:
+                lt = m.eval_forest(apply_context(r + s, t))
+                rt = m.eval_forest(apply_context(s, t))
+                if lt == rt:
+                    steps += 1
+                    if steps > budgets.search_cap:
+                        counters["search_steps"] = steps
+                        counters["search_truncated"] = True
+                        return None
+                    continue
+                for u in contexts:
+                    steps += 1
+                    if steps > budgets.search_cap:
+                        counters["search_steps"] = steps
+                        counters["search_truncated"] = True
+                        return None
+                    witness = ("i", r, s, t, u)
+                    got = verify_violation_at(syn, witness, kstar)
+                    if got is not None:
+                        return got
+    for r in forests:
+        for p in contexts:
+            if root_types(apply_context(r, p), kstar) != root_types(r, kstar):
+                continue
+            for q in contexts:
+                for q2 in contexts:
+                    steps += 1
+                    if steps > budgets.search_cap:
+                        counters["search_steps"] = steps
+                        counters["search_truncated"] = True
+                        return None
+                    witness = ("ii", r, p, q, q2)
+                    got = verify_violation_at(syn, witness, kstar)
+                    if got is not None:
+                        return got
+    counters["search_steps"] = steps
+    return None
+
+
+def _automaton(alphabet, states, zero, add, step, final):
+    """The recognizer of a bottom-up automaton given by Python functions."""
+    index = {st: i for i, st in enumerate(states)}
+    table = [[index[add(x, y)] for y in states] for x in states]
+    maps = {a: [index[step(a, st)] for st in states] for a in alphabet}
+    alg, letters, _ = transformation_algebra(table, index[zero], maps)
+    accept = frozenset(i for i, st in enumerate(states) if final(st))
+    return Recognizer(Morphism(alg, terms.make_alphabet(alphabet), letters), accept)
+
+
+def leaf_depth(alphabet, m, r):
+    """Some leaf lies at depth = r (mod m); not LT for m >= 2."""
+    subsets = [frozenset(c) for n in range(m + 1) for c in itertools.combinations(range(m), n)]
+
+    def deepen(depths):
+        return frozenset((d + 1) % m for d in depths) if depths else frozenset({1 % m})
+
+    return _automaton(
+        alphabet, subsets, frozenset(), frozenset.union, lambda a, st: deepen(st), lambda st: r in st
+    )
+
+
+def a_above_b(alphabet):
+    """Some a has a b descendant: not LT over {a,b,c}, but over {a,b} the
+    same as some a having a b child, which is LT."""
+    return _automaton(
+        alphabet,
+        [(p, b) for p in (0, 1) for b in (0, 1)],
+        (0, 0),
+        lambda x, y: (x[0] | y[0], x[1] | y[1]),
+        lambda a, st: (st[0] | (a == "a" and st[1]), st[1] | (a == "b")),
+        lambda st: st[0] == 1,
+    )
+
+
+# name -> (recognizer, k* values, search_bound): truncated searches, complete
+# searches without a hit, and hits in identity (i) and in identity (ii)
+SEARCH_CASES = {
+    "contains_a": (samples.contains_a(), (1, 2, 5), 1),
+    "a_has_b_child": (samples.a_has_b_child("ab"), (1, 2, 5), 1),
+    "parity_a": (samples.parity_a(), (1, 2, 5), 2),
+    "leaf_depth_a_2": (leaf_depth("a", 2, 0), (1, 2, 5), 2),
+    "leaf_depth_a_3_bound3": (leaf_depth("a", 3, 1), (1,), 3),
+    "leaf_depth_ab_2": (leaf_depth("ab", 2, 1), (1, 2, 5), 1),
+    "a_above_b_ab": (a_above_b("ab"), (1, 2, 5), 1),
+    "a_above_b_abc": (a_above_b("abc"), (1, 2, 5), 1),
+}
+SEARCH_SYN = {name: syntactic_algebra(rec) for name, (rec, _, _) in SEARCH_CASES.items()}
+# the reference builds terms for every step, so caps stay small
+REFERENCE_CAP = 1000
+
+
+def _search_end(syn, kstar, bound):
+    """Steps to the first hit (the least cap that finds it) and whether there
+    is one, else the steps of the whole search."""
+    counters = {}
+    budgets = DecideBudgets(search_bound=bound, search_cap=1 << 40)
+    if _direct_witness_search(syn, kstar, budgets, counters) is None:
+        return counters["search_steps"], False
+    lo, hi = 0, 1 << 40
+    while lo < hi:
+        mid = (lo + hi) // 2
+        budgets = DecideBudgets(search_bound=bound, search_cap=mid)
+        if _direct_witness_search(syn, kstar, budgets, {}) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, True
+
+
+@pytest.mark.parametrize(
+    "name,kstar",
+    [(name, kstar) for name, (_, kstars, _) in SEARCH_CASES.items() for kstar in kstars],
+)
+def test_search_matches_term_level_reference(name, kstar):
+    syn = SEARCH_SYN[name]
+    bound = SEARCH_CASES[name][2]
+    end, hit = _search_end(syn, kstar, bound)
+    caps = {0, 1, 7, end - 1, end, end + 1}
+    for cap in sorted(c for c in caps if 0 <= c <= REFERENCE_CAP):
+        budgets = DecideBudgets(search_bound=bound, search_cap=cap)
+        want_counters, got_counters = {}, {}
+        want = ref_direct_witness_search(syn, kstar, budgets, want_counters)
+        got = _direct_witness_search(syn, kstar, budgets, got_counters)
+        assert got == want, (cap, got, want)
+        assert got_counters == want_counters, cap
+        if hit and cap >= end:
+            assert got is not None and got_counters == {}
+
+
+def test_search_cases_reach_both_identities_and_straddle_the_cap():
+    kinds = set()
+    straddled = 0
+    for name, (_, kstars, bound) in SEARCH_CASES.items():
+        for kstar in kstars:
+            end, hit = _search_end(SEARCH_SYN[name], kstar, bound)
+            straddled += end <= REFERENCE_CAP
+            if hit:
+                budgets = DecideBudgets(search_bound=bound, search_cap=end)
+                kinds.add(_direct_witness_search(SEARCH_SYN[name], kstar, budgets, {})["kind"])
+    assert kinds == {"i", "ii"}
+    assert straddled >= 15
+
+
+def test_search_verifies_only_the_hit(monkeypatch):
+    calls = []
+    verify = decide.verify_violation_at
+
+    def counting(*args):
+        calls.append(args[1])
+        return verify(*args)
+
+    monkeypatch.setattr(decide, "verify_violation_at", counting)
+    syn = SEARCH_SYN["leaf_depth_a_2"]
+    got = _direct_witness_search(syn, 1, DecideBudgets(search_bound=2), {})
+    assert got["kind"] == "ii" and len(calls) == 1
+    calls.clear()
+    counters = {}
+    assert _direct_witness_search(syn, 2, DecideBudgets(search_bound=2), counters) is None
+    assert calls == [] and counters == {"search_steps": 648}
+
+
+# --- LT verdicts -----------------------------------------------------------------
+
+
+def _decide_inputs():
+    yield from _recognizers()
+    yield samples.universal_language()
+    yield samples.a_has_b_child("abc")
+    yield ktypes.lt_recognizer("a", 2, _even_node_types).recognizer
+    yield ktypes.lt_recognizer("abc", 1, _one_root_type).recognizer
+    # idempotent and not LT: a verdict must not say LT
+    yield leaf_depth("a", 2, 0)
+    yield leaf_depth("ab", 3, 1)
+
+
+def test_lt_verdicts_pass_both_identity_checks():
+    budgets = DecideBudgets()
+    n_lt = 0
+    for rec in _decide_inputs():
+        verdict = decide_lt(rec, budgets)
+        if verdict.kind != "LT":
+            continue
+        n_lt += 1
+        ev = verdict.evidence
+        syn = syntactic_algebra(rec)
+        rel_r = relation_r(syn, ev["k"], ev["r_strategy"], budget=budgets.closure_budget)
+        rel_s = relation_s(syn, ev["s_level"], budget=budgets.closure_budget)
+        assert rel_r.exact and rel_s.exact
+        assert (len(rel_r.pairs), len(rel_s.pairs)) == (ev["r_size"], ev["s_size"])
+        assert _check_identity_i(syn, rel_r) is None
+        assert _check_identity_ii(syn, rel_s) is None
+    assert n_lt >= 8
+
+
+# --- the depth-k type coder --------------------------------------------------------
+
+
+def _type_code(coder, tid):
+    """The coder's integer code of a type interned by ktypes."""
+    depth = ktypes.type_depth(tid)
+    if depth == 0:
+        return 0
+    mask = 0
+    for child in ktypes.type_children(tid):
+        mask |= 1 << _type_code(coder, child)
+    return coder.letters.index(ktypes.type_label(tid)) * (1 << coder.sizes[depth - 1]) + mask
+
+
+def _coder_mask(coder, forest):
+    mask = 0
+    for tree in forest.trees:
+        child = _coder_mask(coder, tree.children)
+        mask |= coder.apply_letter(coder.letters.index(tree.label), child)
+    return mask
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_type_coder_agrees_with_root_types(k):
+    coder = _TypeCoder("ab", k)
+    n = 0
+    for forest in enumerate_forests("ab", 6):
+        want = 0
+        for tid in root_types(forest, k):
+            want |= 1 << _type_code(coder, tid)
+        assert _coder_mask(coder, forest) == want, forest
+        n += 1
+    assert n > 1000
+
+
+# --- closures over root-type sets fail up front ------------------------------------
+
+# (alphabet, k) -> T, the number of depth-k types
+N_TYPES = {("a", 0): 1, ("a", 1): 2, ("a", 2): 4, ("ab", 0): 1, ("ab", 1): 4, ("ab", 2): 32}
+FEASIBLE = [key for key, t in N_TYPES.items() if t <= 4]
+
+
+def _outcome(build):
+    try:
+        return "built", build()
+    except BudgetError as exc:
+        return "budget", str(exc), exc.stats
+
+
+def _never(*args):
+    raise AssertionError("a closure step ran")
+
+
+@pytest.mark.parametrize("alphabet,k", list(N_TYPES))
+def test_ktype_algebra_below_two_to_the_t_fails_before_discovery(alphabet, k, monkeypatch):
+    monkeypatch.setattr(ktypes, "_discover", _never)
+    n_types = N_TYPES[(alphabet, k)]
+    with pytest.raises(BudgetError) as exc:
+        ktypes.ktype_algebra(alphabet, k, budget=(1 << n_types) - 1)
+    assert exc.value.stats["types"] == n_types
+    assert exc.value.stats["budget"] == (1 << n_types) - 1
+
+
+@pytest.mark.parametrize("alphabet,k", FEASIBLE)
+def test_ktype_algebra_budget_check_changes_nothing_else(alphabet, k, monkeypatch):
+    n_types = N_TYPES[(alphabet, k)]
+    budgets = [(1 << n_types) - 1, 1 << n_types, (1 << n_types) + 1, 20000]
+    checked = [_outcome(lambda: ktypes.ktype_algebra(alphabet, k, budget=b)) for b in budgets]
+    monkeypatch.setattr(ktypes, "_require_root_sets_fit", lambda *args: None)
+    unchecked = [_outcome(lambda: ktypes.ktype_algebra(alphabet, k, budget=b)) for b in budgets]
+    # below 2^T the discovery itself runs out; at or above it nothing changes
+    assert checked[0][0] == unchecked[0][0] == "budget"
+    assert checked[1:] == unchecked[1:]
+    assert len(checked[-1][1].states) == 1 << n_types
+
+
+def _joint_inputs(alphabet):
+    return [syntactic_algebra(samples.contains_a(alphabet)), syntactic_algebra(leaf_depth(alphabet, 2, 0))]
+
+
+@pytest.mark.parametrize("alphabet,k", list(N_TYPES))
+def test_joint_closure_below_two_to_the_t_fails_before_any_step(alphabet, k):
+    n_types = N_TYPES[(alphabet, k)]
+    coder = _TypeCoder(alphabet, k)
+    assert coder.sizes[k] == n_types
+    coder.apply_letter = _never
+    for syn in _joint_inputs(alphabet):
+        with pytest.raises(BudgetError) as exc:
+            _joint_closure(syn.recognizer.morphism, coder, (1 << n_types) - 1)
+        assert exc.value.stats["types"] == n_types
+
+
+@pytest.mark.parametrize("alphabet,k", FEASIBLE)
+def test_joint_closure_budget_check_changes_nothing_else(alphabet, k, monkeypatch):
+    n_types = N_TYPES[(alphabet, k)]
+    budgets = [(1 << n_types) - 1, 1 << n_types, (1 << n_types) + 1, 300000]
+    coder = _TypeCoder(alphabet, k)
+    for syn in _joint_inputs(alphabet):
+        m = syn.recognizer.morphism
+
+        def run():
+            return [_outcome(lambda: list(_joint_closure(m, coder, b).items())) for b in budgets]
+
+        checked = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(decide, "_require_root_sets_fit", lambda *args: None)
+            unchecked = run()
+        assert checked[0][0] == unchecked[0][0] == "budget"
+        assert checked[1:] == unchecked[1:]
+        assert checked[-1][0] == "built"
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_saturation_relation_is_closed_under_sums(k):
+    # the closure adds base pairs only; sums of any two pairs must be in it
+    n = 0
+    for syn in SYNTACTIC + [SEARCH_SYN["leaf_depth_ab_2"], SEARCH_SYN["a_above_b_abc"]]:
+        if not syn.algebra.h_idempotent():
+            continue
+        add = syn.algebra.add
+        rel = relation_r(syn, k, "saturation")
+        for (h1, g1), (h2, g2) in itertools.product(rel.pairs, repeat=2):
+            assert (add[h1][h2], add[g1][g2]) in rel.pairs
+        assert set(rel.witnesses) == rel.pairs
+        n += 1
+    assert n >= 9
