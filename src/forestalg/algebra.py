@@ -35,6 +35,11 @@ __all__ = [
     "algebra_from_json",
     "recognizer_to_json",
     "recognizer_from_json",
+    "PairOps",
+    "Generated",
+    "generate",
+    "witness_forest",
+    "witness_context",
     "SyntacticResult",
     "syntactic_algebra",
     "WreathProduct",
@@ -500,66 +505,139 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
 
 
 # ---------------------------------------------------------------------------
-# Reachable part and syntactic algebra
+# Generated subalgebras and derivation replay
 
 
-def _reachable_part(morphism):
-    """Indices of H and V reachable as values of forests and contexts, with a
-    derivation log for replaying witness terms."""
-    alg = morphism.algebra
-    letters = sorted(morphism.alphabet)
-    h_seen = {alg.zero: ("zero",)}
-    v_seen = {alg.one: ("one",)}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(v_seen):
-            for a in letters:
-                w = alg.mul[v][morphism.letters[a]]
-                if w not in v_seen:
-                    v_seen[w] = ("letter", v, a)
-                    changed = True
-            for h in list(h_seen):
-                w = alg.ins[v][h]
-                if w not in v_seen:
-                    v_seen[w] = ("ins", v, h)
-                    changed = True
-        for h in list(h_seen):
-            for v in list(v_seen):
-                g = alg.act[h][v]
-                if g not in h_seen:
-                    h_seen[g] = ("act", h, v)
-                    changed = True
-            for g in list(h_seen):
-                w = alg.add[h][g]
-                if w not in h_seen:
-                    h_seen[w] = ("add", h, g)
-                    changed = True
-    return h_seen, v_seen
+class PairOps:
+    """Componentwise arithmetic in the product of two algebras that offer the
+    elementwise protocol; elements are (first, second) pairs."""
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+
+    @property
+    def h_zero(self):
+        return (self.first.h_zero, self.second.h_zero)
+
+    @property
+    def v_one(self):
+        return (self.first.v_one, self.second.v_one)
+
+    def h_add(self, x, y):
+        return (self.first.h_add(x[0], y[0]), self.second.h_add(x[1], y[1]))
+
+    def v_mul(self, u, w):
+        return (self.first.v_mul(u[0], w[0]), self.second.v_mul(u[1], w[1]))
+
+    def act_(self, x, u):
+        return (self.first.act_(x[0], u[0]), self.second.act_(x[1], u[1]))
+
+    def ins_(self, u, x):
+        return (self.first.ins_(u[0], x[0]), self.second.ins_(u[1], x[1]))
 
 
-def _replay_forest(h, h_log, v_log):
-    kind = h_log[h]
-    if kind[0] == "zero":
-        return terms.EMPTY
-    if kind[0] == "act":
-        _, h0, v0 = kind
-        return apply_context(_replay_forest(h0, h_log, v_log), _replay_context(v0, h_log, v_log))
-    _, h0, h1 = kind
-    return _replay_forest(h0, h_log, v_log) + _replay_forest(h1, h_log, v_log)
+@dataclass
+class Generated:
+    """Elements in admission order, their indices, and one derivation each:
+    ("zero",) | ("gen", i) | ("add", i, j) | ("act", i, j) for H, and
+    ("one",) | ("letter", i, label) | ("ins", i, j) for V, where i and j
+    index earlier elements (act: H then V; ins: V then H)."""
+
+    h_elems: tuple
+    v_elems: tuple
+    h_index: dict
+    v_index: dict
+    h_derivs: tuple
+    v_derivs: tuple
 
 
-def _replay_context(v, h_log, v_log):
-    kind = v_log[v]
-    if kind[0] == "one":
-        return terms.HOLE
-    if kind[0] == "letter":
-        _, v0, a = kind
-        return terms.compose(_replay_context(v0, h_log, v_log), Context(terms.EMPTY, (a, terms.HOLE)))
-    _, v0, h0 = kind
-    return terms.compose(
-        _replay_context(v0, h_log, v_log), Context(_replay_forest(h0, h_log, v_log), None)
+def generate(ops, letters, h_gens=(), *, budget):
+    """The least H containing zero and `h_gens` and the least V containing
+    one that are closed under h_add and act_ (H) and under right
+    multiplication by the letter images and ins_ (V).  In a forest algebra
+    ins(v, h) = v ins(one, h), so V is then closed under v_mul too.
+
+    `ops` offers the elementwise protocol; `letters` maps labels to V
+    elements.  Semi-naive: elements are processed in admission order, each
+    against the elements processed before it and itself, so every pair meets
+    once.  Raises BudgetError once |H| + |V| exceeds `budget`."""
+    h_add, v_mul, act, ins = ops.h_add, ops.v_mul, ops.act_, ops.ins_
+    gens = sorted(letters.items())
+    h_elems, h_index, h_derivs = [], {}, []
+    v_elems, v_index, v_derivs = [], {}, []
+
+    def admit(elems, index, derivs, x, deriv):
+        index[x] = len(elems)
+        elems.append(x)
+        derivs.append(deriv)
+        if len(h_elems) + len(v_elems) > budget:
+            raise BudgetError(
+                "generated closure exceeded budget",
+                {"h": len(h_elems), "v": len(v_elems), "budget": budget},
+            )
+
+    admit(v_elems, v_index, v_derivs, ops.v_one, ("one",))
+    admit(h_elems, h_index, h_derivs, ops.h_zero, ("zero",))
+    for i, x in enumerate(h_gens):
+        if x not in h_index:
+            admit(h_elems, h_index, h_derivs, x, ("gen", i))
+    hi = vi = 0  # the elements below these indices are processed
+    while vi < len(v_elems) or hi < len(h_elems):
+        if vi < len(v_elems):
+            u = v_elems[vi]
+            for a, g in gens:
+                z = v_mul(u, g)
+                if z not in v_index:
+                    admit(v_elems, v_index, v_derivs, z, ("letter", vi, a))
+            for j in range(hi):
+                x = h_elems[j]
+                z = ins(u, x)
+                if z not in v_index:
+                    admit(v_elems, v_index, v_derivs, z, ("ins", vi, j))
+                z = act(x, u)
+                if z not in h_index:
+                    admit(h_elems, h_index, h_derivs, z, ("act", j, vi))
+            vi += 1
+        else:
+            x = h_elems[hi]
+            for j in range(hi + 1):
+                z = h_add(x, h_elems[j])
+                if z not in h_index:
+                    admit(h_elems, h_index, h_derivs, z, ("add", hi, j))
+            for j in range(vi):
+                u = v_elems[j]
+                z = act(x, u)
+                if z not in h_index:
+                    admit(h_elems, h_index, h_derivs, z, ("act", hi, j))
+                z = ins(u, x)
+                if z not in v_index:
+                    admit(v_elems, v_index, v_derivs, z, ("ins", j, hi))
+            hi += 1
+    return Generated(
+        tuple(h_elems), tuple(v_elems), h_index, v_index, tuple(h_derivs), tuple(v_derivs)
     )
+
+
+def witness_forest(gen, i) -> Forest:
+    """Replay the derivation of horizontal element i of a `Generated` into a
+    forest that evaluates to it; generators in `h_gens` have no forest."""
+    d = gen.h_derivs[i]
+    if d[0] == "zero":
+        return terms.EMPTY
+    if d[0] == "add":
+        return witness_forest(gen, d[1]) + witness_forest(gen, d[2])
+    return apply_context(witness_forest(gen, d[1]), witness_context(gen, d[2]))
+
+
+def witness_context(gen, j) -> Context:
+    """Replay the derivation of vertical element j into a context."""
+    d = gen.v_derivs[j]
+    if d[0] == "one":
+        return terms.HOLE
+    if d[0] == "letter":
+        return terms.compose(witness_context(gen, d[1]), Context(terms.EMPTY, (d[2], terms.HOLE)))
+    return terms.compose(witness_context(gen, d[1]), Context(witness_forest(gen, d[2]), None))
 
 
 @dataclass
@@ -580,9 +658,9 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     in V, so additive experiments are subsumed.
     """
     alg = rec.algebra
-    h_log, v_log = _reachable_part(rec.morphism)
-    hs = sorted(h_log)
-    vs = sorted(v_log)
+    gen = generate(alg, rec.morphism.letters, budget=alg.h_size + alg.v_size)
+    hs = sorted(gen.h_index)
+    vs = sorted(gen.v_index)
     accept = set(rec.accept)
 
     # initial partition of H by all context experiments
@@ -638,8 +716,8 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     new_accept = frozenset(h_class[h] for h in hs if h in accept)
     out_rec = Recognizer(morphism, new_accept)
 
-    h_terms = tuple(_replay_forest(h_rep[i], h_log, v_log) for i in range(n_h))
-    v_terms = tuple(_replay_context(v_rep[i], h_log, v_log) for i in range(n_v))
+    h_terms = tuple(witness_forest(gen, gen.h_index[h_rep[i]]) for i in range(n_h))
+    v_terms = tuple(witness_context(gen, gen.v_index[v_rep[i]]) for i in range(n_v))
     return SyntacticResult(syn, dict(h_class), dict(v_class), out_rec, h_terms, v_terms)
 
 
@@ -697,9 +775,9 @@ class WreathProduct:
     outer: ForestAlgebra
     inner: ForestAlgebra
     h_pairs: tuple  # wreath H index -> (h_outer, h_inner)
-    v_pairs: tuple  # wreath V index -> (f tuple, v_inner)
+    v_pairs: tuple  # wreath V index -> (f tuple, v_inner), the least of its class
     h_index: dict
-    v_index: dict
+    v_index: dict  # every (f tuple, v_inner) pair of the algebra -> wreath V index
     pi_h: tuple  # projection onto the inner coordinate
     pi_v: tuple
 
@@ -727,14 +805,12 @@ class WreathProduct:
         return True
 
 
-def _wreath_tables(ops, h_elems, v_elems):
-    h_index = {x: i for i, x in enumerate(h_elems)}
-    v_index = {u: i for i, u in enumerate(v_elems)}
+def _wreath_tables(ops, h_elems, h_index, v_elems, v_index):
     add = [[h_index[ops.h_add(x, y)] for y in h_elems] for x in h_elems]
     mul = [[v_index[ops.v_mul(u, w)] for w in v_elems] for u in v_elems]
     act = [[h_index[ops.act_(x, u)] for u in v_elems] for x in h_elems]
     ins = [[v_index[ops.ins_(u, x)] for x in h_elems] for u in v_elems]
-    return h_index, v_index, add, mul, act, ins
+    return add, mul, act, ins
 
 
 def _check_no_vertical_collapse(act_table, v_count):
@@ -767,7 +843,9 @@ def wreath(outer, inner, budget=100000):
         for f in itertools.product(range(outer.v_size), repeat=inner.h_size)
         for v in range(inner.v_size)
     ]
-    h_index, v_index, add, mul, act, ins = _wreath_tables(ops, h_elems, v_elems)
+    h_index = {x: i for i, x in enumerate(h_elems)}
+    v_index = {u: i for i, u in enumerate(v_elems)}
+    add, mul, act, ins = _wreath_tables(ops, h_elems, h_index, v_elems, v_index)
     # faithfulness holds because both factors are faithful; the check guards
     # the tables anyway and errors on collapse
     _check_no_vertical_collapse(act, len(v_elems))
@@ -785,48 +863,24 @@ def wreath_generated(outer, inner, v_gens, h_gens=(), budget=20000):
     """The subalgebra of outer o inner generated by the given vertical pairs
     (and optional horizontal pairs), materialized as tables.
 
-    Raises on collapse: two generated vertical pairs acting identically on the
-    generated horizontal part would make the tables unfaithful.
+    Generated vertical pairs that act identically on the generated horizontal
+    part are one element of the faithful quotient: `v_pairs` holds the
+    smallest pair of each class and `v_index` maps every generated pair to its
+    class.
     """
     ops = WreathOps(outer, inner)
-    h_set = {ops.h_zero}
-    h_set.update(h_gens)
-    v_set = {ops.v_one}
-    v_set.update(tuple((tuple(f), v) for f, v in v_gens))
-    while True:
-        new_h = set()
-        new_v = set()
-        for x in h_set:
-            for y in h_set:
-                z = ops.h_add(x, y)
-                if z not in h_set:
-                    new_h.add(z)
-            for u in v_set:
-                z = ops.act_(x, u)
-                if z not in h_set:
-                    new_h.add(z)
-        for u in v_set:
-            for w in v_set:
-                z = ops.v_mul(u, w)
-                if z not in v_set:
-                    new_v.add(z)
-            for x in h_set:
-                z = ops.ins_(u, x)
-                if z not in v_set:
-                    new_v.add(z)
-        if not new_h and not new_v:
-            break
-        h_set |= new_h
-        v_set |= new_v
-        if len(h_set) + len(v_set) > budget:
-            raise BudgetError(
-                "generated wreath exceeded budget",
-                {"h": len(h_set), "v": len(v_set), "budget": budget},
-            )
-    h_elems = sorted(h_set)
-    v_elems = sorted(v_set)
-    h_index, v_index, add, mul, act, ins = _wreath_tables(ops, h_elems, v_elems)
-    _check_no_vertical_collapse(act, len(v_elems))
+    letters = dict(enumerate((tuple(f), v) for f, v in v_gens))
+    gen = generate(ops, letters, h_gens, budget=budget)
+    h_elems = sorted(gen.h_index)
+    h_index = {x: i for i, x in enumerate(h_elems)}
+    v_index, class_of, v_elems = {}, {}, []
+    for u in sorted(gen.v_index):
+        column = tuple(h_index[ops.act_(x, u)] for x in h_elems)
+        if column not in class_of:
+            class_of[column] = len(v_elems)
+            v_elems.append(u)
+        v_index[u] = class_of[column]
+    add, mul, act, ins = _wreath_tables(ops, h_elems, h_index, v_elems, v_index)
     alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
@@ -837,35 +891,14 @@ def wreath_generated(outer, inner, v_gens, h_gens=(), budget=20000):
 
 def generated_subalgebra(alg, h_gens=(), v_gens=()):
     """Smallest index sets closed under add, mul, act and ins containing the
-    generators plus zero and one, with the restricted tables.
+    generators plus zero and one, found by `generate`, with the restricted
+    tables and the sorted embeddings.
 
     The restriction can lose faithfulness; validate separately if needed.
     """
-    h_set = {alg.zero} | set(h_gens)
-    v_set = {alg.one} | set(v_gens)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(h_set):
-            for y in list(h_set):
-                if alg.add[x][y] not in h_set:
-                    h_set.add(alg.add[x][y])
-                    changed = True
-            for u in list(v_set):
-                if alg.act[x][u] not in h_set:
-                    h_set.add(alg.act[x][u])
-                    changed = True
-        for u in list(v_set):
-            for w in list(v_set):
-                if alg.mul[u][w] not in v_set:
-                    v_set.add(alg.mul[u][w])
-                    changed = True
-            for x in list(h_set):
-                if alg.ins[u][x] not in v_set:
-                    v_set.add(alg.ins[u][x])
-                    changed = True
-    h_embed = tuple(sorted(h_set))
-    v_embed = tuple(sorted(v_set))
+    gen = generate(alg, dict(enumerate(v_gens)), h_gens, budget=alg.h_size + alg.v_size)
+    h_embed = tuple(sorted(gen.h_index))
+    v_embed = tuple(sorted(gen.v_index))
     h_index = {h: i for i, h in enumerate(h_embed)}
     v_index = {v: i for i, v in enumerate(v_embed)}
     add = [[h_index[alg.add[x][y]] for y in h_embed] for x in h_embed]
@@ -1034,42 +1067,12 @@ def tm_to_division(target, ambient, w: TmDivisionWitness, budget=200000) -> Divi
     rep = verify_tm_division(target, ambient, w)
     if not rep.ok:
         raise ValueError("invalid tm-division witness: %r" % rep.violations[:3])
-    # joint closure of (delta, gamma) values over the synthetic alphabet
-    h_pairs = {(ambient.h_zero, target.zero)}
-    v_pairs = {(ambient.v_one, target.one)}
-    gens = [(w.hat[v], v) for v in sorted(w.hat)]
-    changed = True
-    while changed:
-        changed = False
-        for u, gu in list(v_pairs):
-            for du, gv in gens:
-                z = (ambient.v_mul(u, du), target.mul[gu][gv])
-                if z not in v_pairs:
-                    v_pairs.add(z)
-                    changed = True
-            for x, gx in list(h_pairs):
-                z = (ambient.ins_(u, x), target.ins[gu][gx])
-                if z not in v_pairs:
-                    v_pairs.add(z)
-                    changed = True
-        for x, gx in list(h_pairs):
-            for u, gu in list(v_pairs):
-                z = (ambient.act_(x, u), target.act[gx][gu])
-                if z not in h_pairs:
-                    h_pairs.add(z)
-                    changed = True
-            for y, gy in list(h_pairs):
-                z = (ambient.h_add(x, y), target.add[gx][gy])
-                if z not in h_pairs:
-                    h_pairs.add(z)
-                    changed = True
-        if len(h_pairs) + len(v_pairs) > budget:
-            raise BudgetError("tm_to_division closure exceeded budget")
+    gen = generate(PairOps(ambient, target), {v: (w.hat[v], v) for v in w.hat}, budget=budget)
     h_map, v_map = {}, {}
-    for x, gx in h_pairs:
+    for x, gx in gen.h_elems:
         if h_map.setdefault(x, gx) != gx:
             raise ValueError("delta image does not determine the target value at %r" % (x,))
-    for u, gu in v_pairs:
+    for u, gu in gen.v_elems:
         if v_map.setdefault(u, gu) != gu:
             raise ValueError("delta image does not determine the target value at %r" % (u,))
     return DivisionWitness(

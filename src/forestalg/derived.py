@@ -8,9 +8,10 @@ arrow at object h when they send every realizable alpha-value compatible
 with h to the same place.  That equivalence is finitely presented by the
 action vector, which is the key used here.
 
-The pair algebra is the reachable image of alpha x beta with a derivation
-record per element, so every element can be replayed into a concrete forest
-or context witness.
+The pair algebra is the reachable image of alpha x beta, generated by
+`algebra.generate` with a derivation per element, so every element replays
+into a concrete forest or context witness through `witness_forest` and
+`witness_context`.
 
 The two theorems connecting the derived category to wreath products are
 implemented constructively: a division of the category by an algebra (H, V)
@@ -23,15 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import terms
 from .algebra import (
     BudgetError,
     ForestAlgebra,
     Morphism,
+    PairOps,
     Recognizer,
     TmDivisionWitness,
     WreathOps,
+    generate,
     verify_tm_division,
+    witness_context,
+    witness_forest,
 )
 from .category import Covering, ForestCategory, validate_category, verify_covering
 
@@ -75,96 +79,16 @@ def _as_morphism(m):
 
 
 def pair_closure(alpha, beta, budget=100000) -> PairAlgebra:
-    """Least fixpoint of the realizable value pairs of two morphisms over a
-    shared alphabet, with breadth-first derivations for witness replay."""
+    """The realizable value pairs of two morphisms over a shared alphabet,
+    generated by `algebra.generate` with its derivations for witness replay."""
     alpha = _as_morphism(alpha)
     beta = _as_morphism(beta)
     if alpha.alphabet != beta.alphabet:
         raise ValueError("the two morphisms must share an alphabet")
-    a1, a2 = alpha.algebra, beta.algebra
-    letters = sorted(alpha.alphabet)
-
-    h_pairs, h_derivs = [(a1.zero, a2.zero)], [("zero",)]
-    v_pairs, v_derivs = [(a1.one, a2.one)], [("one",)]
-    h_index = {h_pairs[0]: 0}
-    v_index = {v_pairs[0]: 0}
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(v_pairs)):  # grows while iterating; fixpoint rounds below
-            v1, v2 = v_pairs[i]
-            for a in letters:
-                cand = (a1.mul[v1][alpha.letters[a]], a2.mul[v2][beta.letters[a]])
-                if cand not in v_index:
-                    v_index[cand] = len(v_pairs)
-                    v_pairs.append(cand)
-                    v_derivs.append(("letter", i, a))
-                    changed = True
-            for j in range(len(h_pairs)):
-                h1, h2 = h_pairs[j]
-                cand = (a1.ins[v1][h1], a2.ins[v2][h2])
-                if cand not in v_index:
-                    v_index[cand] = len(v_pairs)
-                    v_pairs.append(cand)
-                    v_derivs.append(("ins", i, j))
-                    changed = True
-        for i in range(len(h_pairs)):
-            h1, h2 = h_pairs[i]
-            for j in range(len(v_pairs)):
-                v1, v2 = v_pairs[j]
-                cand = (a1.act[h1][v1], a2.act[h2][v2])
-                if cand not in h_index:
-                    h_index[cand] = len(h_pairs)
-                    h_pairs.append(cand)
-                    h_derivs.append(("act", i, j))
-                    changed = True
-            for j in range(len(h_pairs)):
-                g1, g2 = h_pairs[j]
-                cand = (a1.add[h1][g1], a2.add[h2][g2])
-                if cand not in h_index:
-                    h_index[cand] = len(h_pairs)
-                    h_pairs.append(cand)
-                    h_derivs.append(("add", i, j))
-                    changed = True
-        if len(h_pairs) + len(v_pairs) > budget:
-            raise BudgetError(
-                "pair closure exceeded budget",
-                {"h_pairs": len(h_pairs), "v_pairs": len(v_pairs), "budget": budget},
-            )
+    letters = {a: (alpha.letters[a], beta.letters[a]) for a in alpha.alphabet}
+    g = generate(PairOps(alpha.algebra, beta.algebra), letters, budget=budget)
     return PairAlgebra(
-        alpha,
-        beta,
-        tuple(h_pairs),
-        tuple(v_pairs),
-        h_index,
-        v_index,
-        tuple(h_derivs),
-        tuple(v_derivs),
-    )
-
-
-def witness_forest(pa: PairAlgebra, i) -> terms.Forest:
-    """Replay the derivation of horizontal pair i into a forest that
-    evaluates to exactly that pair under (alpha, beta)."""
-    d = pa.h_derivs[i]
-    if d[0] == "zero":
-        return terms.EMPTY
-    if d[0] == "add":
-        return witness_forest(pa, d[1]) + witness_forest(pa, d[2])
-    return terms.apply_context(witness_forest(pa, d[1]), witness_context(pa, d[2]))
-
-
-def witness_context(pa: PairAlgebra, j) -> terms.Context:
-    d = pa.v_derivs[j]
-    if d[0] == "one":
-        return terms.HOLE
-    if d[0] == "letter":
-        return terms.compose(
-            witness_context(pa, d[1]), terms.Context(terms.EMPTY, (d[2], terms.HOLE))
-        )
-    return terms.compose(
-        witness_context(pa, d[1]), terms.Context(witness_forest(pa, d[2]), None)
+        alpha, beta, g.h_elems, g.v_elems, g.h_index, g.v_index, g.h_derivs, g.v_derivs
     )
 
 
@@ -464,80 +388,25 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
                 "projection of delta disagrees with beta on a letter", witness=a
             )
 
-    ops = delta.ops()
-    a1 = alpha.algebra
-    letters = sorted(alpha.alphabet)
-
-    # joint closure of (delta, alpha) values, with derivations for witnesses
-    h_elems = [(ops.h_zero, a1.zero)]
-    v_elems = [(ops.v_one, a1.one)]
-    h_idx = {h_elems[0]: 0}
-    v_idx = {v_elems[0]: 0}
-    h_derivs = [("zero",)]
-    v_derivs = [("one",)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(v_elems)):
-            dv, av = v_elems[i]
-            for a in letters:
-                cand = (ops.v_mul(dv, delta.letters[a]), a1.mul[av][alpha.letters[a]])
-                if cand not in v_idx:
-                    v_idx[cand] = len(v_elems)
-                    v_elems.append(cand)
-                    v_derivs.append(("letter", i, a))
-                    changed = True
-            for j in range(len(h_elems)):
-                dh, ah = h_elems[j]
-                cand = (ops.ins_(dv, dh), a1.ins[av][ah])
-                if cand not in v_idx:
-                    v_idx[cand] = len(v_elems)
-                    v_elems.append(cand)
-                    v_derivs.append(("ins", i, j))
-                    changed = True
-        for i in range(len(h_elems)):
-            dh, ah = h_elems[i]
-            for j in range(len(v_elems)):
-                dv, av = v_elems[j]
-                cand = (ops.act_(dh, dv), a1.act[ah][av])
-                if cand not in h_idx:
-                    h_idx[cand] = len(h_elems)
-                    h_elems.append(cand)
-                    h_derivs.append(("act", i, j))
-                    changed = True
-            for j in range(len(h_elems)):
-                dh2, ah2 = h_elems[j]
-                cand = (ops.h_add(dh, dh2), a1.add[ah][ah2])
-                if cand not in h_idx:
-                    h_idx[cand] = len(h_elems)
-                    h_elems.append(cand)
-                    h_derivs.append(("add", i, j))
-                    changed = True
-        if len(h_elems) + len(v_elems) > budget:
-            raise BudgetError("factorization closure exceeded budget")
+    letters = {a: (delta.letters[a], alpha.letters[a]) for a in alpha.alphabet}
+    gen = generate(PairOps(delta.ops(), alpha.algebra), letters, budget=budget)
 
     # gamma must exist: delta values determine alpha values
-    seen = {}
-    for i, (dh, ah) in enumerate(h_elems):
-        j = seen.setdefault(dh, i)
-        if h_elems[j][1] != ah:
-            pa2 = PairAlgebra(alpha, beta, (), (), {}, {}, tuple(h_derivs), tuple(v_derivs))
-            raise FactorizationError(
-                "delta does not determine alpha on a forest",
-                witness=(witness_forest(pa2, j), witness_forest(pa2, i)),
-            )
-    seen_v = {}
-    for i, (dv, av) in enumerate(v_elems):
-        j = seen_v.setdefault(dv, i)
-        if v_elems[j][1] != av:
-            pa2 = PairAlgebra(alpha, beta, (), (), {}, {}, tuple(h_derivs), tuple(v_derivs))
-            raise FactorizationError(
-                "delta does not determine alpha on a context",
-                witness=(witness_context(pa2, j), witness_context(pa2, i)),
-            )
+    for elems, replay, what in (
+        (gen.h_elems, witness_forest, "forest"),
+        (gen.v_elems, witness_context, "context"),
+    ):
+        seen = {}
+        for i, (d, a) in enumerate(elems):
+            j = seen.setdefault(d, i)
+            if elems[j][1] != a:
+                raise FactorizationError(
+                    "delta does not determine alpha on a " + what,
+                    witness=(replay(gen, j), replay(gen, i)),
+                )
 
     half_cover = [set() for _ in range(len(pa.h_pairs))]
-    for (dh, ah) in h_elems:
+    for (dh, ah) in gen.h_elems:
         ho, hi = dh
         ci = pa.h_index.get((ah, hi))
         if ci is None:
@@ -545,7 +414,7 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
         half_cover[ci].add(ho)
 
     arrow_cover = [set() for _ in range(len(dc.arrow_keys))]
-    for (dv, av) in v_elems:
+    for (dv, av) in gen.v_elems:
         f, vi = dv
         vp_idx = pa.v_index.get((av, vi))
         if vp_idx is None:

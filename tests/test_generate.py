@@ -1,0 +1,602 @@
+"""Tests of the semi-naive generator closure `algebra.generate` and of the six
+closures routed through it.
+
+The reference functions below are the round-robin loops the six closures
+used before: the reachable part behind `syntactic_algebra`, `pair_closure`,
+the joint closure of `dct_backward`, `tm_to_division`,
+`generated_subalgebra` and `wreath_generated`.  The engine must generate the
+same element sets, the closures that sort their elements must return the
+same tables and witnesses, and every derivation must replay to its element.
+"""
+
+import itertools
+
+import pytest
+
+from forestalg import decide, ktypes, samples
+from forestalg.algebra import (
+    AlgebraLawError,
+    BudgetError,
+    DivisionWitness,
+    ForestAlgebra,
+    PairOps,
+    WreathOps,
+    WreathProduct,
+    _freeze,
+    direct_product,
+    division_to_tm,
+    generate,
+    generated_subalgebra,
+    syntactic_algebra,
+    tm_to_division,
+    validate_algebra,
+    witness_context,
+    witness_forest,
+    wreath,
+    wreath_generated,
+)
+from forestalg.category import Covering, canonical_flat_cover
+from forestalg.derived import (
+    FactorizationError,
+    WreathMorphism,
+    dct_backward,
+    dct_forward,
+    derived_category,
+    pair_closure,
+)
+from forestalg.terms import enumerate_forests, make_alphabet
+
+A = make_alphabet("a")
+
+# --- reference loops -----------------------------------------------------------
+
+
+def ref_reachable_part(morphism):
+    alg = morphism.algebra
+    letters = sorted(morphism.alphabet)
+    h_seen = {alg.zero: ("zero",)}
+    v_seen = {alg.one: ("one",)}
+    changed = True
+    while changed:
+        changed = False
+        for v in list(v_seen):
+            for a in letters:
+                w = alg.mul[v][morphism.letters[a]]
+                if w not in v_seen:
+                    v_seen[w] = ("letter", v, a)
+                    changed = True
+            for h in list(h_seen):
+                w = alg.ins[v][h]
+                if w not in v_seen:
+                    v_seen[w] = ("ins", v, h)
+                    changed = True
+        for h in list(h_seen):
+            for v in list(v_seen):
+                g = alg.act[h][v]
+                if g not in h_seen:
+                    h_seen[g] = ("act", h, v)
+                    changed = True
+            for g in list(h_seen):
+                w = alg.add[h][g]
+                if w not in h_seen:
+                    h_seen[w] = ("add", h, g)
+                    changed = True
+    return set(h_seen), set(v_seen)
+
+
+def ref_pair_closure(alpha, beta):
+    a1, a2 = alpha.algebra, beta.algebra
+    letters = sorted(alpha.alphabet)
+    h_pairs = [(a1.zero, a2.zero)]
+    v_pairs = [(a1.one, a2.one)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(v_pairs)):
+            v1, v2 = v_pairs[i]
+            for a in letters:
+                cand = (a1.mul[v1][alpha.letters[a]], a2.mul[v2][beta.letters[a]])
+                if cand not in v_pairs:
+                    v_pairs.append(cand)
+                    changed = True
+            for j in range(len(h_pairs)):
+                h1, h2 = h_pairs[j]
+                cand = (a1.ins[v1][h1], a2.ins[v2][h2])
+                if cand not in v_pairs:
+                    v_pairs.append(cand)
+                    changed = True
+        for i in range(len(h_pairs)):
+            h1, h2 = h_pairs[i]
+            for j in range(len(v_pairs)):
+                v1, v2 = v_pairs[j]
+                cand = (a1.act[h1][v1], a2.act[h2][v2])
+                if cand not in h_pairs:
+                    h_pairs.append(cand)
+                    changed = True
+            for j in range(len(h_pairs)):
+                g1, g2 = h_pairs[j]
+                cand = (a1.add[h1][g1], a2.add[h2][g2])
+                if cand not in h_pairs:
+                    h_pairs.append(cand)
+                    changed = True
+    return set(h_pairs), set(v_pairs)
+
+
+def ref_dct_closure(delta, alpha):
+    ops = delta.ops()
+    a1 = alpha.algebra
+    letters = sorted(alpha.alphabet)
+    h_elems = [(ops.h_zero, a1.zero)]
+    v_elems = [(ops.v_one, a1.one)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(v_elems)):
+            dv, av = v_elems[i]
+            for a in letters:
+                cand = (ops.v_mul(dv, delta.letters[a]), a1.mul[av][alpha.letters[a]])
+                if cand not in v_elems:
+                    v_elems.append(cand)
+                    changed = True
+            for j in range(len(h_elems)):
+                dh, ah = h_elems[j]
+                cand = (ops.ins_(dv, dh), a1.ins[av][ah])
+                if cand not in v_elems:
+                    v_elems.append(cand)
+                    changed = True
+        for i in range(len(h_elems)):
+            dh, ah = h_elems[i]
+            for j in range(len(v_elems)):
+                dv, av = v_elems[j]
+                cand = (ops.act_(dh, dv), a1.act[ah][av])
+                if cand not in h_elems:
+                    h_elems.append(cand)
+                    changed = True
+            for j in range(len(h_elems)):
+                dh2, ah2 = h_elems[j]
+                cand = (ops.h_add(dh, dh2), a1.add[ah][ah2])
+                if cand not in h_elems:
+                    h_elems.append(cand)
+                    changed = True
+    return set(h_elems), set(v_elems)
+
+
+def ref_dct_backward_covering(dc, delta):
+    """The covering the old `dct_backward` built, for a delta that factors."""
+    pa = dc.pa
+    h_elems, v_elems = ref_dct_closure(delta, pa.alpha)
+    half_cover = [set() for _ in range(len(pa.h_pairs))]
+    for (ho, hi), ah in h_elems:
+        half_cover[pa.h_index[(ah, hi)]].add(ho)
+    arrow_cover = [set() for _ in range(len(dc.arrow_keys))]
+    for (f, vi), av in v_elems:
+        vp_idx = pa.v_index[(av, vi)]
+        for oi, h2 in enumerate(dc.objects):
+            arrow_cover[dc.arrow_of[(vp_idx, oi)]].add(f[h2])
+    return Covering(
+        delta.outer,
+        tuple(frozenset(s) for s in half_cover),
+        tuple(frozenset(s) for s in arrow_cover),
+    )
+
+
+def ref_tm_to_division(target, ambient, w):
+    h_pairs = {(ambient.h_zero, target.zero)}
+    v_pairs = {(ambient.v_one, target.one)}
+    gens = [(w.hat[v], v) for v in sorted(w.hat)]
+    changed = True
+    while changed:
+        changed = False
+        for u, gu in list(v_pairs):
+            for du, gv in gens:
+                z = (ambient.v_mul(u, du), target.mul[gu][gv])
+                if z not in v_pairs:
+                    v_pairs.add(z)
+                    changed = True
+            for x, gx in list(h_pairs):
+                z = (ambient.ins_(u, x), target.ins[gu][gx])
+                if z not in v_pairs:
+                    v_pairs.add(z)
+                    changed = True
+        for x, gx in list(h_pairs):
+            for u, gu in list(v_pairs):
+                z = (ambient.act_(x, u), target.act[gx][gu])
+                if z not in h_pairs:
+                    h_pairs.add(z)
+                    changed = True
+            for y, gy in list(h_pairs):
+                z = (ambient.h_add(x, y), target.add[gx][gy])
+                if z not in h_pairs:
+                    h_pairs.add(z)
+                    changed = True
+    h_map, v_map = {}, {}
+    for x, gx in h_pairs:
+        if h_map.setdefault(x, gx) != gx:
+            raise ValueError("delta image does not determine the target value at %r" % (x,))
+    for u, gu in v_pairs:
+        if v_map.setdefault(u, gu) != gu:
+            raise ValueError("delta image does not determine the target value at %r" % (u,))
+    return DivisionWitness(tuple(sorted(h_map)), tuple(sorted(v_map)), h_map, v_map)
+
+
+def ref_generated_subalgebra(alg, h_gens=(), v_gens=()):
+    h_set = {alg.zero} | set(h_gens)
+    v_set = {alg.one} | set(v_gens)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(h_set):
+            for y in list(h_set):
+                if alg.add[x][y] not in h_set:
+                    h_set.add(alg.add[x][y])
+                    changed = True
+            for u in list(v_set):
+                if alg.act[x][u] not in h_set:
+                    h_set.add(alg.act[x][u])
+                    changed = True
+        for u in list(v_set):
+            for w in list(v_set):
+                if alg.mul[u][w] not in v_set:
+                    v_set.add(alg.mul[u][w])
+                    changed = True
+            for x in list(h_set):
+                if alg.ins[u][x] not in v_set:
+                    v_set.add(alg.ins[u][x])
+                    changed = True
+    h_embed = tuple(sorted(h_set))
+    v_embed = tuple(sorted(v_set))
+    h_index = {h: i for i, h in enumerate(h_embed)}
+    v_index = {v: i for i, v in enumerate(v_embed)}
+    sub = ForestAlgebra(
+        h_size=len(h_embed),
+        add=_freeze([[h_index[alg.add[x][y]] for y in h_embed] for x in h_embed]),
+        zero=h_index[alg.zero],
+        v_size=len(v_embed),
+        mul=_freeze([[v_index[alg.mul[u][w]] for w in v_embed] for u in v_embed]),
+        one=v_index[alg.one],
+        act=_freeze([[h_index[alg.act[x][u]] for u in v_embed] for x in h_embed]),
+        ins=_freeze([[v_index[alg.ins[u][x]] for x in h_embed] for u in v_embed]),
+    )
+    return sub, h_embed, v_embed
+
+
+def ref_wreath_closure(outer, inner, v_gens, h_gens=()):
+    ops = WreathOps(outer, inner)
+    h_set = {ops.h_zero}
+    h_set.update(h_gens)
+    v_set = {ops.v_one}
+    v_set.update(tuple((tuple(f), v) for f, v in v_gens))
+    while True:
+        new_h = set()
+        new_v = set()
+        for x in h_set:
+            for y in h_set:
+                z = ops.h_add(x, y)
+                if z not in h_set:
+                    new_h.add(z)
+            for u in v_set:
+                z = ops.act_(x, u)
+                if z not in h_set:
+                    new_h.add(z)
+        for u in v_set:
+            for w in v_set:
+                z = ops.v_mul(u, w)
+                if z not in v_set:
+                    new_v.add(z)
+            for x in h_set:
+                z = ops.ins_(u, x)
+                if z not in v_set:
+                    new_v.add(z)
+        if not new_h and not new_v:
+            break
+        h_set |= new_h
+        v_set |= new_v
+    return h_set, v_set
+
+
+def ref_wreath_generated(outer, inner, v_gens, h_gens=()):
+    """The old tables, which raise when two vertical pairs act identically."""
+    ops = WreathOps(outer, inner)
+    h_set, v_set = ref_wreath_closure(outer, inner, v_gens, h_gens)
+    h_elems = sorted(h_set)
+    v_elems = sorted(v_set)
+    h_index = {x: i for i, x in enumerate(h_elems)}
+    v_index = {u: i for i, u in enumerate(v_elems)}
+    add = [[h_index[ops.h_add(x, y)] for y in h_elems] for x in h_elems]
+    mul = [[v_index[ops.v_mul(u, w)] for w in v_elems] for u in v_elems]
+    act = [[h_index[ops.act_(x, u)] for u in v_elems] for x in h_elems]
+    ins = [[v_index[ops.ins_(u, x)] for x in h_elems] for u in v_elems]
+    columns = {}
+    for v in range(len(v_elems)):
+        column = tuple(row[v] for row in act)
+        if column in columns:
+            raise AlgebraLawError("wreath-collapse", (columns[column], v), "collapse")
+        columns[column] = v
+    alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
+    pi_h = tuple(p[1] for p in h_elems)
+    pi_v = tuple(p[1] for p in v_elems)
+    return WreathProduct(
+        alg, outer, inner, tuple(h_elems), tuple(v_elems), h_index, v_index, pi_h, pi_v
+    )
+
+
+# --- inputs ----------------------------------------------------------------------
+
+
+def _even_node_types(nodes, roots):
+    return len(nodes) % 2 == 0
+
+
+def _one_root_type(nodes, roots):
+    return len(roots) == 1
+
+
+def _recognizers():
+    yield samples.contains_a()
+    yield samples.parity_a()
+    yield samples.contains_a_redundant()
+    yield samples.empty_language()
+    yield samples.universal_language()
+    yield samples.a_has_b_child("ab")
+    for alphabet, pred in itertools.product(("a", "ab"), (_even_node_types, _one_root_type)):
+        yield ktypes.lt_recognizer(alphabet, 1, pred).recognizer
+
+
+RECOGNIZERS = list(_recognizers())
+SYNTACTIC = [syntactic_algebra(rec) for rec in RECOGNIZERS]
+
+
+def _wreath_letters(alphabet, k):
+    """The generators `lt_wreath_recognizer` passes to `wreath_generated`."""
+    delta = decide.lt_wreath_recognizer(alphabet, k, _even_node_types).delta
+    return delta.outer, delta.inner, [delta.letters[a] for a in sorted(delta.alphabet)]
+
+
+def _or_tracking_delta(rec, ka):
+    outer = samples.flat_or()
+    letters = {
+        x: (tuple(int(x == "a") for _ in range(ka.algebra.h_size)), ka.morphism.letters[x])
+        for x in sorted(rec.alphabet)
+    }
+    return WreathMorphism(outer, ka.algebra, rec.alphabet, letters)
+
+
+def _trivial_delta(rec, ka):
+    letters = {
+        x: (tuple(0 for _ in range(ka.algebra.h_size)), ka.morphism.letters[x])
+        for x in sorted(rec.alphabet)
+    }
+    return WreathMorphism(samples.trivial_algebra(), ka.algebra, rec.alphabet, letters)
+
+
+def _factorizations():
+    """(derived category, delta) pairs where delta factors alpha."""
+    rec = SYNTACTIC[0].recognizer  # contains-a over {a, b}
+    rec_a = syntactic_algebra(samples.contains_a(A)).recognizer
+    for srec, k, make in ((rec_a, 0, _or_tracking_delta), (rec_a, 1, _or_tracking_delta),
+                          (rec_a, 1, _trivial_delta), (rec, 0, _or_tracking_delta),
+                          (rec, 1, _or_tracking_delta)):
+        ka = ktypes.ktype_algebra(srec.alphabet, k)
+        yield derived_category(pair_closure(srec.morphism, ka.morphism)), make(srec, ka)
+
+
+def _tm_cases():
+    """(target, ambient, tm-division witness) triples."""
+    a = samples.flat_trunc3()
+    ident = DivisionWitness(
+        tuple(range(a.h_size)), tuple(range(a.v_size)),
+        {h: h for h in range(a.h_size)}, {v: v for v in range(a.v_size)},
+    )
+    yield a, a, division_to_tm(a, a, ident)
+    orr = samples.flat_or()
+    prod, hs, vs = direct_product(orr, samples.flat_z2())
+    proj = DivisionWitness(
+        tuple(range(prod.h_size)), tuple(range(prod.v_size)),
+        {i: hs[i][0] for i in range(prod.h_size)}, {i: vs[i][0] for i in range(prod.v_size)},
+    )
+    yield orr, prod, division_to_tm(orr, prod, proj)
+    # dct_forward's witness lives in a lazy wreath over a flat mask algebra
+    for dc, _ in itertools.islice(_factorizations(), 2):
+        cov, _ = canonical_flat_cover(dc.category)
+        witness, ops = dct_forward(dc, cov)
+        yield dc.pa.alpha.algebra, ops, witness
+
+
+# --- the engine ------------------------------------------------------------------
+
+
+class _Counting:
+    """Wraps an elementwise protocol and counts the calls of each operation."""
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.calls = {"h_add": 0, "v_mul": 0, "act_": 0, "ins_": 0}
+        self.h_zero = ops.h_zero
+        self.v_one = ops.v_one
+
+    def _count(name):
+        def op(self, x, y):
+            self.calls[name] += 1
+            return getattr(self.ops, name)(x, y)
+
+        return op
+
+    h_add = _count("h_add")
+    v_mul = _count("v_mul")
+    act_ = _count("act_")
+    ins_ = _count("ins_")
+
+
+@pytest.mark.parametrize("index", range(len(RECOGNIZERS)))
+def test_each_pair_of_elements_meets_once(index):
+    rec = RECOGNIZERS[index]
+    ops = _Counting(rec.algebra)
+    gen = generate(ops, rec.morphism.letters, budget=10**6)
+    nh, nv = len(gen.h_elems), len(gen.v_elems)
+    assert ops.calls == {
+        "h_add": nh * (nh + 1) // 2,
+        "v_mul": nv * len(rec.alphabet),
+        "act_": nh * nv,
+        "ins_": nh * nv,
+    }
+
+
+@pytest.mark.parametrize("index", range(len(RECOGNIZERS)))
+def test_reachable_part_matches_reference(index):
+    rec = RECOGNIZERS[index]
+    alg = rec.algebra
+    gen = generate(alg, rec.morphism.letters, budget=alg.h_size + alg.v_size)
+    assert (set(gen.h_elems), set(gen.v_elems)) == ref_reachable_part(rec.morphism)
+    for i, h in enumerate(gen.h_elems):
+        assert rec.morphism.eval_forest(witness_forest(gen, i)) == h
+    for j, v in enumerate(gen.v_elems):
+        assert rec.morphism.eval_context(witness_context(gen, j)) == v
+
+
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_syntactic_representatives_replay_to_their_class(index):
+    syn = SYNTACTIC[index]
+    m = RECOGNIZERS[index].morphism
+    assert set(syn.h_map) == ref_reachable_part(m)[0]
+    assert set(syn.v_map) == ref_reachable_part(m)[1]
+    for i, s in enumerate(syn.h_terms):
+        assert syn.h_map[m.eval_forest(s)] == i
+    for j, p in enumerate(syn.v_terms):
+        assert syn.v_map[m.eval_context(p)] == j
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("index", range(len(SYNTACTIC)))
+def test_pair_closure_matches_reference_and_replays(index, k):
+    alpha = SYNTACTIC[index].recognizer.morphism
+    beta = ktypes.ktype_algebra(alpha.alphabet, k).morphism
+    pa = pair_closure(alpha, beta)
+    assert (set(pa.h_pairs), set(pa.v_pairs)) == ref_pair_closure(alpha, beta)
+    assert len(set(pa.h_pairs)) == len(pa.h_pairs) and len(set(pa.v_pairs)) == len(pa.v_pairs)
+    for i, pair in enumerate(pa.h_pairs):
+        s = witness_forest(pa, i)
+        assert (alpha.eval_forest(s), beta.eval_forest(s)) == pair
+    for j, pair in enumerate(pa.v_pairs):
+        p = witness_context(pa, j)
+        assert (alpha.eval_context(p), beta.eval_context(p)) == pair
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_dct_backward_matches_reference_and_replays(case):
+    dc, delta = list(_factorizations())[case]
+    alpha = dc.pa.alpha
+    assert dct_backward(dc, delta) == ref_dct_backward_covering(dc, delta)
+    letters = {a: (delta.letters[a], alpha.letters[a]) for a in alpha.alphabet}
+    gen = generate(PairOps(delta.ops(), alpha.algebra), letters, budget=200000)
+    assert (set(gen.h_elems), set(gen.v_elems)) == ref_dct_closure(delta, alpha)
+    for i, pair in enumerate(gen.h_elems):
+        s = witness_forest(gen, i)
+        assert (delta.eval_forest(s), alpha.eval_forest(s)) == pair
+    for j, pair in enumerate(gen.v_elems):
+        p = witness_context(gen, j)
+        assert (delta.eval_context(p), alpha.eval_context(p)) == pair
+
+
+def test_factorization_error_witness_separates_alpha_under_equal_delta():
+    # parity is invisible to depth-0 root types, so a delta constant on the
+    # left cannot determine alpha
+    rec = syntactic_algebra(samples.parity_a(A)).recognizer
+    ka = ktypes.ktype_algebra(A, 0)
+    dc = derived_category(pair_closure(rec.morphism, ka.morphism))
+    delta = _trivial_delta(rec, ka)
+    with pytest.raises(FactorizationError) as exc:
+        dct_backward(dc, delta)
+    s, t = exc.value.witness
+    assert delta.eval_forest(s) == delta.eval_forest(t)
+    assert rec.morphism.eval_forest(s) != rec.morphism.eval_forest(t)
+
+
+def test_tm_to_division_matches_reference():
+    for target, ambient, w in _tm_cases():
+        assert tm_to_division(target, ambient, w) == ref_tm_to_division(target, ambient, w)
+
+
+def test_generated_subalgebra_matches_reference():
+    algebras = [samples.flat_trunc3(), samples.flat_z2(), samples.flat_diamond()]
+    algebras += [syn.algebra for syn in SYNTACTIC]
+    algebras.append(direct_product(samples.flat_or(), samples.flat_z2())[0])
+    for alg in algebras:
+        for h_gens in [(), (alg.h_size - 1,)]:
+            for n in range(3):
+                for v_gens in itertools.combinations(range(alg.v_size), n):
+                    assert generated_subalgebra(alg, h_gens, v_gens) == ref_generated_subalgebra(
+                        alg, h_gens, v_gens
+                    )
+
+
+def test_wreath_generated_matches_reference():
+    outer, inner = samples.flat_or(), samples.flat_or()
+    full = wreath(outer, inner)
+    cases = [(outer, inner, list(full.v_pairs)), (outer, inner, list(full.v_pairs)[:2])]
+    cases.append(_wreath_letters("ab", 1))
+    for outer, inner, gens in cases:
+        assert wreath_generated(outer, inner, gens) == ref_wreath_generated(outer, inner, gens)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_wreath_generated_quotient_over_one_letter(k):
+    outer, inner, gens = _wreath_letters("a", k)
+    with pytest.raises(AlgebraLawError):
+        ref_wreath_generated(outer, inner, gens)
+    wp = wreath_generated(outer, inner, gens)
+    h_set, v_set = ref_wreath_closure(outer, inner, gens)
+    assert set(wp.h_pairs) == h_set
+    assert set(wp.v_index) == v_set
+    assert len(wp.v_pairs) < len(v_set)
+    ops = WreathOps(outer, inner)
+    for u, cls in wp.v_index.items():
+        rep = wp.v_pairs[cls]
+        # each class is represented by its smallest pair, which acts alike
+        assert rep <= u
+        assert all(ops.act_(x, u) == ops.act_(x, rep) for x in wp.h_pairs)
+    assert wp.pi_check()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lt_wreath_recognizer_over_one_letter(k):
+    def pred(nodes, roots):
+        renders = sorted(ktypes.type_render(t) for t in nodes | roots)
+        return len(renders) % 2 == 1 or "a(a)" in renders
+
+    built = decide.lt_wreath_recognizer("a", k, pred)
+    assert built.pi_ok
+    for s in enumerate_forests(A, 6):
+        assert built.recognizer.accepts(s) == pred(*ktypes.klt_signature(s, k))
+
+
+# --- budgets -----------------------------------------------------------------------
+
+
+def _budget_stats(call):
+    with pytest.raises(BudgetError) as exc:
+        call()
+    return exc.value.stats
+
+
+def test_every_closure_raises_the_engine_budget_error():
+    stats_keys = {"h", "v", "budget"}
+    syn = SYNTACTIC[5]  # a-has-b-child
+    beta = ktypes.ktype_algebra(syn.recognizer.alphabet, 1).morphism
+    dc, delta = list(_factorizations())[1]
+    target, ambient, w = list(_tm_cases())[1]
+    outer, inner, gens = _wreath_letters("ab", 1)
+    alg = syn.algebra
+    calls = [
+        lambda: pair_closure(syn.recognizer.morphism, beta, budget=5),
+        lambda: dct_backward(dc, delta, budget=3),
+        lambda: tm_to_division(target, ambient, w, budget=3),
+        lambda: wreath_generated(outer, inner, gens, budget=5),
+        # syntactic_algebra and generated_subalgebra close a finite table and
+        # pass |H| + |V|, which always fits; the engine raises the same way
+        lambda: generate(alg, syn.recognizer.morphism.letters, budget=alg.h_size - 1),
+        lambda: generate(alg, {}, range(alg.h_size), budget=alg.h_size),
+    ]
+    for call in calls:
+        stats = _budget_stats(call)
+        assert set(stats) == stats_keys
+        assert stats["h"] + stats["v"] == stats["budget"] + 1
