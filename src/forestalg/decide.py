@@ -15,17 +15,20 @@ holding at a small k settles every larger one.  A violation is conclusive
 only once its side condition is re-verified on concrete replayed terms at
 k* = |H|^2 + 1, the worst-case level.
 
-Three relation strategies are kept deliberately independent: an exact closure
-over joint (value, root-type-set) pairs, an exact saturation from typed-tree
-value tables (requires idempotence), and a seeded sampling of concrete terms
-that under-approximates.  Exactness at k* itself is out of reach for
-nontrivial algebras (the type spaces grow non-elementarily), so the pipeline
-is sound but partial in the middle and exact at the extremes.
+R has two exact strategies, kept deliberately independent: a closure over
+joint (value, root-type-set) pairs, and a saturation from typed-tree value
+tables at depth k-1 (requires idempotence).  S is the exact closure of the
+pair (syntactic, depth-k type) morphism; once it exceeds the budget, the exact
+S of the last level that fit stands in for it, since S shrinks as k grows.
+Once both R strategies exceed the budget, R is "unavailable" at that level:
+only identity (ii) is checked there, and the level cannot give LT.
+Exactness at k* itself is out of reach for nontrivial algebras (the type
+spaces grow non-elementarily), so the pipeline is sound but partial in the
+middle and exact at the extremes.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -37,19 +40,26 @@ from .algebra import (
     Morphism,
     Recognizer,
     SyntacticResult,
+    flat_algebra,
     syntactic_algebra,
     wreath_generated,
 )
 from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
-from .ktypes import _require_root_sets_fit, ktype_algebra, root_types, truncate, type_render
+from .ktypes import (
+    _apply_letter_root,
+    _require_root_sets_fit,
+    classes_predicate,
+    ktype_algebra,
+    root_types,
+    truncate,
+    type_render,
+)
 from .terms import apply_context, enumerate_contexts, enumerate_forests
 
 __all__ = [
     "Relation",
     "relation_r",
     "relation_s",
-    "IdentityOutcome",
-    "check_lt_identities",
     "LtVerdict",
     "DecideBudgets",
     "decide_lt",
@@ -201,11 +211,10 @@ class _Replayed(Mapping):
 class Relation:
     kind: str  # "R" or "S"
     k: int
-    strategy: str  # "exact-closure" | "saturation" | "sampled"
-    exact: bool
+    strategy: str  # "exact-closure" | "saturation"; every relation is exact
     pairs: frozenset
     # pair -> (Forest, Forest) for R, (Forest, Context) for S; exact-closure
-    # replays the terms on read, saturation and sampled keep them
+    # replays the terms on read, saturation keeps them
     witnesses: Mapping
 
 
@@ -217,41 +226,24 @@ def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
     a_of = {}
     for (h, mask) in pairs:
         a_of.setdefault(mask, set()).add(h)
-    # B[mask] = values realizable with a subset root set, by subset-sum over
-    # the level-k codes; representatives kept for witness replay
-    size = coder.sizes[k]
+    # B[mask] = values realizable with a subset root set, by a subset-sum
+    # (zeta) transform over the level-k codes, one bit at a time; a single
+    # pass is complete.  Representatives are kept for witness replay.
     b_of = {}
     rep = {}
     for (h, mask) in pairs:
         b_of.setdefault(mask, set()).add(h)
         rep.setdefault((mask, h), (h, mask))
-    for bit in range(size):
+    for bit in range(coder.sizes[k]):
         for mask in list(b_of):
             if mask & (1 << bit):
                 continue
             up = mask | (1 << bit)
-            if up in a_of or up in b_of:
-                tgt = b_of.setdefault(up, set())
-                for h in b_of[mask]:
-                    if h not in tgt:
-                        tgt.add(h)
-                        rep[(up, h)] = rep[(mask, h)]
-    # the subset-sum above only walks one bit at a time; iterate to closure
-    changed = True
-    while changed:
-        changed = False
-        for mask in list(b_of):
-            for bit in range(size):
-                if mask & (1 << bit):
-                    continue
-                up = mask | (1 << bit)
-                if up not in b_of:
-                    continue
-                for h in b_of[mask]:
-                    if h not in b_of[up]:
-                        b_of[up].add(h)
-                        rep[(up, h)] = rep[(mask, h)]
-                        changed = True
+            tgt = b_of.setdefault(up, set())
+            for h in b_of[mask]:
+                if h not in tgt:
+                    tgt.add(h)
+                    rep[(up, h)] = rep[(mask, h)]
     handles = {}
     for mask, hs in a_of.items():
         subs = b_of.get(mask, ())
@@ -260,7 +252,7 @@ def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
                 if (h_r, h_s) not in handles:
                     handles[(h_r, h_s)] = (rep[(mask, h_r)], (h_s, mask))
     wit = _Replayed(handles, lambda h: (_replay_joint(pairs, h[0]), _replay_joint(pairs, h[1])))
-    return Relation("R", k, "exact-closure", True, frozenset(handles), wit)
+    return Relation("R", k, "exact-closure", frozenset(handles), wit)
 
 
 def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
@@ -319,34 +311,16 @@ def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
                 w1 = wit[(h, g)]
                 wit[cand] = (w1[0], w1[1] + term)
                 work.append(cand)
-    return Relation("R", k, "saturation", True, frozenset(rel), wit)
+    return Relation("R", k, "saturation", frozenset(rel), wit)
 
 
-def _relation_r_sampled(syn, alphabet, k, bound, seed, sample):
-    m = syn.recognizer.morphism
-    forests = list(enumerate_forests(alphabet, bound))
-    rng = random.Random(seed)
-    if sample and len(forests) > sample:
-        forests = rng.sample(forests, sample)
-    types = {s: root_types(s, k) for s in forests}
-    out = {}
-    for r in forests:
-        for s in forests:
-            if types[r] <= types[s]:
-                key = (m.eval_forest(r), m.eval_forest(s))
-                out.setdefault(key, (r, s))
-    return Relation("R", k, "sampled", False, frozenset(out), dict(out))
-
-
-def relation_r(rec, k, strategy="exact-closure", budget=300000, bound=5, seed=0, sample=0):
+def relation_r(rec, k, strategy="exact-closure", budget=300000):
     """The realizability relation for identity (i) at depth k."""
     syn = rec if isinstance(rec, SyntacticResult) else syntactic_algebra(rec)
     if strategy == "exact-closure":
         return _relation_r_exact(syn, syn.recognizer.alphabet, k, budget)
     if strategy == "saturation":
         return _relation_r_saturation(syn, syn.recognizer.alphabet, k, budget)
-    if strategy == "sampled":
-        return _relation_r_sampled(syn, syn.recognizer.alphabet, k, bound, seed, sample)
     raise ValueError("unknown strategy %r" % strategy)
 
 
@@ -362,52 +336,17 @@ def _relation_s_exact(syn, alphabet, k, budget):
     # the replay helpers are looked up in this module when a pair is read, so
     # a wrapper installed on decide.witness_forest sees every replay
     wit = _Replayed(handles, lambda h: (witness_forest(pa, h[0]), witness_context(pa, h[1])))
-    return Relation("S", k, "exact-closure", True, frozenset(handles), wit)
+    return Relation("S", k, "exact-closure", frozenset(handles), wit)
 
 
-def _relation_s_sampled(syn, alphabet, k, bound, seed, sample):
-    m = syn.recognizer.morphism
-    forests = list(enumerate_forests(alphabet, bound))
-    contexts = list(enumerate_contexts(alphabet, bound))
-    rng = random.Random(seed)
-    if sample and len(forests) > sample:
-        forests = rng.sample(forests, sample)
-    if sample and len(contexts) > sample:
-        contexts = rng.sample(contexts, sample)
-    out = {}
-    for r in forests:
-        tr = root_types(r, k)
-        for p in contexts:
-            if root_types(apply_context(r, p), k) == tr:
-                key = (m.eval_forest(r), m.eval_context(p))
-                out.setdefault(key, (r, p))
-    return Relation("S", k, "sampled", False, frozenset(out), dict(out))
-
-
-def relation_s(rec, k, strategy="exact-closure", budget=100000, bound=4, seed=0, sample=0):
+def relation_s(rec, k, budget=100000):
     """The realizability relation for identity (ii) at depth k."""
     syn = rec if isinstance(rec, SyntacticResult) else syntactic_algebra(rec)
-    if strategy == "exact-closure":
-        return _relation_s_exact(syn, syn.recognizer.alphabet, k, budget)
-    if strategy == "sampled":
-        return _relation_s_sampled(syn, syn.recognizer.alphabet, k, bound, seed, sample)
-    raise ValueError("S has no saturation strategy; use exact-closure or sampled")
+    return _relation_s_exact(syn, syn.recognizer.alphabet, k, budget)
 
 
 # ---------------------------------------------------------------------------
 # The identities
-
-
-@dataclass
-class IdentityOutcome:
-    status: str  # "holds" | "violated" | "inconclusive"
-    k: int
-    relation_r: Relation
-    relation_s: Relation
-    witness: tuple | None = None  # ("i", r, s, t, u) or ("ii", r, p, q, q') as terms
-
-    def conclusive_hold(self):
-        return self.status == "holds" and self.relation_r.exact and self.relation_s.exact
 
 
 def _first_violation(add, left, right, cols):
@@ -454,20 +393,6 @@ def _check_identity_ii(syn, rel: Relation):
             r_term, p_term = rel.witnesses[(hr, vp)]
             return ("ii", r_term, p_term, syn.v_terms[vq], syn.v_terms[vq2])
     return None
-
-
-def check_lt_identities(rec, k, strategy="exact-closure", budget=300000, bound=4, seed=0):
-    """Check both identities at depth k under one strategy; `holds` is
-    conclusive at this k only when the relations are exact."""
-    syn = rec if isinstance(rec, SyntacticResult) else syntactic_algebra(rec)
-    rel_r = relation_r(syn, k, strategy=strategy, budget=budget, bound=bound, seed=seed)
-    s_strategy = strategy if strategy != "saturation" else "exact-closure"
-    rel_s = relation_s(syn, k, strategy=s_strategy, budget=budget, bound=bound, seed=seed)
-    witness = _check_identity_i(syn, rel_r) or _check_identity_ii(syn, rel_s)
-    if witness is not None:
-        return IdentityOutcome("violated", k, rel_r, rel_s, witness)
-    status = "holds" if (rel_r.exact and rel_s.exact) else "inconclusive"
-    return IdentityOutcome(status, k, rel_r, rel_s)
 
 
 def separating_context(syn: SyntacticResult, h1, h2):
@@ -528,10 +453,8 @@ def verify_violation_at(syn: SyntacticResult, witness, kstar):
 class DecideBudgets:
     max_k: int = 2
     closure_budget: int = 300000
-    sample_bound: int = 4
     search_bound: int = 3
     search_cap: int = 200000
-    seed: int = 0
 
 
 @dataclass
@@ -659,12 +582,10 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
                 rel_r = relation_r(syn, k, "saturation", budget=budgets.closure_budget)
                 entry["r_strategy"] = "saturation"
             except BudgetError:
-                rel_r = relation_r(
-                    syn, k, "sampled", bound=budgets.sample_bound, seed=budgets.seed
-                )
-                entry["r_strategy"] = "sampled"
+                rel_r = None
+                entry["r_strategy"] = "unavailable"
         try:
-            rel_s = relation_s(syn, k, "exact-closure", budget=budgets.closure_budget)
+            rel_s = relation_s(syn, k, budget=budgets.closure_budget)
             best_exact_s = rel_s
             entry["s_strategy"] = "exact-closure"
         except BudgetError:
@@ -672,10 +593,10 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
             entry["s_strategy"] = (
                 "exact-closure@k=%d" % rel_s.k if rel_s is not None else "unavailable"
             )
-        entry["r_size"] = len(rel_r.pairs)
+        entry["r_size"] = len(rel_r.pairs) if rel_r is not None else None
         entry["s_size"] = len(rel_s.pairs) if rel_s is not None else None
 
-        witness = _check_identity_i(syn, rel_r)
+        witness = _check_identity_i(syn, rel_r) if rel_r is not None else None
         if witness is None and rel_s is not None:
             witness = _check_identity_ii(syn, rel_s)
         if witness is not None:
@@ -688,7 +609,7 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
                 )
             entry["witness_failed_at_kstar"] = True
             continue
-        if rel_r.exact and rel_s is not None and rel_s.exact:
+        if rel_r is not None and rel_s is not None:
             # identity (ii) held over an exact S at level j <= k, which
             # contains S at level k, so both identities hold at level k
             entry["outcome"] = "holds"
@@ -735,8 +656,6 @@ def lt_wreath_recognizer(alphabet, k, accept, budget=20000) -> WreathRecognizer:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    from .ktypes import classes_predicate
-
     alphabet = terms.make_alphabet(alphabet)
     if not callable(accept):
         accept = classes_predicate(list(accept), k)
@@ -750,16 +669,13 @@ def lt_wreath_recognizer(alphabet, k, accept, budget=20000) -> WreathRecognizer:
         )
     type_bit = {t: i for i, t in enumerate(type_ids)}
     size = 1 << n_types
-    from .algebra import flat_algebra
-
     outer = flat_algebra([[i | j for j in range(size)] for i in range(size)], 0)
 
     letters = {}
     for a in sorted(alphabet):
         f = []
         for st in ka.states:
-            kids = frozenset(truncate(t, k - 1) for t in st)
-            new_type = _intern_type(k, a, kids)
+            (new_type,) = _apply_letter_root(a, st, k)
             f.append(1 << type_bit[new_type])
         letters[a] = (tuple(f), ka.morphism.letters[a])
     delta = WreathMorphism(outer, ka.algebra, alphabet, letters)
@@ -779,9 +695,3 @@ def lt_wreath_recognizer(alphabet, k, accept, budget=20000) -> WreathRecognizer:
             accept_set.add(i)
     recognizer = Recognizer(morphism, frozenset(accept_set))
     return WreathRecognizer(recognizer, delta, ka, pi_ok, tuple(type_ids))
-
-
-def _intern_type(depth, label, child_ids):
-    from .ktypes import _UNIVERSE
-
-    return _UNIVERSE.intern(depth, label, child_ids)

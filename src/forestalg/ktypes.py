@@ -26,7 +26,7 @@ from .algebra import (
     Recognizer,
     transformation_algebra,
 )
-from .terms import Context, Forest, enumerate_forests
+from .terms import Forest, enumerate_forests
 
 __all__ = [
     "ATOM",
@@ -195,15 +195,15 @@ def _state_order_key(state):
 
 def _discover(initial, letter_step, alphabet, budget):
     """Close a set of states under pairwise addition and letter application;
-    returns states in a deterministic order plus derivations."""
-    states = {initial: ("empty",)}
+    returns the states in a deterministic order."""
+    states = {initial}
     order = [initial]
     work = [initial]
     letters = sorted(alphabet)
 
-    def admit(st, deriv):
+    def admit(st):
         if st not in states:
-            states[st] = deriv
+            states.add(st)
             order.append(st)
             work.append(st)
             if len(states) > budget:
@@ -215,13 +215,12 @@ def _discover(initial, letter_step, alphabet, budget):
     while work:
         st = work.pop()
         for a in letters:
-            admit(letter_step(a, st), ("letter", a, st))
+            admit(letter_step(a, st))
         # pairing each popped state against everything known so far covers
         # all pairs: later states pair with st when they are popped
         for other in list(order):
-            admit(_state_add(st, other), ("union", st, other))
-    ordered = sorted(states, key=_state_order_key)
-    return ordered, states
+            admit(_state_add(st, other))
+    return sorted(states, key=_state_order_key)
 
 
 def _state_add(x, y):
@@ -234,46 +233,21 @@ def _state_add(x, y):
 class KTypeAlgebra:
     """The quotient algebra of root-type equivalence at depth k, with the
     projection morphism; H elements are reachable root-type sets and V
-    elements are concrete transformation tables on them."""
+    elements are concrete transformation tables on them.  Terms realizing an
+    element come from `derived.pair_closure` over this morphism, which
+    records derivations; the quotient itself keeps none."""
 
     alphabet: frozenset
     k: int
     algebra: object
     morphism: Morphism
     states: tuple  # H index -> frozenset of type ids
-    h_derivations: dict
-    v_derivations: tuple
 
     def value_of(self, s: Forest) -> int:
         return self.morphism.eval_forest(s)
 
     def state_render(self, i):
         return "{%s}" % ",".join(sorted(_UNIVERSE.render(t) for t in self.states[i]))
-
-    def realize_forest(self, i) -> Forest:
-        """Replay the derivation of H element i into a concrete forest."""
-        st = self.states[i]
-        d = self.h_derivations[st]
-        if d[0] == "empty":
-            return terms.EMPTY
-        if d[0] == "letter":
-            _, a, prev = d
-            return self.realize_forest(self.states.index(prev)).adjoin(a)
-        _, x, y = d
-        return self.realize_forest(self.states.index(x)) + self.realize_forest(
-            self.states.index(y)
-        )
-
-    def realize_context(self, j) -> Context:
-        d = self.v_derivations[j]
-        if d[0] == "one":
-            return terms.HOLE
-        if d[0] == "letter":
-            return Context(terms.EMPTY, (d[1], terms.HOLE))
-        if d[0] == "addh":
-            return Context(self.realize_forest(d[1]), None)
-        _, i1, i2 = d
-        return terms.compose(self.realize_context(i1), self.realize_context(i2))
 
 
 def _apply_letter_root(a, state, k):
@@ -308,18 +282,15 @@ def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
         raise ValueError("k must be nonnegative")
     alphabet = terms.make_alphabet(alphabet)
     _require_root_sets_fit(len(alphabet), k, budget)
-    ordered, derivs = _discover(
-        frozenset(), lambda a, st: _apply_letter_root(a, st, k), alphabet, budget
-    )
+    ordered = _discover(frozenset(), lambda a, st: _apply_letter_root(a, st, k), alphabet, budget)
     index = {st: i for i, st in enumerate(ordered)}
-    n = len(ordered)
     add = [[index[x | y] for y in ordered] for x in ordered]
     letter_maps = {
         a: [index[_apply_letter_root(a, st, k)] for st in ordered] for a in sorted(alphabet)
     }
-    alg, letters, v_derivs = transformation_algebra(add, index[frozenset()], letter_maps, budget)
+    alg, letters, _ = transformation_algebra(add, index[frozenset()], letter_maps, budget)
     morphism = Morphism(alg, alphabet, letters)
-    return KTypeAlgebra(alphabet, k, alg, morphism, tuple(ordered), dict(derivs), v_derivs)
+    return KTypeAlgebra(alphabet, k, alg, morphism, tuple(ordered))
 
 
 @dataclass
@@ -383,7 +354,7 @@ def lt_recognizer(alphabet, k, accept, budget=4000, node_view=None) -> LtMachine
         accept = classes_predicate(reps, k)
     initial = (frozenset(), frozenset())
     step = lambda a, st: _apply_letter_sig(a, st, k, node_view)
-    ordered, _ = _discover(initial, step, alphabet, budget)
+    ordered = _discover(initial, step, alphabet, budget)
     index = {st: i for i, st in enumerate(ordered)}
     add = [[index[_state_add(x, y)] for y in ordered] for x in ordered]
     letter_maps = {a: [index[step(a, st)] for st in ordered] for a in sorted(alphabet)}

@@ -386,7 +386,7 @@ def test_identity_witnesses_match_reference_on_all_pairs(index):
     vs = range(syn.algebra.v_size)
     pairs_r = frozenset(itertools.product(hs, hs))
     pairs_s = frozenset(itertools.product(hs, vs))
-    rel_r = Relation("R", 0, "all", False, pairs_r, {p: p for p in pairs_r})
-    rel_s = Relation("S", 0, "all", False, pairs_s, {p: p for p in pairs_s})
+    rel_r = Relation("R", 0, "all", pairs_r, {p: p for p in pairs_r})
+    rel_s = Relation("S", 0, "all", pairs_s, {p: p for p in pairs_s})
     assert _check_identity_i(syn, rel_r) == ref_check_identity_i(syn, rel_r)
     assert _check_identity_ii(syn, rel_s) == ref_check_identity_ii(syn, rel_s)

@@ -153,17 +153,6 @@ def test_ktype_morphism_agrees_with_direct_recursion():
             assert ka.states[ka.value_of(s)] == root_types(s, k)
 
 
-def test_ktype_realize_round_trip():
-    for k, alphabet in [(1, AB), (2, A)]:
-        ka = ktype_algebra(alphabet, k)
-        for i in range(ka.algebra.h_size):
-            assert ka.value_of(ka.realize_forest(i)) == i
-        m = ka.morphism
-        for j in range(ka.algebra.v_size):
-            ctx = ka.realize_context(j)
-            assert m.eval_context(ctx) == j
-
-
 # --- locally testable recognizers -------------------------------------------------
 
 
