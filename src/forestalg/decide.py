@@ -15,13 +15,15 @@ holding at a small k settles every larger one.  A violation is conclusive
 only once its side condition is re-verified on concrete replayed terms at
 k* = |H|^2 + 1, the worst-case level.
 
-R has two exact strategies, kept deliberately independent: a closure over
-joint (value, root-type-set) pairs, and a saturation from typed-tree value
-tables at depth k-1 (requires idempotence).  S is the exact closure of the
-pair (syntactic, depth-k type) morphism; once it exceeds the budget, the exact
-S of the last level that fit stands in for it, since S shrinks as k grows.
-Once both R strategies exceed the budget, R is "unavailable" at that level:
-only identity (ii) is checked there, and the level cannot give LT.
+Both relations at depth k are read off one level: the depth-k root-type
+quotient and the closure of the realizable (syntactic value, root-type set)
+pairs over it, which are the half-arrows of the derived category.  R pairs
+the values whose root-type sets are included; S pairs a value with a context
+value that keeps its root-type set.  When a level exceeds the budget, R
+saturates from typed-tree value tables over the level of depth k-1 if that
+level fit (this requires idempotence), and is "unavailable" otherwise: only
+identity (ii) is checked there, and the level cannot give LT.  S falls back
+to the exact S of the last level that fit, since S shrinks as k grows.
 Exactness at k* itself is out of reach for nontrivial algebras (the type
 spaces grow non-elementarily), so the pipeline is sound but partial in the
 middle and exact at the extremes.
@@ -47,7 +49,6 @@ from .algebra import (
 from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
 from .ktypes import (
     _apply_letter_root,
-    _require_root_sets_fit,
     classes_predicate,
     ktype_algebra,
     root_types,
@@ -76,114 +77,15 @@ def h_idempotent_necessary(rec: Recognizer) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Realizable type machinery on integer-coded types.
-#
-# Depth-j types over a sorted alphabet are coded as integers: the depth-0
-# atom is 0; a depth-j type (a, S) is a_index << N_{j-1} | S, where S is a
-# bitmask over depth-(j-1) codes.  Every subset of realizable types is
-# realizable side by side, so level j has exactly |A| * 2^(N_{j-1}) codes.
+# The realizability relations, read off one pair closure per level
 
 
-def _level_sizes(n_letters, k, cap):
-    sizes = [1]
-    for _ in range(k):
-        nxt = n_letters * (1 << sizes[-1])
-        if nxt > cap:
-            raise BudgetError(
-                "type space exceeds budget at this depth",
-                {"level_size": nxt, "cap": cap},
-            )
-        sizes.append(nxt)
-    return sizes
-
-
-class _TypeCoder:
-    def __init__(self, alphabet, k, cap=1 << 17):
-        self.letters = sorted(alphabet)
-        self.k = k
-        self.sizes = _level_sizes(len(self.letters), k, cap)
-        # truncation tables: level j code -> level j-1 code
-        self.trunc = [None]
-        for j in range(1, k + 1):
-            prev_bits = self.sizes[j - 1]
-            table = []
-            for code in range(self.sizes[j]):
-                a_idx, s = divmod(code, 1 << prev_bits)
-                if j == 1:
-                    table.append(0)  # every depth-1 type truncates to the atom
-                else:
-                    mask = 0
-                    rest = s
-                    while rest:
-                        low = rest & -rest
-                        mask |= 1 << self.trunc[j - 1][low.bit_length() - 1]
-                        rest ^= low
-                    table.append(a_idx * (1 << self.sizes[j - 2]) + mask)
-            self.trunc.append(table)
-
-    def trunc_mask(self, j, mask):
-        """Image of a level-j type-set mask one level down."""
-        out = 0
-        table = self.trunc[j]
-        while mask:
-            low = mask & -mask
-            out |= 1 << table[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def apply_letter(self, a_idx, mask):
-        """Root-type-set of adjoin(s, a) from the root-type-set of s."""
-        if self.k == 0:
-            return 1  # the single atom
-        return 1 << (a_idx * (1 << self.sizes[self.k - 1]) + self.trunc_mask(self.k, mask))
-
-
-def _joint_closure(morphism: Morphism, coder: _TypeCoder, budget):
-    """All realizable (value, root-type-set mask) pairs at depth k, with
-    derivations: ("zero",) | ("tree", parent pair, letter) | ("sum", pair,
-    tree pair).  All masks are realizable; it fails up front if they exceed budget."""
-    _require_root_sets_fit(len(coder.letters), coder.k, budget)
-    alg = morphism.algebra
-    letters = coder.letters
-    zero = (alg.zero, 0)
-    pairs = {zero: ("zero",)}
-    trees = []
-    tree_set = set()
-    work = [zero]
-    while work:
-        p = work.pop()
-        h, mask = p
-        for i, a in enumerate(letters):
-            t = (alg.act[h][morphism.letters[a]], coder.apply_letter(i, mask))
-            if t not in pairs:
-                pairs[t] = ("tree", p, a)
-                work.append(t)
-            if t not in tree_set:
-                tree_set.add(t)
-                trees.append(t)
-                # a fresh tree pair combines with everything known
-                for q in list(pairs):
-                    cand = (alg.add[q[0]][t[0]], q[1] | t[1])
-                    if cand not in pairs:
-                        pairs[cand] = ("sum", q, t)
-                        work.append(cand)
-        for t in trees:
-            cand = (alg.add[h][t[0]], mask | t[1])
-            if cand not in pairs:
-                pairs[cand] = ("sum", p, t)
-                work.append(cand)
-        if len(pairs) > budget:
-            raise BudgetError("joint closure exceeded budget", {"pairs": len(pairs)})
-    return pairs
-
-
-def _replay_joint(pairs, p):
-    d = pairs[p]
-    if d[0] == "zero":
-        return terms.EMPTY
-    if d[0] == "tree":
-        return _replay_joint(pairs, d[1]).adjoin(d[2])
-    return _replay_joint(pairs, d[1]) + _replay_joint(pairs, d[2])
+def _level(syn: SyntacticResult, k, budget):
+    """The depth-k root-type quotient and the closure of the realizable
+    (syntactic value, root-type set) pairs over it; raises BudgetError when
+    either exceeds the budget."""
+    ka = ktype_algebra(syn.recognizer.alphabet, k, budget=budget)
+    return ka, pair_closure(syn.recognizer.morphism, ka.morphism, budget=budget)
 
 
 class _Replayed(Mapping):
@@ -214,127 +116,101 @@ class Relation:
     strategy: str  # "exact-closure" | "saturation"; every relation is exact
     pairs: frozenset
     # pair -> (Forest, Forest) for R, (Forest, Context) for S; exact-closure
-    # replays the terms on read, saturation keeps them
+    # keeps pair closure indices and replays them through witness_forest and
+    # witness_context on read, saturation keeps the terms it built
     witnesses: Mapping
 
 
-def _relation_r_exact(syn: SyntacticResult, alphabet, k, budget):
-    coder = _TypeCoder(alphabet, k)
-    m = syn.recognizer.morphism
-    pairs = _joint_closure(m, coder, budget)
-    # group: A[mask] = set of values realizable with exactly that root set
-    a_of = {}
-    for (h, mask) in pairs:
-        a_of.setdefault(mask, set()).add(h)
-    # B[mask] = values realizable with a subset root set, by a subset-sum
-    # (zeta) transform over the level-k codes, one bit at a time; a single
-    # pass is complete.  Representatives are kept for witness replay.
-    b_of = {}
-    rep = {}
-    for (h, mask) in pairs:
-        b_of.setdefault(mask, set()).add(h)
-        rep.setdefault((mask, h), (h, mask))
-    for bit in range(coder.sizes[k]):
-        for mask in list(b_of):
-            if mask & (1 << bit):
-                continue
-            up = mask | (1 << bit)
-            tgt = b_of.setdefault(up, set())
-            for h in b_of[mask]:
-                if h not in tgt:
-                    tgt.add(h)
-                    rep[(up, h)] = rep[(mask, h)]
+def _relation_r_exact(k, level):
+    ka, pa = level
+    # by_state[st] = value -> first pair index realizing it with root-type set st
+    by_state = {}
+    for i, (h, st) in enumerate(pa.h_pairs):
+        by_state.setdefault(st, {}).setdefault(h, i)
     handles = {}
-    for mask, hs in a_of.items():
-        subs = b_of.get(mask, ())
-        for h_s in hs:
-            for h_r in subs:
-                if (h_r, h_s) not in handles:
-                    handles[(h_r, h_s)] = (rep[(mask, h_r)], (h_s, mask))
-    wit = _Replayed(handles, lambda h: (_replay_joint(pairs, h[0]), _replay_joint(pairs, h[1])))
+    for st_s, s_values in by_state.items():
+        below = {}  # values realizable with a subset of the root types of st_s
+        for st_r, r_values in by_state.items():
+            if ka.states[st_r] <= ka.states[st_s]:
+                for h_r, i_r in r_values.items():
+                    below.setdefault(h_r, i_r)
+        for h_s, i_s in s_values.items():
+            for h_r, i_r in below.items():
+                handles.setdefault((h_r, h_s), (i_r, i_s))
+    # the replay helper is looked up in this module when a pair is read, so a
+    # wrapper installed on decide.witness_forest sees every replay
+    wit = _Replayed(handles, lambda h: (witness_forest(pa, h[0]), witness_forest(pa, h[1])))
     return Relation("R", k, "exact-closure", frozenset(handles), wit)
 
 
-def _relation_r_saturation(syn: SyntacticResult, alphabet, k, budget):
+def _relation_r_saturation(syn: SyntacticResult, k, level):
+    """R at depth k from the level of depth k-1 (depth 0 at k = 0); requires
+    an idempotent horizontal monoid."""
     alg = syn.algebra
-    if not alg.h_idempotent():
-        raise ValueError("saturation strategy requires an idempotent horizontal monoid")
-    letters = sorted(alphabet)
     m = syn.recognizer.morphism
-    # level k-1 realizable (root set, value) table
-    coder = _TypeCoder(alphabet, max(k - 1, 0))
-    p_pairs = _joint_closure(m, coder, budget)
-    # typed-tree value table at depth k: W[(a_idx, child mask)] = values
-    w_values = {}
-    w_witness = {}
-    for (h, mask) in p_pairs:
-        for i, a in enumerate(letters):
-            t = (i, mask if k > 1 else (1 if mask else 0)) if k >= 1 else (0, 0)
+    _, pa = level
+    # typed-tree value table at depth k: a(s) has the depth-k type (a, depth-
+    # (k-1) root types of s), and at k = 0 every tree has the atom type
+    letters = sorted(syn.recognizer.alphabet)
+    by_type = {}  # tree type -> value -> a tree of that type and value
+    for i, (h, st) in enumerate(pa.h_pairs):
+        for a in letters:
+            trees = by_type.setdefault((a, st) if k else None, {})
             value = alg.act[h][m.letters[a]]
-            w_values.setdefault(t, set())
-            if value not in w_values[t]:
-                w_values[t].add(value)
-                w_witness[(t, value)] = _replay_joint(p_pairs, (h, mask)).adjoin(a)
-    base = set()
-    wit = {}
-    zero_key = (alg.zero, alg.zero)
-    base.add(zero_key)
-    wit[zero_key] = (terms.EMPTY, terms.EMPTY)
-    for t, values in w_values.items():
-        for h in values:
-            for g in values:
-                key = (h, g)
-                if key not in base:
-                    base.add(key)
-                    wit[key] = (w_witness[(t, h)], w_witness[(t, g)])
+            if value not in trees:
+                trees[value] = witness_forest(pa, i).adjoin(a)
+    # base pairs: the empty pair and two trees of one type
+    wit = {(alg.zero, alg.zero): (terms.EMPTY, terms.EMPTY)}
+    for trees in by_type.values():
+        for h, r in trees.items():
+            for g, s in trees.items():
+                wit.setdefault((h, g), (r, s))
+    base = list(wit)
     # close under componentwise addition and right augmentation by any
     # realizable value (every syntactic H value is realizable); every element
     # is a sum of base pairs plus (0, w), so adding base pairs alone closes it
     # under all sums
     aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
     work = list(base)
-    rel = set(base)
     while work:
         (h, g) = work.pop()
-        for (h2, g2) in list(base):
+        r, s = wit[(h, g)]
+        for (h2, g2) in base:
             cand = (alg.add[h][h2], alg.add[g][g2])
-            if cand not in rel:
-                rel.add(cand)
-                w1 = wit[(h, g)]
-                w2 = wit[(h2, g2)]
-                wit[cand] = (w1[0] + w2[0], w1[1] + w2[1])
+            if cand not in wit:
+                r2, s2 = wit[(h2, g2)]
+                wit[cand] = (r + r2, s + s2)
                 work.append(cand)
         for (w, term) in aug:
             cand = (h, alg.add[g][w])
-            if cand not in rel:
-                rel.add(cand)
-                w1 = wit[(h, g)]
-                wit[cand] = (w1[0], w1[1] + term)
+            if cand not in wit:
+                wit[cand] = (r, s + term)
                 work.append(cand)
-    return Relation("R", k, "saturation", frozenset(rel), wit)
+    return Relation("R", k, "saturation", frozenset(wit), wit)
 
 
 def relation_r(rec, k, strategy="exact-closure", budget=300000):
-    """The realizability relation for identity (i) at depth k."""
+    """The realizability relation for identity (i) at depth k, read off the
+    pair closure of depth k ("exact-closure") or saturated from the one of
+    depth k-1 ("saturation")."""
     syn = rec if isinstance(rec, SyntacticResult) else syntactic_algebra(rec)
     if strategy == "exact-closure":
-        return _relation_r_exact(syn, syn.recognizer.alphabet, k, budget)
+        return _relation_r_exact(k, _level(syn, k, budget))
     if strategy == "saturation":
-        return _relation_r_saturation(syn, syn.recognizer.alphabet, k, budget)
+        if not syn.algebra.h_idempotent():
+            raise ValueError("saturation strategy requires an idempotent horizontal monoid")
+        return _relation_r_saturation(syn, k, _level(syn, max(k - 1, 0), budget))
     raise ValueError("unknown strategy %r" % strategy)
 
 
-def _relation_s_exact(syn, alphabet, k, budget):
-    ka = ktype_algebra(alphabet, k, budget=budget)
-    pa = pair_closure(syn.recognizer.morphism, ka.morphism, budget=budget)
+def _relation_s_exact(k, level):
+    ka, pa = level
     kalg = ka.algebra
     handles = {}
     for hi, (h1, hk) in enumerate(pa.h_pairs):
         for vi, (v1, vk) in enumerate(pa.v_pairs):
             if kalg.act[hk][vk] == hk and (h1, v1) not in handles:
                 handles[(h1, v1)] = (hi, vi)
-    # the replay helpers are looked up in this module when a pair is read, so
-    # a wrapper installed on decide.witness_forest sees every replay
     wit = _Replayed(handles, lambda h: (witness_forest(pa, h[0]), witness_context(pa, h[1])))
     return Relation("S", k, "exact-closure", frozenset(handles), wit)
 
@@ -342,7 +218,7 @@ def _relation_s_exact(syn, alphabet, k, budget):
 def relation_s(rec, k, budget=100000):
     """The realizability relation for identity (ii) at depth k."""
     syn = rec if isinstance(rec, SyntacticResult) else syntactic_algebra(rec)
-    return _relation_s_exact(syn, syn.recognizer.alphabet, k, budget)
+    return _relation_s_exact(k, _level(syn, k, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -572,29 +448,32 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
         return LtVerdict("NotLT", None, "nonidempotent", kstar, evidence, progress, counters)
 
     best_exact_s = None
+    last_level = None  # the level of depth k-1, if it fit the budget
     for k in range(0, budgets.max_k + 1):
-        entry = {"k": k}
         try:
-            rel_r = relation_r(syn, k, "exact-closure", budget=budgets.closure_budget)
-            entry["r_strategy"] = "exact-closure"
+            level = _level(syn, k, budgets.closure_budget)
         except BudgetError:
-            try:
-                rel_r = relation_r(syn, k, "saturation", budget=budgets.closure_budget)
-                entry["r_strategy"] = "saturation"
-            except BudgetError:
-                rel_r = None
-                entry["r_strategy"] = "unavailable"
-        try:
-            rel_s = relation_s(syn, k, budget=budgets.closure_budget)
-            best_exact_s = rel_s
-            entry["s_strategy"] = "exact-closure"
-        except BudgetError:
+            level = None
+        if level is not None:
+            rel_r = _relation_r_exact(k, level)
+            rel_s = best_exact_s = _relation_s_exact(k, level)
+            s_strategy = "exact-closure"
+        else:
+            # R saturates from depth k-1; S shrinks as k grows, so the exact S
+            # of the last level that fit stands in for it
+            rel_r = None
+            if last_level is not None:
+                rel_r = _relation_r_saturation(syn, k, last_level)
             rel_s = best_exact_s
-            entry["s_strategy"] = (
-                "exact-closure@k=%d" % rel_s.k if rel_s is not None else "unavailable"
-            )
-        entry["r_size"] = len(rel_r.pairs) if rel_r is not None else None
-        entry["s_size"] = len(rel_s.pairs) if rel_s is not None else None
+            s_strategy = "exact-closure@k=%d" % rel_s.k if rel_s is not None else "unavailable"
+        last_level = level
+        entry = {
+            "k": k,
+            "r_strategy": rel_r.strategy if rel_r is not None else "unavailable",
+            "s_strategy": s_strategy,
+            "r_size": len(rel_r.pairs) if rel_r is not None else None,
+            "s_size": len(rel_s.pairs) if rel_s is not None else None,
+        }
 
         witness = _check_identity_i(syn, rel_r) if rel_r is not None else None
         if witness is None and rel_s is not None:

@@ -259,13 +259,15 @@ def _apply_letter_root(a, state, k):
 
 def _require_root_sets_fit(n_letters, k, budget):
     """Every set of the T depth-k types (T_0 = 1, T_j = |A| * 2^T_{j-1}) is
-    the root-type set of a forest; raise BudgetError when 2^T > budget."""
+    the root-type set of a forest, and `ktype_algebra` tabulates the union of
+    every two of them; raise BudgetError when those 4^T unions exceed the
+    budget."""
     n_types = 1
     for depth in range(k + 1):
         n_types = n_letters << n_types if depth else 1
-        if n_types >= budget.bit_length():  # and T only grows with the depth
+        if 2 * n_types >= budget.bit_length():  # and T only grows with the depth
             raise BudgetError(
-                "2^%d root-type sets at depth %d exceed the budget" % (n_types, depth),
+                "4^%d root-type set unions at depth %d exceed the budget" % (n_types, depth),
                 {"depth": depth, "types": n_types, "budget": budget},
             )
 
@@ -276,7 +278,8 @@ def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
     H is the closure of the empty set under union and letter application,
     all 2^T sets of the T depth-k types; V is the transformation monoid
     generated by the letter maps and the union-with-state maps.  Budgets
-    guard both closures, H's before it starts.
+    guard both closures, H's before it starts: its union table has 4^T
+    entries.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -1,11 +1,15 @@
-"""Tests of the decision pipeline's relations, search and type coder.
+"""Tests of the decision pipeline's relations, search and budget guards.
 
-The reference builders below are the eager versions of the exact-closure
-strategies: they replay witness terms for every pair while the relation is
-built.  The relations must have the same pairs and the same keys, and each
-key must read back the same terms, though they are replayed only on read.
-The reference search is the term-level loop that the value-level
-`_direct_witness_search` must reproduce: same result, same counters.
+The reference for exact R is an independent builder: a closure over joint
+(value, root-type-set mask) pairs on integer-coded depth-k types, followed by
+a subset-sum over the masks.  R read off the pair closure must have the same
+pairs, and every witness it replays must realize its pair and meet the side
+condition.  The reference for exact S is its eager version, which replays
+witness terms for every pair while the relation is built; the relations must
+have the same pairs and the same keys, and each key must read back the same
+terms, though they are replayed only on read.  The reference search is the
+term-level loop that the value-level `_direct_witness_search` must
+reproduce: same result, same counters.
 """
 
 import itertools
@@ -25,9 +29,6 @@ from forestalg.decide import (
     _check_identity_i,
     _check_identity_ii,
     _direct_witness_search,
-    _joint_closure,
-    _replay_joint,
-    _TypeCoder,
     decide_lt,
     relation_r,
     relation_s,
@@ -47,59 +48,135 @@ def test_truncated_search_records_its_steps():
     assert counters == {"search_steps": 6, "search_truncated": True}
 
 
-# --- eager reference builders ------------------------------------------------
+# --- reference builders ------------------------------------------------------
+
+
+# Depth-j types over a sorted alphabet are coded as integers: the depth-0 atom
+# is 0; a depth-j type (a, S) is a_index << N_{j-1} | S, where S is a bitmask
+# over depth-(j-1) codes.  Every subset of realizable types is realizable side
+# by side, so level j has exactly |A| * 2^(N_{j-1}) codes.
+
+
+def _level_sizes(n_letters, k, cap):
+    sizes = [1]
+    for _ in range(k):
+        nxt = n_letters * (1 << sizes[-1])
+        if nxt > cap:
+            raise BudgetError(
+                "type space exceeds budget at this depth",
+                {"level_size": nxt, "cap": cap},
+            )
+        sizes.append(nxt)
+    return sizes
+
+
+class _TypeCoder:
+    def __init__(self, alphabet, k, cap=1 << 17):
+        self.letters = sorted(alphabet)
+        self.k = k
+        self.sizes = _level_sizes(len(self.letters), k, cap)
+        # truncation tables: level j code -> level j-1 code
+        self.trunc = [None]
+        for j in range(1, k + 1):
+            prev_bits = self.sizes[j - 1]
+            table = []
+            for code in range(self.sizes[j]):
+                a_idx, s = divmod(code, 1 << prev_bits)
+                if j == 1:
+                    table.append(0)  # every depth-1 type truncates to the atom
+                else:
+                    mask = 0
+                    rest = s
+                    while rest:
+                        low = rest & -rest
+                        mask |= 1 << self.trunc[j - 1][low.bit_length() - 1]
+                        rest ^= low
+                    table.append(a_idx * (1 << self.sizes[j - 2]) + mask)
+            self.trunc.append(table)
+
+    def trunc_mask(self, j, mask):
+        """Image of a level-j type-set mask one level down."""
+        out = 0
+        table = self.trunc[j]
+        while mask:
+            low = mask & -mask
+            out |= 1 << table[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def apply_letter(self, a_idx, mask):
+        """Root-type-set of adjoin(s, a) from the root-type-set of s."""
+        if self.k == 0:
+            return 1  # the single atom
+        return 1 << (a_idx * (1 << self.sizes[self.k - 1]) + self.trunc_mask(self.k, mask))
+
+
+def _joint_closure(morphism, coder, budget):
+    """All realizable (value, root-type-set mask) pairs at depth k, with
+    derivations: ("zero",) | ("tree", parent pair, letter) | ("sum", pair,
+    tree pair)."""
+    alg = morphism.algebra
+    letters = coder.letters
+    zero = (alg.zero, 0)
+    pairs = {zero: ("zero",)}
+    trees = []
+    tree_set = set()
+    work = [zero]
+    while work:
+        p = work.pop()
+        h, mask = p
+        for i, a in enumerate(letters):
+            t = (alg.act[h][morphism.letters[a]], coder.apply_letter(i, mask))
+            if t not in pairs:
+                pairs[t] = ("tree", p, a)
+                work.append(t)
+            if t not in tree_set:
+                tree_set.add(t)
+                trees.append(t)
+                # a fresh tree pair combines with everything known
+                for q in list(pairs):
+                    cand = (alg.add[q[0]][t[0]], q[1] | t[1])
+                    if cand not in pairs:
+                        pairs[cand] = ("sum", q, t)
+                        work.append(cand)
+        for t in trees:
+            cand = (alg.add[h][t[0]], mask | t[1])
+            if cand not in pairs:
+                pairs[cand] = ("sum", p, t)
+                work.append(cand)
+        if len(pairs) > budget:
+            raise BudgetError("joint closure exceeded budget", {"pairs": len(pairs)})
+    return pairs
+
+
+def _replay_joint(pairs, p):
+    d = pairs[p]
+    if d[0] == "zero":
+        return terms.EMPTY
+    if d[0] == "tree":
+        return _replay_joint(pairs, d[1]).adjoin(d[2])
+    return _replay_joint(pairs, d[1]) + _replay_joint(pairs, d[2])
 
 
 def ref_relation_r_exact(syn, k, budget=300000):
+    """The pairs of exact R: values grouped by root-type mask, spread to every
+    superset mask until nothing changes, then paired within each mask."""
     coder = _TypeCoder(syn.recognizer.alphabet, k)
     pairs = _joint_closure(syn.recognizer.morphism, coder, budget)
     a_of = {}
     for (h, mask) in pairs:
         a_of.setdefault(mask, set()).add(h)
-    size = coder.sizes[k]
-    b_of = {}
-    rep = {}
-    for (h, mask) in pairs:
-        b_of.setdefault(mask, set()).add(h)
-        rep.setdefault((mask, h), (h, mask))
-    for bit in range(size):
-        for mask in list(b_of):
-            if mask & (1 << bit):
-                continue
-            up = mask | (1 << bit)
-            if up in a_of or up in b_of:
-                tgt = b_of.setdefault(up, set())
-                for h in b_of[mask]:
-                    if h not in tgt:
-                        tgt.add(h)
-                        rep[(up, h)] = rep[(mask, h)]
+    b_of = {mask: set(hs) for mask, hs in a_of.items()}
     changed = True
     while changed:
         changed = False
         for mask in list(b_of):
-            for bit in range(size):
-                if mask & (1 << bit):
-                    continue
+            for bit in range(coder.sizes[k]):
                 up = mask | (1 << bit)
-                if up not in b_of:
-                    continue
-                for h in b_of[mask]:
-                    if h not in b_of[up]:
-                        b_of[up].add(h)
-                        rep[(up, h)] = rep[(mask, h)]
-                        changed = True
-    wit = {}
-    for mask, hs in a_of.items():
-        subs = b_of.get(mask, ())
-        for h_s in hs:
-            for h_r in subs:
-                key = (h_r, h_s)
-                if key not in wit:
-                    wit[key] = (
-                        _replay_joint(pairs, rep[(mask, h_r)]),
-                        _replay_joint(pairs, (h_s, mask)),
-                    )
-    return frozenset(wit), wit
+                if up != mask and up in b_of and not b_of[mask] <= b_of[up]:
+                    b_of[up] |= b_of[mask]
+                    changed = True
+    return frozenset((h_r, h_s) for mask, hs in a_of.items() for h_s in hs for h_r in b_of[mask])
 
 
 def ref_relation_s_exact(syn, k, budget=100000):
@@ -153,7 +230,28 @@ def _assert_matches(rel, ref):
 @pytest.mark.parametrize("index", range(len(SYNTACTIC)))
 def test_relation_r_exact_matches_eager_reference(index, k):
     syn = SYNTACTIC[index]
-    _assert_matches(relation_r(syn, k, "exact-closure"), ref_relation_r_exact(syn, k))
+    m = syn.recognizer.morphism
+    rel = relation_r(syn, k, "exact-closure")
+    assert rel.pairs == ref_relation_r_exact(syn, k)
+    assert set(rel.witnesses) == rel.pairs
+    for (h_r, h_s), (r, s) in rel.witnesses.items():
+        assert (m.eval_forest(r), m.eval_forest(s)) == (h_r, h_s)
+        assert root_types(r, k) <= root_types(s, k)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_reference_joint_closure_replays_its_pairs(k):
+    # the reference is checked on its own: every derivation replays to a
+    # forest with its value and its root-type mask
+    n = 0
+    for syn in SYNTACTIC:
+        coder = _TypeCoder(syn.recognizer.alphabet, k)
+        pairs = _joint_closure(syn.recognizer.morphism, coder, 300000)
+        for (h, mask) in pairs:
+            forest = _replay_joint(pairs, (h, mask))
+            assert (syn.recognizer.morphism.eval_forest(forest), _coder_mask(coder, forest)) == (h, mask)
+            n += 1
+    assert n > 2 * len(SYNTACTIC)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -173,7 +271,7 @@ def test_building_relations_replays_no_terms(monkeypatch):
 
         return wrapped
 
-    for name in ("witness_forest", "witness_context", "_replay_joint"):
+    for name in ("witness_forest", "witness_context"):
         monkeypatch.setattr(decide, name, counting(getattr(decide, name)))
     syn = SYNTACTIC[-1]
     rel_s = relation_s(syn, 1)
@@ -185,7 +283,7 @@ def test_building_relations_replays_no_terms(monkeypatch):
     assert {"witness_forest", "witness_context"} <= set(calls)
     calls.clear()
     rel_r.witnesses[next(iter(rel_r.witnesses))]
-    assert "_replay_joint" in calls
+    assert calls == ["witness_forest", "witness_forest"]
 
 
 # --- the witness search --------------------------------------------------------
@@ -451,25 +549,37 @@ def _never(*args):
     raise AssertionError("a closure step ran")
 
 
+def _guard_types(alphabet, k, budget):
+    """T of the shallowest depth j <= k whose 4^T root-type set unions exceed
+    the budget: the types stat of the guard's BudgetError."""
+    return min(t for (a, j), t in N_TYPES.items() if a == alphabet and j <= k and 4**t > budget)
+
+
 @pytest.mark.parametrize("alphabet,k", list(N_TYPES))
 def test_ktype_algebra_below_two_to_the_t_fails_before_discovery(alphabet, k, monkeypatch):
+    # H's union table has 4^T entries, so the guard refuses below 4^T; below
+    # 2^T it may already stop at a shallower depth
     monkeypatch.setattr(ktypes, "_discover", _never)
     n_types = N_TYPES[(alphabet, k)]
-    with pytest.raises(BudgetError) as exc:
-        ktypes.ktype_algebra(alphabet, k, budget=(1 << n_types) - 1)
-    assert exc.value.stats["types"] == n_types
-    assert exc.value.stats["budget"] == (1 << n_types) - 1
+    assert _guard_types(alphabet, k, (1 << 2 * n_types) - 1) == n_types
+    for budget in ((1 << n_types) - 1, (1 << 2 * n_types) - 1):
+        with pytest.raises(BudgetError) as exc:
+            ktypes.ktype_algebra(alphabet, k, budget=budget)
+        assert exc.value.stats["types"] == _guard_types(alphabet, k, budget)
+        assert exc.value.stats["budget"] == budget
 
 
 @pytest.mark.parametrize("alphabet,k", FEASIBLE)
 def test_ktype_algebra_budget_check_changes_nothing_else(alphabet, k, monkeypatch):
     n_types = N_TYPES[(alphabet, k)]
-    budgets = [(1 << n_types) - 1, 1 << n_types, (1 << n_types) + 1, 20000]
+    unions = 1 << 2 * n_types
+    budgets = [unions - 1, unions, unions + 1, 20000]
     checked = [_outcome(lambda: ktypes.ktype_algebra(alphabet, k, budget=b)) for b in budgets]
     monkeypatch.setattr(ktypes, "_require_root_sets_fit", lambda *args: None)
     unchecked = [_outcome(lambda: ktypes.ktype_algebra(alphabet, k, budget=b)) for b in budgets]
-    # below 2^T the discovery itself runs out; at or above it nothing changes
-    assert checked[0][0] == unchecked[0][0] == "budget"
+    # below 4^T the check refuses, though the closures might fit; at or
+    # above it nothing changes
+    assert checked[0][0] == "budget"
     assert checked[1:] == unchecked[1:]
     assert len(checked[-1][1].states) == 1 << n_types
 
@@ -478,36 +588,60 @@ def _joint_inputs(alphabet):
     return [syntactic_algebra(samples.contains_a(alphabet)), syntactic_algebra(leaf_depth(alphabet, 2, 0))]
 
 
+# relation_r's joint (value, root-type set) closure is the pair closure of its
+# level, whose guard runs in ktype_algebra
+
+
 @pytest.mark.parametrize("alphabet,k", list(N_TYPES))
-def test_joint_closure_below_two_to_the_t_fails_before_any_step(alphabet, k):
+def test_joint_closure_below_two_to_the_t_fails_before_any_step(alphabet, k, monkeypatch):
+    monkeypatch.setattr(ktypes, "_discover", _never)
+    monkeypatch.setattr(decide, "pair_closure", _never)
     n_types = N_TYPES[(alphabet, k)]
-    coder = _TypeCoder(alphabet, k)
-    assert coder.sizes[k] == n_types
-    coder.apply_letter = _never
     for syn in _joint_inputs(alphabet):
-        with pytest.raises(BudgetError) as exc:
-            _joint_closure(syn.recognizer.morphism, coder, (1 << n_types) - 1)
-        assert exc.value.stats["types"] == n_types
+        for budget in ((1 << n_types) - 1, (1 << 2 * n_types) - 1):
+            with pytest.raises(BudgetError) as exc:
+                relation_r(syn, k, budget=budget)
+            assert exc.value.stats["types"] == _guard_types(alphabet, k, budget)
 
 
 @pytest.mark.parametrize("alphabet,k", FEASIBLE)
 def test_joint_closure_budget_check_changes_nothing_else(alphabet, k, monkeypatch):
     n_types = N_TYPES[(alphabet, k)]
-    budgets = [(1 << n_types) - 1, 1 << n_types, (1 << n_types) + 1, 300000]
-    coder = _TypeCoder(alphabet, k)
+    unions = 1 << 2 * n_types
+    budgets = [unions - 1, unions, unions + 1, 300000]
     for syn in _joint_inputs(alphabet):
-        m = syn.recognizer.morphism
 
         def run():
-            return [_outcome(lambda: list(_joint_closure(m, coder, b).items())) for b in budgets]
+            return [
+                _outcome(lambda: (lambda rel: (rel.pairs, dict(rel.witnesses)))(relation_r(syn, k, budget=b)))
+                for b in budgets
+            ]
 
         checked = run()
         with monkeypatch.context() as patch:
-            patch.setattr(decide, "_require_root_sets_fit", lambda *args: None)
+            patch.setattr(ktypes, "_require_root_sets_fit", lambda *args: None)
             unchecked = run()
-        assert checked[0][0] == unchecked[0][0] == "budget"
+        assert checked[0][0] == "budget"
         assert checked[1:] == unchecked[1:]
         assert checked[-1][0] == "built"
+
+
+@pytest.mark.parametrize("alphabet", ["abcde", "abcdefghi"])
+def test_five_to_nine_letters_are_refused_at_depth_one(alphabet, monkeypatch):
+    # at k = 1 there are T = 2|A| types: their 2^T sets fit the default
+    # budget, their 4^T unions do not
+    with monkeypatch.context() as patch:
+        patch.setattr(ktypes, "_discover", _never)
+        with pytest.raises(BudgetError) as exc:
+            ktypes.ktype_algebra(alphabet, 1, budget=DecideBudgets().closure_budget)
+        assert exc.value.stats["types"] == 2 * len(alphabet)
+    verdict = decide_lt(samples.a_has_b_child(alphabet))
+    assert verdict.kind == "Unknown"
+    assert [(e["r_strategy"], e["s_strategy"]) for e in verdict.progress] == [
+        ("exact-closure", "exact-closure"),
+        ("saturation", "exact-closure@k=0"),
+        ("unavailable", "exact-closure@k=0"),
+    ]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -526,14 +660,19 @@ def test_saturation_relation_is_closed_under_sums(k):
     assert n >= 9
 
 
-@pytest.mark.parametrize("alphabet,k", FEASIBLE)
-def test_joint_closure_realizes_every_root_type_mask(alphabet, k):
-    # exact R's subset-sum runs one pass over the bits, which is a complete
-    # zeta transform only because every mask is present
-    coder = _TypeCoder(alphabet, k)
-    for syn in _joint_inputs(alphabet):
-        pairs = _joint_closure(syn.recognizer.morphism, coder, 300000)
-        assert {mask for (_, mask) in pairs} == set(range(1 << coder.sizes[k]))
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_saturation_r_equals_exact_r_where_both_fit(k):
+    n = 0
+    for syn in SYNTACTIC + list(SEARCH_SYN.values()):
+        if not syn.algebra.h_idempotent():
+            continue
+        try:
+            exact = relation_r(syn, k, "exact-closure")
+        except BudgetError:
+            continue
+        assert relation_r(syn, k, "saturation").pairs == exact.pairs
+        n += 1
+    assert n >= (4 if k == 2 else 15)
 
 
 def test_decide_ends_unknown_when_no_exact_r_fits():
