@@ -96,6 +96,64 @@ def test_parse_context_errors():
         f("a([])")  # hole not allowed in forests
 
 
+_RAISE_SITES = [
+    # the tokenizer: "[" without "]", a character outside the grammar; it
+    # reads the whole text first, so its errors win over later syntax errors
+    ("forest", "a([x", ParseError, "expected ']' after '['", 3),
+    ("forest", "a([", ParseError, "expected ']' after '['", 3),
+    ("forest", "a-b", ParseError, "unexpected character '-'", 1),
+    ("forest", "a)-", ParseError, "unexpected character '-'", 2),
+    # "0" in a sum, at the "+" that follows it
+    ("forest", "0+a", ParseError, 'the empty-forest literal "0" cannot appear in a sum', 1),
+    ("forest", "a(0+b)", ParseError, 'the empty-forest literal "0" cannot appear in a sum', 3),
+    # "0" as a tree
+    ("forest", "a+0", ParseError, 'the empty-forest literal "0" cannot be used as a tree', 2),
+    ("forest", "a(0)+0", ParseError, 'the empty-forest literal "0" cannot be used as a tree', 5),
+    # a hole in a forest
+    ("forest", "a([])", ParseError, "hole not allowed in a forest", 2),
+    ("forest", "[]", ParseError, "hole not allowed in a forest", 0),
+    # more than one hole, at the second one, once its level is complete
+    ("context", "[]+[]", ParseError, "more than one hole", 3),
+    ("context", "a([]+[])", ParseError, "more than one hole", 5),
+    ("context", "a([])+b([])", ParseError, "more than one hole", 6),
+    ("context", "a([]+[]", ParseError, "more than one hole", 5),
+    ("context", "[]+[]+c", UnknownLabelError, "unknown label 'c'", 6),
+    # expected a label
+    ("forest", "", ParseError, "expected a label", 0),
+    ("forest", "a+", ParseError, "expected a label", 2),
+    ("forest", "(a)", ParseError, "expected a label", 0),
+    ("forest", "a(+b)", ParseError, "expected a label", 2),
+    ("forest", "a(", ParseError, "expected a label", 2),
+    # unknown label
+    ("forest", "a+c", UnknownLabelError, "unknown label 'c'", 2),
+    ("forest", "a(b(c))", UnknownLabelError, "unknown label 'c'", 4),
+    ("forest", "00", UnknownLabelError, "unknown label '00'", 0),
+    # expected ")"
+    ("forest", "a(b", ParseError, "expected ')'", 3),
+    ("forest", "a(0 b)", ParseError, "expected ')'", 4),
+    ("context", "a(b([])", ParseError, "expected ')'", 7),
+    # trailing input
+    ("forest", "a)b", ParseError, "trailing input", 1),
+    ("forest", "0(a)", ParseError, "trailing input", 1),
+    ("forest", "0 a", ParseError, "trailing input", 2),
+    ("forest", "a b", ParseError, "trailing input", 2),
+    # a context without exactly one hole, at the end of the text
+    ("context", "a+b", ParseError, "a context needs exactly one hole", 3),
+    ("context", "0", ParseError, "a context needs exactly one hole", 1),
+    ("context", "  a(b)  ", ParseError, "a context needs exactly one hole", 8),
+]
+
+
+@pytest.mark.parametrize("kind, text, error, message, position", _RAISE_SITES)
+def test_parse_error_type_message_and_position(kind, text, error, message, position):
+    parse = parse_forest if kind == "forest" else parse_context
+    with pytest.raises(ParseError) as exc:
+        parse(text, AB)
+    assert type(exc.value) is error
+    assert str(exc.value) == "%s (at position %d)" % (message, position)
+    assert exc.value.position == position
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         make_alphabet(["0"])
