@@ -27,6 +27,8 @@ __all__ = [
     "ForestAlgebra",
     "FlatMaskAlgebra",
     "Morphism",
+    "evaluate_forest",
+    "evaluate_context",
     "Recognizer",
     "validate_algebra",
     "flat_algebra",
@@ -347,22 +349,50 @@ class Morphism:
             raise terms.UnknownLabelError(a, 0) from None
 
     def eval_forest(self, s: Forest) -> int:
-        alg = self.algebra
-        h = alg.zero
-        for t in s.trees:
-            h = alg.add[h][alg.act[self.eval_forest(t.children)][self.letter(t.label)]]
-        return h
+        return evaluate_forest(self.algebra, self.letter, s)
 
     def eval_context(self, p: Context) -> int:
-        alg = self.algebra
-        if p.spine is None:
-            v = alg.one
+        return evaluate_context(self.algebra, self.letter, p)
+
+
+def evaluate_forest(ops, letter, s: Forest):
+    """The value of s under the morphism that sends each label a to the V
+    element letter(a) of `ops`, which offers the elementwise protocol.
+
+    Iterative, so any depth evaluates: the stack holds one entry per level
+    above the one being summed, with that level's remaining trees, its sum
+    so far and the label above it."""
+    h_add, act, zero = ops.h_add, ops.act_, ops.h_zero
+    stack = []
+    trees, h, label = iter(s.trees), zero, None
+    while True:
+        for t in trees:
+            if t.children.trees:
+                stack.append((trees, h, label))
+                trees, h, label = iter(t.children.trees), zero, t.label
+                break
+            h = h_add(h, act(zero, letter(t.label)))
         else:
-            label, inner = p.spine
-            v = alg.mul[self.eval_context(inner)][self.letter(label)]
-        if not p.rest.is_empty:
-            v = alg.mul[v][alg.ins[alg.one][self.eval_forest(p.rest)]]
-        return v
+            if not stack:
+                return h
+            value = act(h, letter(label))
+            trees, h, label = stack.pop()
+            h = h_add(h, value)
+
+
+def evaluate_context(ops, letter, p: Context):
+    """The value of context p, as `evaluate_forest`: the spine is walked down
+    to the hole, then folded back up with one letter and one rest per step."""
+    steps = [p]
+    while steps[-1].spine is not None:
+        steps.append(steps[-1].spine[1])
+    v = ops.v_one
+    for q in reversed(steps):
+        if q.spine is not None:
+            v = ops.v_mul(v, letter(q.spine[0]))
+        if q.rest.trees:
+            v = ops.v_mul(v, ops.ins_(ops.v_one, evaluate_forest(ops, letter, q.rest)))
+    return v
 
 
 @dataclass(frozen=True)
@@ -617,6 +647,17 @@ def generate(ops, letters, h_gens=(), *, budget):
     return Generated(
         tuple(h_elems), tuple(v_elems), h_index, v_index, tuple(h_derivs), tuple(v_derivs)
     )
+
+
+def _as_map(pairs):
+    """The map x -> y of a list of (x, y) pairs, or the indices (i, j) of the
+    first two pairs that share x but differ in y."""
+    first = {}
+    for j, (x, y) in enumerate(pairs):
+        i = first.setdefault(x, j)
+        if pairs[i][1] != y:
+            return i, j
+    return {x: pairs[i][1] for x, i in first.items()}
 
 
 def witness_forest(gen, i) -> Forest:
@@ -1068,16 +1109,12 @@ def tm_to_division(target, ambient, w: TmDivisionWitness, budget=200000) -> Divi
     if not rep.ok:
         raise ValueError("invalid tm-division witness: %r" % rep.violations[:3])
     gen = generate(PairOps(ambient, target), {v: (w.hat[v], v) for v in w.hat}, budget=budget)
-    h_map, v_map = {}, {}
-    for x, gx in gen.h_elems:
-        if h_map.setdefault(x, gx) != gx:
+    h_map, v_map = _as_map(gen.h_elems), _as_map(gen.v_elems)
+    for m, elems in ((h_map, gen.h_elems), (v_map, gen.v_elems)):
+        if isinstance(m, tuple):
+            x = elems[m[1]][0]
             raise ValueError("delta image does not determine the target value at %r" % (x,))
-    for u, gu in gen.v_elems:
-        if v_map.setdefault(u, gu) != gu:
-            raise ValueError("delta image does not determine the target value at %r" % (u,))
-    return DivisionWitness(
-        tuple(sorted(h_map)), tuple(sorted(v_map)), h_map, v_map
-    )
+    return DivisionWitness(tuple(sorted(h_map)), tuple(sorted(v_map)), h_map, v_map)
 
 
 def search_division(target, ambient, h_cap=8, v_cap=12, max_gens=3):
@@ -1085,67 +1122,26 @@ def search_division(target, ambient, h_cap=8, v_cap=12, max_gens=3):
 
     Enumerates vertical generator subsets of the ambient (by size, then
     lexicographically) and all assignments of target V elements to the
-    generators; images of all other elements are forced by the closure
-    derivations.  Returns the first verified witness or None.
+    generators; the joint image of an assignment, generated in the product,
+    forces the images of all other elements.  Returns the first candidate
+    that verifies, or None.
     """
     if ambient.h_size > h_cap or ambient.v_size > v_cap:
         raise BudgetError(
             "ambient too large for search (|H|=%d cap %d, |V|=%d cap %d)"
             % (ambient.h_size, h_cap, ambient.v_size, v_cap)
         )
-    v_all = list(range(ambient.v_size))
+    ops = PairOps(ambient, target)
+    # the product has no more elements than this, so the budget never binds
+    budget = ambient.h_size * target.h_size + ambient.v_size * target.v_size
     for size in range(0, min(max_gens, ambient.v_size) + 1):
-        for gens in itertools.combinations(v_all, size):
-            _, h_embed, v_embed = generated_subalgebra(ambient, (), gens)
-            # derivations: rebuild closure order to force images
-            for assign in itertools.product(range(target.v_size), repeat=len(gens)):
-                w = _try_assignment(target, ambient, gens, assign, h_embed, v_embed)
-                if w is not None:
-                    rep = verify_division(target, ambient, w)
-                    if rep.ok:
-                        return w
+        for gens in itertools.combinations(range(ambient.v_size), size):
+            for assign in itertools.product(range(target.v_size), repeat=size):
+                gen = generate(ops, {g: (g, tv) for g, tv in zip(gens, assign)}, budget=budget)
+                h_map, v_map = _as_map(gen.h_elems), _as_map(gen.v_elems)
+                if isinstance(h_map, tuple) or isinstance(v_map, tuple):
+                    continue  # the assignment does not extend to a morphism
+                w = DivisionWitness(tuple(sorted(h_map)), tuple(sorted(v_map)), h_map, v_map)
+                if verify_division(target, ambient, w).ok:
+                    return w
     return None
-
-
-def _try_assignment(target, ambient, gens, assign, h_embed, v_embed):
-    v_map = {ambient.one: target.one}
-    for g, tv in zip(gens, assign):
-        if v_map.setdefault(g, tv) != tv:
-            return None
-    h_map = {ambient.zero: target.zero}
-
-    conflict = False
-
-    def put(m, key, val):
-        nonlocal conflict
-        prev = m.get(key)
-        if prev is None:
-            m[key] = val
-            return True
-        if prev != val:
-            conflict = True
-        return False
-
-    # propagate forced images until stable; a conflict means the generator
-    # assignment does not extend to a morphism of the subalgebra
-    changed = True
-    while changed and not conflict:
-        changed = False
-        for x in list(h_map):
-            for y in list(h_map):
-                changed |= put(h_map, ambient.add[x][y], target.add[h_map[x]][h_map[y]])
-            for u in list(v_map):
-                changed |= put(h_map, ambient.act[x][u], target.act[h_map[x]][v_map[u]])
-                changed |= put(v_map, ambient.ins[u][x], target.ins[v_map[u]][h_map[x]])
-        for u in list(v_map):
-            for v in list(v_map):
-                changed |= put(v_map, ambient.mul[u][v], target.mul[v_map[u]][v_map[v]])
-    if conflict:
-        return None
-    if set(h_map) != set(h_embed) or set(v_map) != set(v_embed):
-        return None
-    if set(h_map.values()) != set(range(target.h_size)):
-        return None
-    if set(v_map.values()) != set(range(target.v_size)):
-        return None
-    return DivisionWitness(tuple(h_embed), tuple(v_embed), h_map, v_map)

@@ -115,9 +115,10 @@ class Relation:
     k: int
     strategy: str  # "exact-closure" | "saturation"; every relation is exact
     pairs: frozenset
-    # pair -> (Forest, Forest) for R, (Forest, Context) for S; exact-closure
-    # keeps pair closure indices and replays them through witness_forest and
-    # witness_context on read, saturation keeps the terms it built
+    # pair -> (Forest, Forest) for R, (Forest, Context) for S; each relation
+    # keeps one derivation handle per pair and replays it on read, through
+    # witness_forest and witness_context on the pair closure: exact-closure
+    # keeps pair closure indices, saturation the sum and generator it adds
     witnesses: Mapping
 
 
@@ -151,42 +152,39 @@ def _relation_r_saturation(syn: SyntacticResult, k, level):
     _, pa = level
     # typed-tree value table at depth k: a(s) has the depth-k type (a, depth-
     # (k-1) root types of s), and at k = 0 every tree has the atom type
-    letters = sorted(syn.recognizer.alphabet)
-    by_type = {}  # tree type -> value -> a tree of that type and value
+    by_type = {}  # tree type -> value -> (pair index of s, a) for a tree a(s)
     for i, (h, st) in enumerate(pa.h_pairs):
-        for a in letters:
+        for a in sorted(syn.recognizer.alphabet):
             trees = by_type.setdefault((a, st) if k else None, {})
-            value = alg.act[h][m.letters[a]]
-            if value not in trees:
-                trees[value] = witness_forest(pa, i).adjoin(a)
-    # base pairs: the empty pair and two trees of one type
-    wit = {(alg.zero, alg.zero): (terms.EMPTY, terms.EMPTY)}
+            trees.setdefault(alg.act[h][m.letters[a]], (i, a))
+    # generators: (0, w) for every value w (every syntactic H value is
+    # realizable) and the pairs of two trees of one type
+    gens = {(alg.zero, w): None for w in range(alg.h_size)}
     for trees in by_type.values():
         for h, r in trees.items():
             for g, s in trees.items():
-                wit.setdefault((h, g), (r, s))
-    base = list(wit)
-    # close under componentwise addition and right augmentation by any
-    # realizable value (every syntactic H value is realizable); every element
-    # is a sum of base pairs plus (0, w), so adding base pairs alone closes it
-    # under all sums
-    aug = [(h, syn.h_terms[h]) for h in range(alg.h_size)]
-    work = list(base)
-    while work:
-        (h, g) = work.pop()
-        r, s = wit[(h, g)]
-        for (h2, g2) in base:
-            cand = (alg.add[h][h2], alg.add[g][g2])
-            if cand not in wit:
-                r2, s2 = wit[(h2, g2)]
-                wit[cand] = (r + r2, s + s2)
-                work.append(cand)
-        for (w, term) in aug:
-            cand = (h, alg.add[g][w])
-            if cand not in wit:
-                wit[cand] = (r, s + term)
-                work.append(cand)
-    return Relation("R", k, "saturation", frozenset(wit), wit)
+                gens.setdefault((h, g), (r, s))
+    # H is idempotent, so R is the set of sums of subsets of the generators;
+    # each sum keeps (the sum it extends, the generator it adds) as its handle
+    handles = {(alg.zero, alg.zero): None}
+    for gh, gg in gens:
+        for h, g in list(handles):
+            handles.setdefault((alg.add[h][gh], alg.add[g][gg]), ((h, g), (gh, gg)))
+
+    def replay(handle):
+        r_trees, s_trees = [], []
+        while handle is not None:
+            pair, gen = handle
+            handle = handles[pair]
+            if gens[gen] is None:
+                s_trees.extend(syn.h_terms[gen[1]].trees)
+            else:
+                (i, a), (j, b) = gens[gen]
+                r_trees.append(terms.Tree(a, witness_forest(pa, i)))
+                s_trees.append(terms.Tree(b, witness_forest(pa, j)))
+        return terms.Forest(r_trees), terms.Forest(s_trees)
+
+    return Relation("R", k, "saturation", frozenset(handles), _Replayed(handles, replay))
 
 
 def relation_r(rec, k, strategy="exact-closure", budget=300000):

@@ -25,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    BudgetError,
     ForestAlgebra,
     Morphism,
     PairOps,
     Recognizer,
     TmDivisionWitness,
     WreathOps,
+    _as_map,
+    evaluate_context,
+    evaluate_forest,
     generate,
     verify_tm_division,
     witness_context,
@@ -269,23 +271,10 @@ class WreathMorphism:
         return WreathOps(self.outer, self.inner)
 
     def eval_forest(self, s):
-        ops = self.ops()
-        h = ops.h_zero
-        for t in s.trees:
-            u = self.letters[t.label]
-            h = ops.h_add(h, ops.act_(self.eval_forest(t.children), u))
-        return h
+        return evaluate_forest(self.ops(), self.letters.__getitem__, s)
 
     def eval_context(self, p):
-        ops = self.ops()
-        if p.spine is None:
-            v = ops.v_one
-        else:
-            label, inner = p.spine
-            v = ops.v_mul(self.eval_context(inner), self.letters[label])
-        if not p.rest.is_empty:
-            v = ops.v_mul(v, ops.ins_(ops.v_one, self.eval_forest(p.rest)))
-        return v
+        return evaluate_context(self.ops(), self.letters.__getitem__, p)
 
 
 def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
@@ -298,6 +287,11 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
     one smallest cover element per half-arrow, closed under addition and the
     hat actions, so the witness stays small.  Returns (witness, WreathOps
     ambient); the witness passes verify_tm_division.
+
+    K and psi are the horizontal part of the closure `algebra.generate`
+    builds in the product of the wreath and the alpha algebra, with the
+    pairs (hat(v), v) as letters; past `budget` elements of that closure,
+    horizontal and vertical together, it raises the engine's BudgetError.
     """
     pa = dc.pa
     rep = verify_covering(dc.category, cov.algebra, cov)
@@ -333,37 +327,18 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
             f.append(min(cov.arrow_cover[arrow]))
         hat[v1] = (tuple(f), v2)
 
-    # generate K from one covered element per half-arrow
-    psi = {ops.h_zero: a1.zero}
-    work = [ops.h_zero]
-    for ci, (h1, h2) in enumerate(pa.h_pairs):
-        key = (min(cov.half_cover[ci]), h2)
-        if key not in psi:
-            psi[key] = h1
-            work.append(key)
-
-    def admit(key, value):
-        prev = psi.get(key)
-        if prev is None:
-            if covered.get(key, value) != value:
-                raise ValueError("covering violates psi-consistency at %r" % (key,))
-            psi[key] = value
-            work.append(key)
-            if len(psi) > budget:
-                raise BudgetError("generated witness exceeded budget", {"k": len(psi)})
-        elif prev != value:
-            raise ValueError("covering is not functional at %r" % (key,))
-
-    while work:
-        k = work.pop()
-        kv = psi[k]
-        for other in list(psi):
-            admit(ops.h_add(k, other), a1.add[kv][psi[other]])
-        for v1, vhat in hat.items():
-            admit(ops.act_(k, vhat), a1.act[kv][v1])
-
-    k_elements = tuple(sorted(psi))
-    return TmDivisionWitness(k_elements, dict(psi), hat), ops
+    # K is generated from one covered element per half-arrow, jointly with
+    # psi: the pairs (k, alpha value) close under addition and the hat actions
+    seeds = [((min(cov.half_cover[ci]), h2), h1) for ci, (h1, h2) in enumerate(pa.h_pairs)]
+    letters = {v1: (vhat, v1) for v1, vhat in hat.items()}
+    gen = generate(PairOps(ops, a1), letters, seeds, budget=budget)
+    psi = _as_map(gen.h_elems)
+    if isinstance(psi, tuple):
+        raise ValueError("covering is not functional at %r" % (gen.h_elems[psi[1]][0],))
+    for key, value in psi.items():
+        if covered.get(key, value) != value:
+            raise ValueError("covering violates psi-consistency at %r" % (key,))
+    return TmDivisionWitness(tuple(sorted(psi)), psi, hat), ops
 
 
 def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> Covering:
@@ -396,14 +371,12 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
         (gen.h_elems, witness_forest, "forest"),
         (gen.v_elems, witness_context, "context"),
     ):
-        seen = {}
-        for i, (d, a) in enumerate(elems):
-            j = seen.setdefault(d, i)
-            if elems[j][1] != a:
-                raise FactorizationError(
-                    "delta does not determine alpha on a " + what,
-                    witness=(replay(gen, j), replay(gen, i)),
-                )
+        clash = _as_map(elems)
+        if isinstance(clash, tuple):
+            raise FactorizationError(
+                "delta does not determine alpha on a " + what,
+                witness=tuple(replay(gen, i) for i in clash),
+            )
 
     half_cover = [set() for _ in range(len(pa.h_pairs))]
     for (dh, ah) in gen.h_elems:

@@ -17,6 +17,12 @@ The token "0" is reserved for the empty forest and cannot be a label.
 Rendering lists siblings in canonical order, "+"-separated, with no spaces;
 in a context the hole spine is rendered first.
 
+Parsing (one tokenizer and one shift-reduce loop), rendering (from an
+explicit stack) and hashing (each node combines its size and label with its
+children's cached hashes) work at any depth.  `apply_context`, `compose` and
+the equality of two separately built terms, which compares nested keys,
+still recurse along the depth.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -84,7 +90,8 @@ class Tree:
         self.size = 1 + children.size
         # Total structural order: node count, then root label, then children.
         self.key = (self.size, label, children.key)
-        self._hash = hash(self.key)
+        # from the children's cached hash, so a node hashes in O(1)
+        self._hash = hash((self.size, label, children._hash))
 
     def __eq__(self, other):
         return isinstance(other, Tree) and self.key == other.key
@@ -96,9 +103,7 @@ class Tree:
         return self._hash
 
     def render(self):
-        if self.children.is_empty:
-            return self.label
-        return "%s(%s)" % (self.label, self.children.render())
+        return _render((self,))
 
     def __repr__(self):
         return "Tree[%s]" % self.render()
@@ -114,7 +119,7 @@ class Forest:
         self.trees = tuple(ts)
         self.size = sum(t.size for t in ts)
         self.key = tuple(t.key for t in ts)
-        self._hash = hash(self.key)
+        self._hash = hash((self.size,) + tuple(t._hash for t in ts))
 
     @property
     def is_empty(self):
@@ -136,19 +141,8 @@ class Forest:
         """The one-tree forest with `label` at the root over this forest."""
         return Forest((Tree(label, self),))
 
-    def labels(self):
-        out = set()
-        stack = list(self.trees)
-        while stack:
-            t = stack.pop()
-            out.add(t.label)
-            stack.extend(t.children.trees)
-        return out
-
     def render(self):
-        if not self.trees:
-            return "0"
-        return "+".join(t.render() for t in self.trees)
+        return _render(self.trees) if self.trees else "0"
 
     def __repr__(self):
         return "Forest[%s]" % self.render()
@@ -157,6 +151,31 @@ class Forest:
 
 
 EMPTY = Forest()
+
+
+def _render(trees):
+    """The "+"-separated text of a sum of trees, written from an explicit
+    stack of pending tokens and subtrees, so any depth renders."""
+    out, stack = [], []
+
+    def push_sum(ts):
+        for i, t in enumerate(reversed(ts)):
+            if i:
+                stack.append("+")
+            stack.append(t)
+
+    push_sum(trees)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif t.children.trees:
+            out.append(t.label + "(")
+            stack.append(")")
+            push_sum(t.children.trees)
+        else:
+            out.append(t.label)
+    return "".join(out)
 
 
 class Context:
@@ -175,11 +194,12 @@ class Context:
         if spine is None:
             self.size = rest.size
             self.key = (self.size, 0, "", (), rest.key)
+            self._hash = hash((self.size, 0, rest._hash))
         else:
             label, inner = spine
             self.size = rest.size + 1 + inner.size
             self.key = (self.size, 1, label, inner.key, rest.key)
-        self._hash = hash(self.key)
+            self._hash = hash((self.size, 1, label, inner._hash, rest._hash))
 
     @property
     def is_hole(self):
@@ -194,23 +214,14 @@ class Context:
     def __hash__(self):
         return self._hash
 
-    def labels(self):
-        out = self.rest.labels()
-        if self.spine is not None:
-            label, inner = self.spine
-            out.add(label)
-            out |= inner.labels()
-        return out
-
     def render(self):
-        if self.spine is None:
-            head = "[]"
-        else:
-            label, inner = self.spine
-            head = "%s(%s)" % (label, inner.render())
-        if self.rest.is_empty:
-            return head
-        return head + "+" + self.rest.render()
+        # the hole spine first, then the rest of each level after its ")"
+        opens, closes, p = [], [], self
+        while p.spine is not None:
+            opens.append(p.spine[0] + "(")
+            closes.append(")" + _rest_text(p.rest))
+            p = p.spine[1]
+        return "".join(opens) + "[]" + _rest_text(p.rest) + "".join(reversed(closes))
 
     def __repr__(self):
         return "Context[%s]" % self.render()
@@ -219,6 +230,10 @@ class Context:
 
 
 HOLE = Context()
+
+
+def _rest_text(rest):
+    return "+" + rest.render() if rest.trees else ""
 
 
 def apply_context(s, p):
@@ -241,118 +256,91 @@ def compose(p, q):
 # Parsing
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c == "[":
-                if i + 1 < n and text[i + 1] == "]":
-                    self.tokens.append(("HOLE", "[]", i))
-                    i += 2
-                    continue
-                raise ParseError("expected ']' after '['", i + 1)
-            m = _LABEL_RE.match(text, i)
-            if m:
-                self.tokens.append(("LABEL", m.group(), i))
-                i = m.end()
-                continue
-            raise ParseError("unexpected character %r" % c, i)
-        self.tokens.append(("END", "", n))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+_TOKEN_RE = re.compile(r"(?P<SYM>[+()])|(?P<HOLE>\[\])|(?P<LABEL>[A-Za-z0-9_]+)|(?P<BAD>\S)")
 
 
-class _Parser:
-    def __init__(self, text, alphabet, allow_hole):
-        self.scan = _Scanner(text)
-        self.alphabet = alphabet
-        self.allow_hole = allow_hole
+def _tokenize(text):
+    """The (kind, text, position) tokens of the whole text, ending with
+    ("END", "", len(text)); kind is "SYM" for "+", "(" and ")", "HOLE" or
+    "LABEL"."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "BAD":
+            if tok == "[":
+                raise ParseError("expected ']' after '['", pos + 1)
+            raise ParseError("unexpected character %r" % tok, pos)
+        tokens.append((kind, tok, pos))
+    tokens.append(("END", "", len(text)))
+    return tokens
 
-    def parse(self):
-        value = self.level()
-        kind, _, pos = self.scan.peek()
-        if kind != "END":
-            raise ParseError("trailing input", pos)
-        return value
 
-    def level(self):
-        """Parse a forest or context at one nesting level."""
-        kind, text, pos = self.scan.peek()
-        if kind == "LABEL" and text == "0":
-            self.scan.next()
-            nkind, _, npos = self.scan.peek()
-            if nkind == "+":
-                raise ParseError('the empty-forest literal "0" cannot appear in a sum', npos)
-            return EMPTY
-        items = [self.item()]
-        while self.scan.peek()[0] == "+":
-            self.scan.next()
-            items.append(self.item())
-        trees = [it[1] for it in items if it[0] == "tree"]
-        holes = [it for it in items if it[0] != "tree"]
-        if not holes:
-            return Forest(trees)
-        if len(holes) > 1:
-            raise ParseError("more than one hole", holes[1][2])
-        kind, payload, _ = holes[0]
-        rest = Forest(trees)
-        if kind == "hole":
-            return Context(rest, None)
-        return Context(rest, payload)
-
-    def item(self):
-        """One summand: a tree, the hole, or a tree containing the hole."""
-        kind, text, pos = self.scan.next()
-        if kind == "HOLE":
-            if not self.allow_hole:
+def _parse(text, alphabet, allow_hole):
+    """One shift-reduce loop over the tokens.  Each open parenthesis has a
+    frame [label, position, trees, holes] above the top level's frame, where
+    `holes` has a (spine, position) entry per summand that is or contains the
+    hole; a level that ends is reduced into a summand of the frame below."""
+    tokens = _tokenize(text)
+    frames = [[None, 0, [], []]]
+    i, at_start = 0, True  # at_start: the next summand is a level's first
+    while True:
+        kind, tok, pos = tokens[i]
+        i += 1
+        _, _, trees, holes = frames[-1]
+        value = None  # the value of a level that ends here
+        if at_start and tok == "0":
+            if tokens[i][1] == "+":
+                raise ParseError(
+                    'the empty-forest literal "0" cannot appear in a sum', tokens[i][2]
+                )
+            value = EMPTY
+        elif kind == "HOLE":
+            if not allow_hole:
                 raise ParseError("hole not allowed in a forest", pos)
-            return ("hole", None, pos)
-        if kind != "LABEL":
+            holes.append((None, pos))
+        elif kind != "LABEL":
             raise ParseError("expected a label", pos)
-        if text == "0":
+        elif tok == "0":
             raise ParseError('the empty-forest literal "0" cannot be used as a tree', pos)
-        if text not in self.alphabet:
-            raise UnknownLabelError(text, pos)
-        if self.scan.peek()[0] == "(":
-            self.scan.next()
-            sub = self.level()
-            ckind, _, cpos = self.scan.peek()
-            if ckind != ")":
-                raise ParseError("expected ')'", cpos)
-            self.scan.next()
-            if isinstance(sub, Forest):
-                return ("tree", Tree(text, sub), pos)
-            return ("spine", (text, sub), pos)
-        return ("tree", Tree(text, EMPTY), pos)
+        elif tok not in alphabet:
+            raise UnknownLabelError(tok, pos)
+        elif tokens[i][1] == "(":
+            frames.append([tok, pos, [], []])
+            i, at_start = i + 1, True
+            continue
+        else:
+            trees.append(Tree(tok, EMPTY))
+        while value is not None or tokens[i][1] != "+":
+            if value is None:
+                if len(holes) > 1:
+                    raise ParseError("more than one hole", holes[1][1])
+                value = Context(Forest(trees), holes[0][0]) if holes else Forest(trees)
+            label, label_pos, _, _ = frames.pop()
+            kind, tok, pos = tokens[i]
+            if not frames:
+                if kind != "END":
+                    raise ParseError("trailing input", pos)
+                return value
+            if tok != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+            _, _, trees, holes = frames[-1]
+            if isinstance(value, Forest):
+                trees.append(Tree(label, value))
+            else:
+                holes.append(((label, value), label_pos))
+            value = None
+        i, at_start = i + 1, False
 
 
 def parse_forest(text, alphabet):
-    alphabet = frozenset(alphabet)
-    value = _Parser(text, alphabet, allow_hole=False).parse()
+    value = _parse(text, frozenset(alphabet), allow_hole=False)
     assert isinstance(value, Forest)
     return value
 
 
 def parse_context(text, alphabet):
-    alphabet = frozenset(alphabet)
-    value = _Parser(text, alphabet, allow_hole=True).parse()
+    value = _parse(text, frozenset(alphabet), allow_hole=True)
     if not isinstance(value, Context):
         raise ParseError("a context needs exactly one hole", len(text))
     return value

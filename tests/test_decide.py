@@ -276,6 +276,7 @@ def test_building_relations_replays_no_terms(monkeypatch):
     syn = SYNTACTIC[-1]
     rel_s = relation_s(syn, 1)
     rel_r = relation_r(syn, 1, "exact-closure")
+    rel_sat = relation_r(syn, 1, "saturation")
     assert calls == []
     # a read replays through the module's bindings
     key = next(iter(rel_s.witnesses))
@@ -284,6 +285,12 @@ def test_building_relations_replays_no_terms(monkeypatch):
     calls.clear()
     rel_r.witnesses[next(iter(rel_r.witnesses))]
     assert calls == ["witness_forest", "witness_forest"]
+    # a saturation pair that is not a sum of (0, w) pairs alone holds a tree
+    # replayed from the pair closure of depth 0
+    calls.clear()
+    zero = syn.algebra.zero
+    rel_sat.witnesses[min(pair for pair in rel_sat.pairs if pair[0] != zero)]
+    assert calls and set(calls) == {"witness_forest"}
 
 
 # --- the witness search --------------------------------------------------------
@@ -646,7 +653,8 @@ def test_five_to_nine_letters_are_refused_at_depth_one(alphabet, monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_saturation_relation_is_closed_under_sums(k):
-    # the closure adds base pairs only; sums of any two pairs must be in it
+    # the fold adds each generator once; sums of any two pairs must be in it,
+    # and every pair must replay to terms that realize it
     n = 0
     for syn in SYNTACTIC + [SEARCH_SYN["leaf_depth_ab_2"], SEARCH_SYN["a_above_b_abc"]]:
         if not syn.algebra.h_idempotent():
@@ -656,6 +664,10 @@ def test_saturation_relation_is_closed_under_sums(k):
         for (h1, g1), (h2, g2) in itertools.product(rel.pairs, repeat=2):
             assert (add[h1][h2], add[g1][g2]) in rel.pairs
         assert set(rel.witnesses) == rel.pairs
+        m = syn.recognizer.morphism
+        for (h_r, h_s), (r, s) in rel.witnesses.items():
+            assert (m.eval_forest(r), m.eval_forest(s)) == (h_r, h_s)
+            assert root_types(r, k) <= root_types(s, k)
         n += 1
     assert n >= 9
 

@@ -1,12 +1,13 @@
-"""Tests of the semi-naive generator closure `algebra.generate` and of the six
+"""Tests of the semi-naive generator closure `algebra.generate` and of the
 closures routed through it.
 
-The reference functions below are the round-robin loops the six closures
-used before: the reachable part behind `syntactic_algebra`, `pair_closure`,
-the joint closure of `dct_backward`, `tm_to_division`,
-`generated_subalgebra` and `wreath_generated`.  The engine must generate the
-same element sets, the closures that sort their elements must return the
-same tables and witnesses, and every derivation must replay to its element.
+The reference functions below are the loops those closures used before: the
+round-robin loops behind `syntactic_algebra`, `pair_closure`, the joint
+closure of `dct_backward`, `tm_to_division`, `generated_subalgebra` and
+`wreath_generated`, the forced-image propagation of `search_division` and the
+K worklist of `dct_forward`.  The engine must generate the same element sets,
+the closures that sort their elements must return the same tables and
+witnesses, and every derivation must replay to its element.
 """
 
 import itertools
@@ -27,15 +28,17 @@ from forestalg.algebra import (
     division_to_tm,
     generate,
     generated_subalgebra,
+    search_division,
     syntactic_algebra,
     tm_to_division,
     validate_algebra,
+    verify_division,
     witness_context,
     witness_forest,
     wreath,
     wreath_generated,
 )
-from forestalg.category import Covering, canonical_flat_cover
+from forestalg.category import Covering, canonical_flat_cover, verify_covering
 from forestalg.derived import (
     FactorizationError,
     WreathMorphism,
@@ -320,6 +323,114 @@ def ref_wreath_generated(outer, inner, v_gens, h_gens=()):
     )
 
 
+def _ref_try_assignment(target, ambient, gens, assign, h_embed, v_embed):
+    v_map = {ambient.one: target.one}
+    for g, tv in zip(gens, assign):
+        if v_map.setdefault(g, tv) != tv:
+            return None
+    h_map = {ambient.zero: target.zero}
+
+    conflict = False
+
+    def put(m, key, val):
+        nonlocal conflict
+        prev = m.get(key)
+        if prev is None:
+            m[key] = val
+            return True
+        if prev != val:
+            conflict = True
+        return False
+
+    # propagate forced images until stable; a conflict means the generator
+    # assignment does not extend to a morphism of the subalgebra
+    changed = True
+    while changed and not conflict:
+        changed = False
+        for x in list(h_map):
+            for y in list(h_map):
+                changed |= put(h_map, ambient.add[x][y], target.add[h_map[x]][h_map[y]])
+            for u in list(v_map):
+                changed |= put(h_map, ambient.act[x][u], target.act[h_map[x]][v_map[u]])
+                changed |= put(v_map, ambient.ins[u][x], target.ins[v_map[u]][h_map[x]])
+        for u in list(v_map):
+            for v in list(v_map):
+                changed |= put(v_map, ambient.mul[u][v], target.mul[v_map[u]][v_map[v]])
+    if conflict:
+        return None
+    if set(h_map) != set(h_embed) or set(v_map) != set(v_embed):
+        return None
+    if set(h_map.values()) != set(range(target.h_size)):
+        return None
+    if set(v_map.values()) != set(range(target.v_size)):
+        return None
+    return DivisionWitness(tuple(h_embed), tuple(v_embed), h_map, v_map)
+
+
+def ref_search_division(target, ambient, max_gens=3):
+    """The search with one generated subalgebra per generator subset and the
+    propagation above per assignment."""
+    for size in range(0, min(max_gens, ambient.v_size) + 1):
+        for gens in itertools.combinations(range(ambient.v_size), size):
+            _, h_embed, v_embed = generated_subalgebra(ambient, (), gens)
+            for assign in itertools.product(range(target.v_size), repeat=len(gens)):
+                w = _ref_try_assignment(target, ambient, gens, assign, h_embed, v_embed)
+                if w is not None and verify_division(target, ambient, w).ok:
+                    return w
+    return None
+
+
+def ref_dct_forward(dc, cov):
+    """(k_elements, psi, hat) as the K worklist built them."""
+    pa = dc.pa
+    a1, a2 = pa.alpha.algebra, pa.beta.algebra
+    ops = WreathOps(cov.algebra, a2)
+    covered = {}
+    for ci, (h1, h2) in enumerate(pa.h_pairs):
+        for x in cov.half_cover[ci]:
+            if covered.setdefault((x, h2), h1) != h1:
+                raise ValueError("covering is not injective on half-arrows")
+    hat = {}
+    for v1 in range(a1.v_size):
+        vp_idx = next(j for j, (w1, _) in enumerate(pa.v_pairs) if w1 == v1)
+        v2 = pa.v_pairs[vp_idx][1]
+        f = []
+        for h2 in range(a2.h_size):
+            oi = dc.obj_index.get(h2)
+            if oi is None:
+                f.append(cov.algebra.v_one)
+                continue
+            f.append(min(cov.arrow_cover[dc.arrow_of[(vp_idx, oi)]]))
+        hat[v1] = (tuple(f), v2)
+
+    psi = {ops.h_zero: a1.zero}
+    work = [ops.h_zero]
+    for ci, (h1, h2) in enumerate(pa.h_pairs):
+        key = (min(cov.half_cover[ci]), h2)
+        if key not in psi:
+            psi[key] = h1
+            work.append(key)
+
+    def admit(key, value):
+        prev = psi.get(key)
+        if prev is None:
+            if covered.get(key, value) != value:
+                raise ValueError("covering violates psi-consistency at %r" % (key,))
+            psi[key] = value
+            work.append(key)
+        elif prev != value:
+            raise ValueError("covering is not functional at %r" % (key,))
+
+    while work:
+        k = work.pop()
+        kv = psi[k]
+        for other in list(psi):
+            admit(ops.h_add(k, other), a1.add[kv][psi[other]])
+        for v1, vhat in hat.items():
+            admit(ops.act_(k, vhat), a1.act[kv][v1])
+    return tuple(sorted(psi)), psi, hat
+
+
 # --- inputs ----------------------------------------------------------------------
 
 
@@ -516,6 +627,55 @@ def test_tm_to_division_matches_reference():
         assert tm_to_division(target, ambient, w) == ref_tm_to_division(target, ambient, w)
 
 
+def _division_cases():
+    """(target, ambient) pairs within the search caps, with and without a
+    division."""
+    t, orr, z2 = samples.trivial_algebra(), samples.flat_or(), samples.flat_z2()
+    for amb in [orr, z2, samples.flat_max3()]:
+        yield t, amb
+    yield z2, orr
+    yield orr, z2
+    yield z2, z2
+    yield orr, samples.flat_trunc3()
+    yield samples.flat_trunc3(), samples.flat_max3()
+    yield orr, direct_product(orr, z2)[0]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_search_division_matches_reference(case):
+    target, ambient = list(_division_cases())[case]
+    assert search_division(target, ambient) == ref_search_division(target, ambient)
+
+
+def test_search_division_cases_find_and_miss():
+    found = [search_division(target, ambient) is not None for target, ambient in _division_cases()]
+    assert any(found) and not all(found)
+
+
+def _forward_cases():
+    """Derived categories with their canonical flat covers."""
+    factorizations = list(_factorizations())
+    # the third has the second's category; the fifth's cover exceeds its cap
+    for dc, _ in (factorizations[i] for i in (0, 1, 3)):
+        yield dc, canonical_flat_cover(dc.category)[0]
+    # a 2-local language over {a}, whose depth-1 derived category has a
+    # larger K
+    pa = pair_closure(SYNTACTIC[7].recognizer.morphism, ktypes.ktype_algebra(A, 1).morphism)
+    dc = derived_category(pa)
+    yield dc, canonical_flat_cover(dc.category)[0]
+
+
+def test_dct_forward_matches_reference():
+    n = 0
+    for dc, cov in _forward_cases():
+        if not verify_covering(dc.category, cov.algebra, cov).ok:
+            continue
+        witness, _ = dct_forward(dc, cov)
+        assert (witness.k_elements, witness.psi, witness.hat) == ref_dct_forward(dc, cov)
+        n += 1
+    assert n == 4
+
+
 def test_generated_subalgebra_matches_reference():
     algebras = [samples.flat_trunc3(), samples.flat_z2(), samples.flat_diamond()]
     algebras += [syn.algebra for syn in SYNTACTIC]
@@ -579,16 +739,23 @@ def _budget_stats(call):
 
 
 def test_every_closure_raises_the_engine_budget_error():
+    """Every closure on `generate` raises its BudgetError with the stats
+    {h, v, budget}: dct_forward too, whose budget counts the horizontal and
+    the vertical elements of its closure, not K alone."""
     stats_keys = {"h", "v", "budget"}
     syn = SYNTACTIC[5]  # a-has-b-child
     beta = ktypes.ktype_algebra(syn.recognizer.alphabet, 1).morphism
-    dc, delta = list(_factorizations())[1]
+    factorizations = list(_factorizations())
+    dc, delta = factorizations[1]
+    dc0 = factorizations[0][0]
+    cov0, _ = canonical_flat_cover(dc0.category)
     target, ambient, w = list(_tm_cases())[1]
     outer, inner, gens = _wreath_letters("ab", 1)
     alg = syn.algebra
     calls = [
         lambda: pair_closure(syn.recognizer.morphism, beta, budget=5),
         lambda: dct_backward(dc, delta, budget=3),
+        lambda: dct_forward(dc0, cov0, budget=3),
         lambda: tm_to_division(target, ambient, w, budget=3),
         lambda: wreath_generated(outer, inner, gens, budget=5),
         # syntactic_algebra and generated_subalgebra close a finite table and

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestalg import terms
+from forestalg import samples, terms
 from forestalg.terms import (
     EMPTY,
     HOLE,
@@ -372,3 +374,86 @@ def test_hypothesis_render_parse_round_trip(s):
 @given(forests(), forests())
 def test_hypothesis_add_commutes(s, t):
     assert s + t == t + s
+
+
+# --- deep terms ---------------------------------------------------------------
+# Terms 10^5 nodes deep parse, hash, render and evaluate without recursion.
+# Two separately built deep terms still compare by nested tuples, which
+# recurses, so these tests compare rendered text and values, not terms.
+
+DEEP = 10**5
+
+
+def _chain(depth, seed=0):
+    """A chain `depth` nodes deep with seeded labels and a leaf sibling on
+    every tenth level above the bottom one: its steps from the root down,
+    (label, leaf sibling of the node below it or None), the label of the
+    bottom node, and its text as a forest and, with the hole for the bottom
+    node, as a context."""
+    rng = random.Random(seed)
+    steps = [
+        (rng.choice("ab"), rng.choice("ab") if i % 10 == 0 and i < depth - 2 else None)
+        for i in range(depth - 1)
+    ]
+    bottom = rng.choice("ab")
+    # a leaf before a deeper tree is the canonical order
+    opens = [a + "(" + (b + "+" if b else "") for a, b in steps]
+    text = "".join(opens) + bottom + ")" * len(steps)
+    # in a context the hole spine comes first
+    closes = ["+" + b + ")" if b else ")" for _, b in steps]
+    context_text = "".join(a + "(" for a, _ in steps) + "[]" + "".join(reversed(closes))
+    return steps, bottom, text, context_text
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    steps, bottom, text, context_text = _chain(DEEP)
+    return steps, bottom, text, parse_forest(text, AB), context_text, parse_context(context_text, AB)
+
+
+def test_deep_chain_parses_and_renders_back(deep_chain):
+    steps, _, text, s, context_text, p = deep_chain
+    siblings = sum(b is not None for _, b in steps)
+    assert s.size == DEEP + siblings
+    assert s.render() == text
+    assert p.size == DEEP - 1 + siblings
+    assert p.render() == context_text
+
+
+def _fold(rec, steps, h):
+    """The value of a chain's steps over a value h below the last step: each
+    step adds its leaf sibling, then applies its label."""
+    alg, letters = rec.algebra, rec.morphism.letters
+    for a, b in reversed(steps):
+        if b is not None:
+            h = alg.add[h][alg.act[alg.zero][letters[b]]]
+        h = alg.act[h][letters[a]]
+    return h
+
+
+@pytest.mark.parametrize("make", [samples.parity_a, samples.a_has_b_child])
+def test_deep_chain_evaluates_as_a_bottom_up_fold(deep_chain, make):
+    steps, bottom, _, s, _, p = deep_chain
+    rec = make("ab")
+    alg = rec.algebra
+    value = _fold(rec, steps, alg.act[alg.zero][rec.morphism.letters[bottom]])
+    assert rec.morphism.eval_forest(s) == value
+    assert rec.accepts(s) == (value in rec.accept)
+    v = rec.morphism.eval_context(p)
+    assert all(alg.act[h][v] == _fold(rec, steps, h) for h in range(alg.h_size))
+
+
+@pytest.mark.parametrize("make", [samples.parity_a, samples.a_has_b_child])
+def test_short_chains_evaluate_as_a_bottom_up_fold(make):
+    # parity and a-has-b-child are decided early on a deep chain, so short
+    # chains of every depth check that each letter is read at its own node
+    rec = make("ab")
+    alg = rec.algebra
+    for depth in range(1, 40):
+        steps, bottom, text, context_text = _chain(depth, seed=depth)
+        s, p = parse_forest(text, AB), parse_context(context_text, AB)
+        assert s.render() == text and p.render() == context_text
+        value = _fold(rec, steps, alg.act[alg.zero][rec.morphism.letters[bottom]])
+        assert rec.morphism.eval_forest(s) == value
+        v = rec.morphism.eval_context(p)
+        assert all(alg.act[h][v] == _fold(rec, steps, h) for h in range(alg.h_size))
