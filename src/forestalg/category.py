@@ -17,7 +17,10 @@ exhaustive and report the first witness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .algebra import BudgetError, FlatMaskAlgebra, ForestAlgebra
 
@@ -778,15 +781,66 @@ class CoverReport:
             self.violations.append((clause, where))
 
 
+def _clauses(cat):
+    """The division clauses: one per defined instance of the four operations,
+    as (name, where, op, left, right, target).  `op` names the elementwise
+    operation of the covering algebra; the operands and the target are
+    ("h", half-arrow) or ("a", arrow), the symbols of `diagram_support`.  A
+    cover is closed under a clause when op maps every member pair of the left
+    and right covers into the target's cover; in the other direction, each
+    clause builds a diagram of the target from diagrams of its operands."""
+    out = []
+    for u in range(cat.arr_size):
+        for v in cat.arrows_from(cat.arr_end[u]):
+            w = cat.comp[(u, v)]
+            out.append(("preserve-composition", (u, v), "v_mul", ("a", u), ("a", v), ("a", w)))
+    for c in range(cat.harr_size):
+        for u in cat.arrows_from(cat.harr_end[c]):
+            d = cat.act[(c, u)]
+            out.append(("preserve-action", (c, u), "act_", ("h", c), ("a", u), ("h", d)))
+    for c in range(cat.harr_size):
+        for d in range(cat.harr_size):
+            e = cat.harr_add[c][d]
+            out.append(("preserve-addition", (c, d), "h_add", ("h", c), ("h", d), ("h", e)))
+    for u in range(cat.arr_size):
+        for c in range(cat.harr_size):
+            w = cat.ins[(u, c)]
+            out.append(("preserve-insertion", (u, c), "ins_", ("a", u), ("h", c), ("a", w)))
+    return out
+
+
+def _rows(cat):
+    """Each symbol's row: half-arrows, then arrows.  Row i is also bit i of
+    a support mask."""
+    rows = {("h", c): c for c in range(cat.harr_size)}
+    rows.update((("a", u), cat.harr_size + u) for u in range(cat.arr_size))
+    return rows
+
+
+def _subset_sums(a, n, sign):
+    """Over the last axis, indexed by n-bit masks: the zeta transform (sign 1,
+    each entry becomes the sum over its submasks) or its inverse, the Möbius
+    transform (sign -1).  The union-convolution of two indicators is the
+    Möbius transform of the product of their zeta transforms."""
+    v = np.array(a, dtype=np.int64)
+    step = np.add if sign > 0 else np.subtract
+    for b in range(n):
+        w = v.reshape(-1, 2, 1 << b)
+        step(w[:, 1, :], w[:, 0, :], out=w[:, 1, :])
+    return v
+
+
 def verify_covering(cat, alg, cov: Covering) -> CoverReport:
-    """Exhaustive check of the division clauses: closure of the covers under
-    the four operations, and disjointness on coterminal elements.
+    """Exhaustive check of the division clauses: every cover is nonempty,
+    closed under each clause of `_clauses`, and disjoint from the covers of
+    the coterminal elements.
 
     The algebra only needs the elementwise protocol; cover members are its
-    elements (indices for table algebras, masks for FlatMaskAlgebra).  When
-    the algebra is a FlatMaskAlgebra the closure clauses are checked by the
-    equivalent vectorized union-convolution; the element-by-element path is
-    the same quantifier spelled out.
+    elements (indices for table algebras, masks for FlatMaskAlgebra).  A
+    table algebra is checked member pair by member pair, and a failure names
+    the clause with the pair appended.  Over a FlatMaskAlgebra each clause is
+    one union-convolution of indicator arrays, from zeta transforms taken
+    once per cover, and a failure names the clause.
     """
     rep = CoverReport(True)
     for c in range(cat.harr_size):
@@ -797,131 +851,35 @@ def verify_covering(cat, alg, cov: Covering) -> CoverReport:
             rep.fail("arrow-cover-nonempty", (u,))
     if not rep.ok:
         return rep
+    row = _rows(cat)
+    covers = tuple(cov.half_cover) + tuple(cov.arrow_cover)
     if isinstance(alg, FlatMaskAlgebra):
-        _verify_cover_closure_masks(cat, alg, cov, rep)
+        n = alg.n_symbols
+        inside = np.zeros((len(covers), 1 << n), dtype=bool)
+        for i, members in enumerate(covers):
+            inside[i, list(members)] = True
+        zeta = _subset_sums(inside, n, 1)
+        for name, where, _, left, right, target in _clauses(cat):
+            got = _subset_sums(zeta[row[left]] * zeta[row[right]], n, -1)
+            if (got[~inside[row[target]]] > 0).any():
+                rep.fail(name, where)
     else:
-        _verify_cover_closure_generic(cat, alg, cov, rep)
-    # (b) injectivity on coterminal elements
-    for u in range(cat.arr_size):
-        for v in range(u + 1, cat.arr_size):
-            if (
-                cat.arr_start[u] == cat.arr_start[v]
-                and cat.arr_end[u] == cat.arr_end[v]
-                and cov.arrow_cover[u] & cov.arrow_cover[v]
-            ):
-                rep.fail("injectivity-arrows", (u, v))
-    for c in range(cat.harr_size):
-        for d in range(c + 1, cat.harr_size):
-            if cat.harr_end[c] == cat.harr_end[d] and cov.half_cover[c] & cov.half_cover[d]:
-                rep.fail("injectivity-halfarrows", (c, d))
+        for name, where, op, left, right, target in _clauses(cat):
+            f, allowed = getattr(alg, op), covers[row[target]]
+            for p in covers[row[left]]:
+                for q in covers[row[right]]:
+                    if f(p, q) not in allowed:
+                        rep.fail(name, where + (p, q))
+    # injectivity on coterminal elements
+    arrow_ends = list(zip(cat.arr_start, cat.arr_end))
+    for kind, ends, members in (
+        ("arrows", arrow_ends, cov.arrow_cover),
+        ("halfarrows", cat.harr_end, cov.half_cover),
+    ):
+        for i, j in itertools.combinations(range(len(ends)), 2):
+            if ends[i] == ends[j] and members[i] & members[j]:
+                rep.fail("injectivity-" + kind, (i, j))
     return rep
-
-
-def _verify_cover_closure_generic(cat, alg, cov, rep):
-    # (i) composition
-    for u in range(cat.arr_size):
-        for v in cat.arrows_from(cat.arr_end[u]):
-            target = cov.arrow_cover[cat.comp[(u, v)]]
-            for p in cov.arrow_cover[u]:
-                for q in cov.arrow_cover[v]:
-                    if alg.v_mul(p, q) not in target:
-                        rep.fail("preserve-composition", (u, v, p, q))
-    # (ii) action
-    for c in range(cat.harr_size):
-        for u in cat.arrows_from(cat.harr_end[c]):
-            target = cov.half_cover[cat.act[(c, u)]]
-            for h in cov.half_cover[c]:
-                for q in cov.arrow_cover[u]:
-                    if alg.act_(h, q) not in target:
-                        rep.fail("preserve-action", (c, u, h, q))
-    # (iii) half-arrow addition
-    for c in range(cat.harr_size):
-        for d in range(cat.harr_size):
-            target = cov.half_cover[cat.harr_add[c][d]]
-            for h in cov.half_cover[c]:
-                for g in cov.half_cover[d]:
-                    if alg.h_add(h, g) not in target:
-                        rep.fail("preserve-addition", (c, d, h, g))
-    # (iv) insertion
-    for u in range(cat.arr_size):
-        for c in range(cat.harr_size):
-            target = cov.arrow_cover[cat.ins[(u, c)]]
-            for q in cov.arrow_cover[u]:
-                for h in cov.half_cover[c]:
-                    if alg.ins_(q, h) not in target:
-                        rep.fail("preserve-insertion", (u, c, q, h))
-
-
-def _verify_cover_closure_masks(cat, alg, cov, rep):
-    import numpy as np
-
-    n = alg.n_symbols
-    size = 1 << n
-
-    def arr(masks):
-        a = np.zeros(size, dtype=bool)
-        a[list(masks)] = True
-        return a
-
-    half = [arr(s) for s in cov.half_cover]
-    arrow = [arr(s) for s in cov.arrow_cover]
-
-    def check(clause, where, left, right, target):
-        got = _or_convolve(left, right, n)
-        if (got & ~target).any():
-            rep.fail(clause, where)
-
-    for u in range(cat.arr_size):
-        for v in cat.arrows_from(cat.arr_end[u]):
-            check("preserve-composition", (u, v), arrow[u], arrow[v], arrow[cat.comp[(u, v)]])
-    for c in range(cat.harr_size):
-        for u in cat.arrows_from(cat.harr_end[c]):
-            check("preserve-action", (c, u), half[c], arrow[u], half[cat.act[(c, u)]])
-    for c in range(cat.harr_size):
-        for d in range(cat.harr_size):
-            check("preserve-addition", (c, d), half[c], half[d], half[cat.harr_add[c][d]])
-    for u in range(cat.arr_size):
-        for c in range(cat.harr_size):
-            check("preserve-insertion", (u, c), arrow[u], half[c], arrow[cat.ins[(u, c)]])
-
-
-def _zeta_int(a, n):
-    v = a.copy()
-    for b in range(n):
-        v = v.reshape(-1, 2, 1 << b)
-        v[:, 1, :] += v[:, 0, :]
-        v = v.reshape(-1)
-    return v
-
-
-def _mobius_int(a, n):
-    v = a.copy()
-    for b in range(n):
-        v = v.reshape(-1, 2, 1 << b)
-        v[:, 1, :] -= v[:, 0, :]
-        v = v.reshape(-1)
-    return v
-
-
-def _or_convolve(f, g, n):
-    """Indicator of {X | Y : f[X], g[Y]} via subset-sum transforms."""
-    import numpy as np
-
-    zf = _zeta_int(f.astype(np.int64), n)
-    zg = _zeta_int(g.astype(np.int64), n)
-    return _mobius_int(zf * zg, n) > 0
-
-
-def _or_with_bit(f, bit_index, n):
-    """Indicator of {X | bit : f[X]}."""
-    import numpy as np
-
-    out = np.zeros_like(f)
-    lo = 1 << bit_index
-    v = f.reshape(-1, 2, lo)
-    o = out.reshape(-1, 2, lo)
-    o[:, 1, :] = v[:, 1, :] | v[:, 0, :]
-    return out
 
 
 def canonical_flat_cover(cat, max_symbols=18):
@@ -929,17 +887,22 @@ def canonical_flat_cover(cat, max_symbols=18):
     algebra: the supports of diagrams cover their values, inside the full
     subset monoid of the half-arrows and arrows.
 
-    Computed as the complete fixpoint of the reachable (value, support) pairs
-    of forest and context diagrams over value-indexed support indicators, so
-    the covers are the stabilized ones; a size-bounded diagram enumeration
-    would spuriously break the closure clauses whenever supports keep growing
-    past the bound.  The subset monoid has 2^(half-arrows + arrows) elements,
-    so the symbol count is capped.
+    Computed as the least cover closed under the clauses `verify_covering`
+    checks, seeded with {c} at each half-arrow c, {u} at each arrow u and the
+    empty support at `harr_one` and at each identity arrow.  Each clause
+    builds a diagram from two diagrams, and the summing, capping, extending
+    and inserting steps that build every diagram are clause instances, so
+    the fixpoint is exactly the set of diagram supports; a size-bounded
+    diagram enumeration would instead break the closure clauses whenever
+    supports keep growing past the bound.  Each round takes the zeta
+    transform of every cover once, sums the products aimed at each target
+    and inverts that sum once: the Möbius transform is linear and each
+    product's inverse is a nonnegative count, so the sum is positive exactly
+    where some clause reaches.  The subset monoid has 2^(half-arrows +
+    arrows) elements, so the symbol count is capped.
 
     Returns (Covering over a FlatMaskAlgebra, stats).
     """
-    import numpy as np
-
     nh = cat.harr_size
     nsym = nh + cat.arr_size
     if nsym > max_symbols:
@@ -947,74 +910,31 @@ def canonical_flat_cover(cat, max_symbols=18):
             "canonical cover needs 2^%d supports (cap 2^%d)" % (nsym, max_symbols),
             {"symbols": nsym, "cap": max_symbols},
         )
-    size = 1 << nsym
-    fp = [np.zeros(size, dtype=bool) for _ in range(nh)]
-    cp = [np.zeros(size, dtype=bool) for _ in range(cat.arr_size)]
-    fp[cat.harr_one][0] = True
-    for c in range(nh):
-        fp[c][1 << c] = True
-    for x in range(cat.obj_size):
-        cp[cat.identity[x]][0] = True
+    row = _rows(cat)
+    inside = np.zeros((nsym, 1 << nsym), dtype=bool)
+    for i in range(nsym):
+        inside[i, 1 << i] = True
+    inside[row[("h", cat.harr_one)], 0] = True
+    for e in cat.identity:
+        inside[row[("a", e)], 0] = True
+    clauses = [(row[left], row[right], row[target]) for *_, left, right, target in _clauses(cat)]
 
-    arrows_from = [cat.arrows_from(x) for x in range(cat.obj_size)]
-
-    changed = True
-    while changed:
-        changed = False
-        # sums of two forest diagrams
-        for c1 in range(nh):
-            if not fp[c1].any():
-                continue
-            for c2 in range(c1, nh):
-                if not fp[c2].any():
-                    continue
-                tgt = cat.harr_add[c1][c2]
-                got = _or_convolve(fp[c1], fp[c2], nsym)
-                new = got & ~fp[tgt]
-                if new.any():
-                    fp[tgt] |= new
-                    changed = True
-        # capping a forest diagram with an arrow
-        for c in range(nh):
-            if not fp[c].any():
-                continue
-            for u in arrows_from[cat.harr_end[c]]:
-                got = _or_with_bit(fp[c], nh + u, nsym)
-                tgt = cat.act[(c, u)]
-                new = got & ~fp[tgt]
-                if new.any():
-                    fp[tgt] |= new
-                    changed = True
-        # extending a context diagram by an arrow or by sibling forests
-        for v in range(cat.arr_size):
-            if not cp[v].any():
-                continue
-            for u in arrows_from[cat.arr_end[v]]:
-                got = _or_with_bit(cp[v], nh + u, nsym)
-                tgt = cat.comp[(v, u)]
-                new = got & ~cp[tgt]
-                if new.any():
-                    cp[tgt] |= new
-                    changed = True
-            for c in range(nh):
-                if not fp[c].any():
-                    continue
-                got = _or_convolve(cp[v], fp[c], nsym)
-                tgt = cat.ins[(v, c)]
-                new = got & ~cp[tgt]
-                if new.any():
-                    cp[tgt] |= new
-                    changed = True
+    while True:
+        zeta = _subset_sums(inside, nsym, 1)
+        reach = np.zeros_like(zeta)
+        for left, right, target in clauses:
+            reach[target] += zeta[left] * zeta[right]
+        new = (_subset_sums(reach, nsym, -1) > 0) & ~inside
+        if not new.any():
+            break
+        inside |= new
 
     alg = FlatMaskAlgebra(nsym)
-    half_cover = tuple(frozenset(int(m) for m in np.nonzero(fp[c])[0]) for c in range(nh))
-    arrow_cover = tuple(
-        frozenset(int(m) for m in np.nonzero(cp[v])[0]) for v in range(cat.arr_size)
-    )
-    cov = Covering(alg, half_cover, arrow_cover)
+    covers = [frozenset(int(m) for m in np.nonzero(r)[0]) for r in inside]
+    cov = Covering(alg, tuple(covers[:nh]), tuple(covers[nh:]))
     stats = {
-        "forest_pairs": sum(len(s) for s in half_cover),
-        "context_pairs": sum(len(s) for s in arrow_cover),
+        "forest_pairs": sum(len(s) for s in cov.half_cover),
+        "context_pairs": sum(len(s) for s in cov.arrow_cover),
         "symbols": nsym,
     }
     return cov, stats

@@ -1,18 +1,23 @@
-"""Covering checks over the two representations of the flat subset algebra.
+"""The canonical flat cover and the covering check.
 
 `verify_covering` takes either a table algebra, whose cover members it
 checks one by one, or a `FlatMaskAlgebra`, whose covers it checks by
 union-convolution.  `samples.flat_subsets(n)` is the table algebra with the
 same elements (index = bitmask), so both must reach the same verdict and
 name the same clause instances, in the same order.
+
+`canonical_flat_cover` is checked against the four-rule fixpoint over
+forest and context diagrams that it replaced, kept here as the reference.
 """
 
 import functools
+import itertools
 
+import numpy as np
 import pytest
 
 from forestalg import samples
-from forestalg.algebra import FlatMaskAlgebra, syntactic_algebra
+from forestalg.algebra import FlatMaskAlgebra, Recognizer, syntactic_algebra
 from forestalg.category import (
     Covering,
     canonical_flat_cover,
@@ -20,7 +25,7 @@ from forestalg.category import (
     verify_covering,
 )
 from forestalg.derived import derived_category, pair_closure
-from forestalg.ktypes import ktype_algebra
+from forestalg.ktypes import ktype_algebra, lt_recognizer
 
 FLAT_SAMPLES = (
     "flat_or",
@@ -105,3 +110,128 @@ def test_mask_and_table_paths_agree(case):
         assert got == mask.violations[: len(got)]
     else:
         assert got == mask.violations
+
+
+# --- the reference fixpoint ----------------------------------------------------
+
+
+def _ref_zeta(a, n):
+    v = a.copy()
+    for b in range(n):
+        v = v.reshape(-1, 2, 1 << b)
+        v[:, 1, :] += v[:, 0, :]
+        v = v.reshape(-1)
+    return v
+
+
+def _ref_mobius(a, n):
+    v = a.copy()
+    for b in range(n):
+        v = v.reshape(-1, 2, 1 << b)
+        v[:, 1, :] -= v[:, 0, :]
+        v = v.reshape(-1)
+    return v
+
+
+def _ref_or_convolve(f, g, n):
+    zf = _ref_zeta(f.astype(np.int64), n)
+    zg = _ref_zeta(g.astype(np.int64), n)
+    return _ref_mobius(zf * zg, n) > 0
+
+
+def _ref_or_with_bit(f, bit_index, n):
+    out = np.zeros_like(f)
+    lo = 1 << bit_index
+    v = f.reshape(-1, 2, lo)
+    o = out.reshape(-1, 2, lo)
+    o[:, 1, :] = v[:, 1, :] | v[:, 0, :]
+    return out
+
+
+def ref_canonical_flat_cover(cat):
+    """The reachable (value, support) pairs of forest diagrams (fp) and
+    context diagrams (cp), closed under four rules: summing two forests,
+    capping a forest with an arrow, extending a context by an arrow, and
+    inserting a forest beside a context."""
+    nh = cat.harr_size
+    nsym = nh + cat.arr_size
+    size = 1 << nsym
+    fp = [np.zeros(size, dtype=bool) for _ in range(nh)]
+    cp = [np.zeros(size, dtype=bool) for _ in range(cat.arr_size)]
+    fp[cat.harr_one][0] = True
+    for c in range(nh):
+        fp[c][1 << c] = True
+    for x in range(cat.obj_size):
+        cp[cat.identity[x]][0] = True
+    arrows_from = [cat.arrows_from(x) for x in range(cat.obj_size)]
+
+    def grow(cover, tgt, got):
+        new = got & ~cover[tgt]
+        if new.any():
+            cover[tgt] |= new
+            return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for c1 in range(nh):
+            for c2 in range(c1, nh):
+                if fp[c1].any() and fp[c2].any():
+                    got = _ref_or_convolve(fp[c1], fp[c2], nsym)
+                    changed |= grow(fp, cat.harr_add[c1][c2], got)
+        for c in range(nh):
+            for u in arrows_from[cat.harr_end[c]]:
+                if fp[c].any():
+                    changed |= grow(fp, cat.act[(c, u)], _ref_or_with_bit(fp[c], nh + u, nsym))
+        for v in range(cat.arr_size):
+            for u in arrows_from[cat.arr_end[v]]:
+                if cp[v].any():
+                    changed |= grow(cp, cat.comp[(v, u)], _ref_or_with_bit(cp[v], nh + u, nsym))
+            for c in range(nh):
+                if cp[v].any() and fp[c].any():
+                    changed |= grow(cp, cat.ins[(v, c)], _ref_or_convolve(cp[v], fp[c], nsym))
+
+    half_cover = tuple(frozenset(int(m) for m in np.nonzero(f)[0]) for f in fp)
+    arrow_cover = tuple(frozenset(int(m) for m in np.nonzero(f)[0]) for f in cp)
+    stats = {
+        "forest_pairs": sum(len(s) for s in half_cover),
+        "context_pairs": sum(len(s) for s in arrow_cover),
+        "symbols": nsym,
+    }
+    return half_cover, arrow_cover, stats
+
+
+def _derived_categories():
+    """The derived categories the construct benchmark covers: the syntactic
+    algebras of the depth-1 recognizer over {a}, under every accepting set,
+    at depth 1, and a-has-b-child at depth 0."""
+    machine = lt_recognizer("a", 1, lambda nodes, roots: False)
+    beta = ktype_algebra("a", 1).morphism
+    cats = []
+    for r in range(len(machine.states) + 1):
+        for accept in itertools.combinations(range(len(machine.states)), r):
+            rec = Recognizer(machine.recognizer.morphism, frozenset(accept))
+            syn = syntactic_algebra(rec).recognizer
+            cat = derived_category(pair_closure(syn.morphism, beta)).category
+            if cat not in cats:
+                cats.append(cat)
+    syn = syntactic_algebra(samples.a_has_b_child("ab")).recognizer
+    pa = pair_closure(syn.morphism, ktype_algebra("ab", 0).morphism)
+    return cats + [derived_category(pa).category]
+
+
+REFERENCE = SMALL + [("derived-%d" % i, cat) for i, cat in enumerate(_derived_categories())]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE)), ids=[name for name, _ in REFERENCE])
+def test_canonical_flat_cover_matches_reference(case):
+    _, cat = REFERENCE[case]
+    cov, stats = canonical_flat_cover(cat)
+    half_cover, arrow_cover, ref_stats = ref_canonical_flat_cover(cat)
+    assert cov.half_cover == half_cover
+    assert cov.arrow_cover == arrow_cover
+    # perfbench's tracer reads "symbols" off these stats
+    assert set(stats) == {"forest_pairs", "context_pairs", "symbols"}
+    assert stats == ref_stats
+    assert cov.algebra == FlatMaskAlgebra(stats["symbols"])
