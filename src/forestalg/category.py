@@ -87,20 +87,11 @@ class ForestCategory:
     def hsum(self, c, d):
         return self.harr_add[c][d]
 
-    def compose(self, u, v):
-        try:
-            return self.comp[(u, v)]
-        except KeyError:
-            raise DiagramError("arrows %d and %d do not compose" % (u, v)) from None
-
     def act_on(self, c, u):
         try:
             return self.act[(c, u)]
         except KeyError:
             raise DiagramError("half-arrow %d does not meet arrow %d" % (c, u)) from None
-
-    def insert(self, u, c):
-        return self.ins[(u, c)]
 
     def arrows_from(self, x):
         return [u for u in range(self.arr_size) if self.arr_start[u] == x]
@@ -574,17 +565,17 @@ def check_identities(cat) -> IdentityReport:
     idempotence; each failure carries the instantiating ids.  The identities
     characterize global idempotent-commutativity only when the object monoid
     is idempotent and commutative, which is reported as a precondition."""
-    rep = IdentityReport(objects_ic=cat.objects_idempotent())
-    # horizontal idempotence
+    idempotence = ((r,) for r in range(cat.harr_size) if cat.hsum(r, r) != r)
+    return IdentityReport(
+        objects_ic=cat.objects_idempotent(),
+        loop_removal=_loop_removal(cat),
+        horizontal_absorption=_horizontal_absorption(cat),
+        horizontal_idempotence=next(idempotence, None),
+    )
+
+
+def _loop_removal(cat):
     for r in range(cat.harr_size):
-        if cat.hsum(r, r) != r:
-            rep.horizontal_idempotence = (r,)
-            break
-    # loop removal
-    done = False
-    for r in range(cat.harr_size):
-        if done:
-            break
         y = cat.harr_end[r]
         loops = [s for s in cat.arrows_from(y) if cat.arr_end[s] == y]
         outs = cat.arrows_from(y)
@@ -596,18 +587,12 @@ def check_identities(cat) -> IdentityReport:
                 for t2 in outs:
                     tail = cat.act[(rs, t2)]
                     if cat.hsum(left1, tail) != cat.hsum(right1, tail):
-                        rep.loop_removal = (r, s, t1, t2)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    # horizontal absorption
-    done = False
+                        return (r, s, t1, t2)
+    return None
+
+
+def _horizontal_absorption(cat):
     for r in range(cat.harr_size):
-        if done:
-            break
         x = cat.harr_end[r]
         for s in range(cat.harr_size):
             xs = cat.harr_end[s]
@@ -622,14 +607,8 @@ def check_identities(cat) -> IdentityReport:
                 for u in cat.arrows_from(x):
                     ru = cat.act[(r, u)]
                     if cat.hsum(left_t, ru) != cat.hsum(right_t, ru):
-                        rep.horizontal_absorption = (r, s, t, u)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    return rep
+                        return (r, s, t, u)
+    return None
 
 
 @dataclass
@@ -655,17 +634,20 @@ def check_derived_identities(cat, transfer_bound=4) -> DerivedIdentityReport:
     """Check the four consequences of the three identities: whenever
     check_identities passes on idempotent-commutative objects these must also
     pass.  There is no precondition; the report is informational."""
-    rep = DerivedIdentityReport()
     # vertical idempotence: endo-arrows are idempotent
-    for u in range(cat.arr_size):
-        if cat.arr_start[u] == cat.arr_end[u] and cat.comp[(u, u)] != u:
-            rep.vertical_idempotence = (u,)
-            break
-    # horizontal swap: rt + su = st + ru for r,s ending at the same object
-    done = False
+    endo = (u for u in range(cat.arr_size) if cat.arr_start[u] == cat.arr_end[u])
+    vertical = ((u,) for u in endo if cat.comp[(u, u)] != u)
+    return DerivedIdentityReport(
+        vertical_idempotence=next(vertical, None),
+        horizontal_swap=_horizontal_swap(cat),
+        nested_insertion_variant=_nested_insertion_variant(cat),
+        horizontal_transfer=_check_horizontal_transfer(cat, transfer_bound),
+    )
+
+
+def _horizontal_swap(cat):
+    """rt + su = st + ru for r,s ending at the same object."""
     for r in range(cat.harr_size):
-        if done:
-            break
         x = cat.harr_end[r]
         for s in cat.harrs_to(x):
             for t in cat.arrows_from(x):
@@ -673,18 +655,13 @@ def check_derived_identities(cat, transfer_bound=4) -> DerivedIdentityReport:
                 for u in cat.arrows_from(x):
                     ru, su = cat.act[(r, u)], cat.act[(s, u)]
                     if cat.hsum(rt, su) != cat.hsum(st, ru):
-                        rep.horizontal_swap = (r, s, t, u)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    # (r+t)s + ru = (ru+t)s + ru, for u: x -> x+y with y = end(t)
-    done = False
+                        return (r, s, t, u)
+    return None
+
+
+def _nested_insertion_variant(cat):
+    """(r+t)s + ru = (ru+t)s + ru, for u: x -> x+y with y = end(t)."""
     for r in range(cat.harr_size):
-        if done:
-            break
         x = cat.harr_end[r]
         for t in range(cat.harr_size):
             y = cat.harr_end[t]
@@ -701,15 +678,8 @@ def check_derived_identities(cat, transfer_bound=4) -> DerivedIdentityReport:
                     lhs = cat.hsum(cat.act[(lhs_head, sarr)], ru)
                     rhs = cat.hsum(cat.act[(rhs_head, sarr)], ru)
                     if lhs != rhs:
-                        rep.nested_insertion_variant = (r, t, u, sarr)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    rep.horizontal_transfer = _check_horizontal_transfer(cat, transfer_bound)
-    return rep
+                        return (r, t, u, sarr)
+    return None
 
 
 def _check_horizontal_transfer(cat, bound):
@@ -890,16 +860,13 @@ def canonical_flat_cover(cat, max_symbols=18):
     Computed as the least cover closed under the clauses `verify_covering`
     checks, seeded with {c} at each half-arrow c, {u} at each arrow u and the
     empty support at `harr_one` and at each identity arrow.  Each clause
-    builds a diagram from two diagrams, and the summing, capping, extending
-    and inserting steps that build every diagram are clause instances, so
-    the fixpoint is exactly the set of diagram supports; a size-bounded
-    diagram enumeration would instead break the closure clauses whenever
-    supports keep growing past the bound.  Each round takes the zeta
-    transform of every cover once, sums the products aimed at each target
-    and inverts that sum once: the Möbius transform is linear and each
-    product's inverse is a nonnegative count, so the sum is positive exactly
-    where some clause reaches.  The subset monoid has 2^(half-arrows +
-    arrows) elements, so the symbol count is capped.
+    builds a diagram from two diagrams, and every diagram is built by clause
+    instances, so the fixpoint is exactly the set of diagram supports.  Each
+    round zeta-transforms every cover once, sums the products aimed at each
+    target and inverts each sum once: the inverse of each product counts
+    pairs, so the sum is positive exactly where some clause reaches.  The
+    subset monoid has 2^(half-arrows + arrows) elements, so the symbol count
+    is capped.
 
     Returns (Covering over a FlatMaskAlgebra, stats).
     """

@@ -91,17 +91,25 @@ class _Universe:
         return cached
 
     def render(self, tid):
-        out = self._render.get(tid)
-        if out is None:
-            depth, label, children = self._entries[tid]
-            inner = ",".join(sorted(self.render(c) for c in children))
-            out = "%s{%s}" % (label, inner)
-            self._render[tid] = out
-        return out
+        # children first, from an explicit stack, so any depth renders
+        stack = [tid]
+        while tid not in self._render:
+            t = stack[-1]
+            _, label, children = self._entries[t]
+            todo = [c for c in children if c not in self._render]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            inner = ",".join(sorted(self._render[c] for c in children))
+            self._render[t] = "%s{%s}" % (label, inner)
+        return self._render[tid]
 
 
 _UNIVERSE = _Universe()
 ATOM = 0
+_ATOMS = frozenset({ATOM})
+_NO_TYPES = frozenset()
 
 
 def type_render(tid):
@@ -127,15 +135,30 @@ def truncate(tid, j):
 
 
 def _tree_type(tree, k, memo):
+    """The depth-k type of a tree, at any depth: the (node, j) entries to
+    type are listed parents first from an explicit stack, then typed in
+    reverse, children first as a recursion would.  `memo` maps (id(node), j)
+    to a depth-j type, so a lookup never compares deep terms."""
     if k == 0:
         return ATOM
-    key = (tree, k)
-    tid = memo.get(key)
-    if tid is None:
-        kids = frozenset(_tree_type(c, k - 1, memo) for c in tree.children.trees)
-        tid = _UNIVERSE.intern(k, tree.label, kids)
-        memo[key] = tid
-    return tid
+    order, stack = [], [(tree, k)]
+    while stack:
+        entry = stack.pop()
+        node, j = entry
+        if (id(node), j) not in memo:
+            order.append(entry)
+            if j > 1:
+                for c in node.children.trees:
+                    stack.append((c, j - 1))
+    intern = _UNIVERSE.intern
+    for node, j in reversed(order):
+        kids = node.children.trees
+        if j == 1:
+            types = _ATOMS if kids else _NO_TYPES
+        else:
+            types = frozenset([memo[id(c), j - 1] for c in kids])
+        memo[id(node), j] = intern(j, node.label, types)
+    return memo[id(tree), k]
 
 
 def root_types(s: Forest, k: int) -> frozenset:
@@ -148,13 +171,11 @@ def node_types(s: Forest, k: int) -> frozenset:
     """The set of depth-k types over all nodes of s."""
     memo = {}
     out = set()
-
-    def walk(forest):
-        for t in forest.trees:
-            out.add(_tree_type(t, k, memo))
-            walk(t.children)
-
-    walk(s)
+    stack = list(reversed(s.trees))
+    while stack:
+        t = stack.pop()
+        out.add(_tree_type(t, k, memo))
+        stack.extend(reversed(t.children.trees))
     return frozenset(out)
 
 

@@ -18,10 +18,10 @@ Rendering lists siblings in canonical order, "+"-separated, with no spaces;
 in a context the hole spine is rendered first.
 
 Parsing (one tokenizer and one shift-reduce loop), rendering (from an
-explicit stack) and hashing (each node combines its size and label with its
-children's cached hashes) work at any depth.  `apply_context`, `compose` and
-the equality of two separately built terms, which compares nested keys,
-still recurse along the depth.
+explicit stack), hashing (each node combines its size and label with its
+children's cached hashes), `apply_context` and `compose` (loops along the
+hole spine) work at any depth.  The equality of two separately built terms,
+which compares nested keys, still recurses along the depth.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -236,20 +236,31 @@ def _rest_text(rest):
     return "+" + rest.render() if rest.trees else ""
 
 
+def _spine(p):
+    """The levels of p from the root down to the hole's: the last has no
+    spine step, and each other level's step descends to the next."""
+    levels = [p]
+    while levels[-1].spine is not None:
+        levels.append(levels[-1].spine[1])
+    return levels
+
+
 def apply_context(s, p):
     """Substitute the forest s for the hole of p, written sp in the algebra."""
-    if p.spine is None:
-        return s + p.rest
-    label, inner = p.spine
-    return Forest((Tree(label, apply_context(s, inner)),)) + p.rest
+    *above, bottom = _spine(p)
+    out = s + bottom.rest
+    for level in reversed(above):
+        out = Forest((Tree(level.spine[0], out),)) + level.rest
+    return out
 
 
 def compose(p, q):
     """Substitute context p for the hole of q, written pq; acts p first."""
-    if q.spine is None:
-        return Context(p.rest + q.rest, p.spine)
-    label, inner = q.spine
-    return Context(q.rest, (label, compose(p, inner)))
+    *above, bottom = _spine(q)
+    out = Context(p.rest + bottom.rest, p.spine)
+    for level in reversed(above):
+        out = Context(level.rest, (level.spine[0], out))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from forestalg import ktypes, samples
@@ -75,6 +77,70 @@ def test_truncate_commutes_with_formation():
         r3 = root_types(s, 3)
         r2 = root_types(s, 2)
         assert frozenset(truncate(t, 2) for t in r3) == r2
+
+
+def _chain(depth, seed):
+    """A chain `depth` nodes deep with seeded labels and a leaf sibling below
+    every tenth level: its steps from the root down, (label, leaf child
+    beside the chain or None), the label of the bottom node, and its text."""
+    rng = random.Random(seed)
+    steps = [
+        (rng.choice("ab"), rng.choice("ab") if i % 10 == 0 else None) for i in range(depth - 1)
+    ]
+    bottom = rng.choice("ab")
+    opens = [a + "(" + (b + "+" if b else "") for a, b in steps]
+    return steps, bottom, "".join(opens) + bottom + ")" * len(steps)
+
+
+def _ref_type(tree, k):
+    """The rendered depth-k type of a tree, by the recursive definition."""
+    if k == 0:
+        return "*"
+    kids = sorted({_ref_type(c, k - 1) for c in tree.children.trees})
+    return "%s{%s}" % (tree.label, ",".join(kids))
+
+
+def _ref_node_types(forest, k):
+    out = set()
+    for t in forest.trees:
+        out.add(_ref_type(t, k))
+        out |= _ref_node_types(t.children, k)
+    return out
+
+
+def _renders(tids):
+    return {type_render(t) for t in tids}
+
+
+def test_short_chains_match_the_recursive_definition():
+    for depth in range(1, 40):
+        _, _, text = _chain(depth, seed=depth)
+        s = f(text)
+        for k in range(depth + 2):
+            assert _renders(root_types(s, k)) == {_ref_type(t, k) for t in s.trees}
+            assert _renders(node_types(s, k)) == _ref_node_types(s, k)
+
+
+def test_deep_chain_types():
+    # 3000 deep, like the chains of the construct benchmark
+    steps, bottom, text = _chain(3000, seed=0)
+    s = f(text)
+    internal = {a + "{*}" for a, _ in steps}
+    leaves = {bottom + "{}"} | {b + "{}" for _, b in steps if b}
+    assert _renders(node_types(s, 1)) == internal | leaves
+    nodes, roots = klt_signature(s, 1)
+    assert _renders(nodes) == internal | leaves and roots == {ATOM}
+    # the root's depth-600 type, built bottom-up: the node `level` steps
+    # down has depth 600 - level, and its children one less
+    k = 600
+    below = "*"
+    for level in range(k - 1, -1, -1):
+        label, leaf = steps[level]
+        kids = {below}
+        if leaf:
+            kids.add("*" if level == k - 1 else leaf + "{}")
+        below = "%s{%s}" % (label, ",".join(sorted(kids)))
+    assert _renders(root_types(s, k)) == {below}
 
 
 # --- the equivalences ----------------------------------------------------------

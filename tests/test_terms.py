@@ -377,7 +377,8 @@ def test_hypothesis_add_commutes(s, t):
 
 
 # --- deep terms ---------------------------------------------------------------
-# Terms 10^5 nodes deep parse, hash, render and evaluate without recursion.
+# Terms 10^5 nodes deep parse, hash, render, evaluate, compose and apply
+# without recursion.
 # Two separately built deep terms still compare by nested tuples, which
 # recurses, so these tests compare rendered text and values, not terms.
 
@@ -418,6 +419,21 @@ def test_deep_chain_parses_and_renders_back(deep_chain):
     assert s.render() == text
     assert p.size == DEEP - 1 + siblings
     assert p.render() == context_text
+
+
+def test_deep_context_composes_and_applies(deep_chain):
+    steps, bottom, text, _, context_text, p = deep_chain
+    assert compose(HOLE, p).render() == context_text
+    assert compose(p, HOLE).render() == context_text
+    q = parse_context("a([]+b)", AB)
+    assert compose(p, q).render() == "a(" + context_text + "+b)"
+    assert compose(q, p).render() == context_text.replace("[]", "a([]+b)")
+    assert apply_context(parse_forest(bottom, AB), p).render() == text
+    # with the empty forest in the hole, the last step's node is a leaf
+    assert steps[-1][1] is None and steps[-2][1] is None
+    cut = text.rindex("(")  # before the bottom node, then its ")"
+    expected = text[:cut] + text[cut + 3 :]
+    assert apply_context(EMPTY, p).render() == expected
 
 
 def _fold(rec, steps, h):
