@@ -90,8 +90,7 @@ def _clause_instances(violations):
     return out
 
 
-def test_cases_cover_every_category_and_reach_closure_failures():
-    assert len(CASES) == len(SMALL) + sum(c.harr_size + c.arr_size for _, c in SMALL)
+def test_cases_reach_closure_failures():
     preserve = 0
     for _, cat, n, cov in CASES:
         rep = verify_covering(cat, FlatMaskAlgebra(n), cov)
