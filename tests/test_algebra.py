@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -409,3 +410,95 @@ def test_search_division_caps():
     big = samples.flat_subsets(4)
     with pytest.raises(BudgetError):
         search_division(samples.flat_or(), big)
+
+
+# --- failure reports of verify_division and pi_check -------------------------------
+
+
+def _half_projection():
+    """flat_or divides flat_or x flat_z2 through the elements whose z2
+    coordinate is 0, a proper subalgebra, mapped to their first coordinate.
+    In the product, index 2i + j is the pair (i, j) on both sides."""
+    orr = samples.flat_or()
+    prod, hs, vs = direct_product(orr, samples.flat_z2())
+    hc = tuple(i for i in range(prod.h_size) if hs[i][1] == 0)
+    vc = tuple(i for i in range(prod.v_size) if vs[i][1] == 0)
+    w = DivisionWitness(hc, vc, {i: hs[i][0] for i in hc}, {i: vs[i][0] for i in vc})
+    return orr, prod, w
+
+
+def test_division_reports_on_changed_maps():
+    orr, prod, w = _half_projection()
+    assert verify_division(orr, prod, w).ok
+    expected = {
+        ("h", 0): [("h-map-surjective", ()), ("h-map-zero", ()), ("map-ins", (0, 0))],
+        ("h", 2): [
+            ("h-map-surjective", ()), ("map-act", (0, 2)), ("map-act", (2, 2)),
+            ("map-ins", (0, 2)),
+        ],
+        ("v", 0): [("v-map-surjective", ()), ("v-map-one", ()), ("map-act", (0, 0))],
+        ("v", 2): [
+            ("v-map-surjective", ()), ("map-act", (0, 2)), ("map-ins", (0, 2)),
+            ("map-ins", (2, 2)),
+        ],
+    }
+    got = {}
+    for side, field_name in (("h", "h_map"), ("v", "v_map")):
+        for x in getattr(w, field_name):
+            changed = dict(getattr(w, field_name))
+            changed[x] = 1 - changed[x]
+            rep = verify_division(orr, prod, dataclasses.replace(w, **{field_name: changed}))
+            assert not rep.ok
+            got[side, x] = rep.violations
+    assert got == expected
+
+
+def test_division_reports_on_grown_and_shrunk_carriers():
+    orr, prod, w = _half_projection()
+    expected = {
+        ("h", 0): [("h-carrier-zero", ())],
+        ("h", 1): [
+            ("h-carrier-add-closed", (2, 1)), ("h-carrier-add-closed", (1, 2)),
+            ("h-carrier-act-closed", (1, 2)), ("v-carrier-ins-closed", (0, 1)),
+            ("v-carrier-ins-closed", (2, 1)),
+        ],
+        ("h", 2): [("h-carrier-act-closed", (0, 2))],
+        ("h", 3): [("v-carrier-ins-closed", (0, 3)), ("v-carrier-ins-closed", (2, 3))],
+        ("v", 0): [("v-carrier-one", ())],
+        ("v", 1): [
+            ("h-carrier-act-closed", (0, 1)), ("h-carrier-act-closed", (2, 1)),
+            ("v-carrier-mul-closed", (2, 1)), ("v-carrier-mul-closed", (1, 2)),
+            ("v-carrier-ins-closed", (1, 2)),
+        ],
+        ("v", 2): [("v-carrier-ins-closed", (0, 2))],
+        ("v", 3): [("h-carrier-act-closed", (0, 3)), ("h-carrier-act-closed", (2, 3))],
+    }
+    got = {}
+    for side, field_name in (("h", "h_carrier"), ("v", "v_carrier")):
+        carrier = getattr(w, field_name)
+        for x in range(4):
+            # grow by an element outside the carrier, or shrink by one inside
+            changed = tuple(y for y in carrier if y != x) if x in carrier else carrier + (x,)
+            rep = verify_division(orr, prod, dataclasses.replace(w, **{field_name: changed}))
+            assert not rep.ok
+            got[side, x] = rep.violations
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        (samples.flat_or(), samples.flat_or()),
+        (samples.trivial_algebra(), samples.flat_trunc3()),
+        (samples.flat_or(), samples.flat_z2()),
+    ],
+)
+def test_pi_check_rejects_every_changed_projection_entry(outer, inner):
+    wp = wreath(outer, inner)
+    assert wp.pi_check()
+    for name, size in (("pi_h", inner.h_size), ("pi_v", inner.v_size)):
+        pi = getattr(wp, name)
+        for i in range(len(pi)):
+            for d in range(1, size):
+                changed = pi[:i] + ((pi[i] + d) % size,) + pi[i + 1:]
+                assert not dataclasses.replace(wp, **{name: changed}).pi_check(), (name, i, d)
