@@ -110,12 +110,6 @@ class ForestAlgebra:
     def ins_(self, v, h):
         return self.ins[v][h]
 
-    def h_elements(self):
-        return range(self.h_size)
-
-    def v_elements(self):
-        return range(self.v_size)
-
     def h_idempotent(self):
         return all(self.add[h][h] == h for h in range(self.h_size))
 
@@ -306,22 +300,72 @@ class FlatMaskAlgebra:
         return isinstance(other, FlatMaskAlgebra) and other.n_symbols == self.n_symbols
 
 
+# The four operations in report order: (left kind, elementwise operation,
+# right kind, result kind, table name, carrier clause, map clause), where a
+# kind is "h" or "v".
+_OPS = (
+    ("h", "h_add", "h", "h", "add", "h-carrier-add-closed", "h-map-add"),
+    ("h", "act_", "v", "h", "act", "h-carrier-act-closed", "map-act"),
+    ("v", "v_mul", "v", "v", "mul", "v-carrier-mul-closed", "v-map-mul"),
+    ("v", "ins_", "h", "v", "ins", "v-carrier-ins-closed", "map-ins"),
+)
+
+
+def _tables(ops, h_elems, h_index, v_elems, v_index):
+    """The add, act, mul and ins tables of the elements under `ops`, which
+    offers the elementwise protocol: row x and column y hold the index of
+    x op y, and the indices may number classes of elements."""
+    elems, index = {"h": h_elems, "v": v_elems}, {"h": h_index, "v": v_index}
+    tables = []
+    for left, op, right, result, _, _, _ in _OPS:
+        op, at, rights = getattr(ops, op), index[result], elems[right]
+        tables.append([[at[op(x, y)] for y in rights] for x in elems[left]])
+    return tables
+
+
+def _products(ops, h_elems, v_elems):
+    """One row per element x and operation: (entry of _OPS, x, the right
+    operands y, the products x op y), in report order: the H elements, then
+    the V elements, each with its operations in _OPS order."""
+    elems = {"h": h_elems, "v": v_elems}
+    for kind in ("h", "v"):
+        row = [(e, getattr(ops, e[1]), elems[e[2]]) for e in _OPS if e[0] == kind]
+        for x in elems[kind]:
+            for entry, op, rights in row:
+                yield entry, x, rights, [op(x, y) for y in rights]
+
+
+def _map_failures(ops, h_elems, v_elems, h_map, v_map, target):
+    """Yield (map clause, (x, y)) for each product of the elements under
+    `ops` whose image under h_map and v_map is not the product of the images
+    in the target's tables, in report order."""
+    maps = {"h": h_map, "v": v_map}
+    for entry, x, rights, products in _products(ops, h_elems, v_elems):
+        left, _, right, result, name, _, clause = entry
+        row, image, right_image = getattr(target, name)[maps[left][x]], maps[result], maps[right]
+        for y, z in zip(rights, products):
+            if image[z] != row[right_image[y]]:
+                yield clause, (x, y)
+
+
+def _classes(elems, signature):
+    """Number the classes of elements with equal signatures in order of first
+    appearance; return each element's class and each class's first element."""
+    class_of, first, number = {}, [], {}
+    for x in elems:
+        c = class_of[x] = number.setdefault(signature(x), len(first))
+        if c == len(first):
+            first.append(x)
+    return class_of, first
+
+
 def direct_product(a, b):
     """Componentwise product algebra, with index = i_a * b_size + i_b."""
-
-    def hx(i, j):
-        return i * b.h_size + j
-
-    def vx(i, j):
-        return i * b.v_size + j
-
-    hs = [(i, j) for i in range(a.h_size) for j in range(b.h_size)]
-    vs = [(i, j) for i in range(a.v_size) for j in range(b.v_size)]
-    add = [[hx(a.add[x1][y1], b.add[x2][y2]) for (y1, y2) in hs] for (x1, x2) in hs]
-    mul = [[vx(a.mul[x1][y1], b.mul[x2][y2]) for (y1, y2) in vs] for (x1, x2) in vs]
-    act = [[hx(a.act[h1][v1], b.act[h2][v2]) for (v1, v2) in vs] for (h1, h2) in hs]
-    ins = [[vx(a.ins[v1][h1], b.ins[v2][h2]) for (h1, h2) in hs] for (v1, v2) in vs]
-    alg = validate_algebra(add, hx(a.zero, b.zero), mul, vx(a.one, b.one), act, ins)
+    hs = list(itertools.product(range(a.h_size), range(b.h_size)))
+    vs = list(itertools.product(range(a.v_size), range(b.v_size)))
+    h_index, v_index = {x: i for i, x in enumerate(hs)}, {u: i for i, u in enumerate(vs)}
+    add, act, mul, ins = _tables(PairOps(a, b), hs, h_index, vs, v_index)
+    alg = validate_algebra(add, h_index[a.zero, b.zero], mul, v_index[a.one, b.one], act, ins)
     return alg, hs, vs
 
 
@@ -693,63 +737,22 @@ class SyntacticResult:
 
 def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     """Minimal algebra recognizing the same language: restrict to the part
-    reachable from the letters, then refine by acceptance experiments.
+    reachable from the letters, identify the H elements that no context
+    separates, and identify the V elements that act alike on those classes.
 
+    The first partition is already a congruence, so no refinement follows.
     Contexts alone are experiment-complete because 1 + g = ins(one, g) lies
-    in V, so additive experiments are subsumed.
+    in V: h + g is h ins(one, g), and h v w is h (v w), so a context that
+    separates h + g from h' + g, or h v from h' v, separates h from h'.
     """
     alg = rec.algebra
     gen = generate(alg, rec.morphism.letters, budget=alg.h_size + alg.v_size)
     hs = sorted(gen.h_index)
     vs = sorted(gen.v_index)
-    accept = set(rec.accept)
-
-    # initial partition of H by all context experiments
-    def h_sig0(h):
-        return tuple(alg.act[h][v] in accept for v in vs)
-
-    h_class = {}
-    sigs = {}
-    for h in hs:
-        sig = h_sig0(h)
-        h_class[h] = sigs.setdefault(sig, len(sigs))
-
-    # refine to a congruence (stable under act and add); the experiment
-    # partition is already stable, the loop guards the claim
-    while True:
-        new_sigs = {}
-        new_class = {}
-        for h in hs:
-            sig = (
-                h_class[h],
-                tuple(h_class[alg.act[h][v]] for v in vs),
-                tuple(h_class[alg.add[h][g]] for g in hs),
-            )
-            new_class[h] = new_sigs.setdefault(sig, len(new_sigs))
-        if len(new_sigs) == len(set(h_class.values())):
-            break
-        h_class = new_class
-
-    # collapse V by action on H classes
-    v_class = {}
-    v_sigs = {}
-    for v in vs:
-        sig = tuple(h_class[alg.act[h][v]] for h in hs)
-        v_class[v] = v_sigs.setdefault(sig, len(v_sigs))
-
-    n_h = len(set(h_class.values()))
-    n_v = len(set(v_class.values()))
-    h_rep = {}
-    for h in hs:
-        h_rep.setdefault(h_class[h], h)
-    v_rep = {}
-    for v in vs:
-        v_rep.setdefault(v_class[v], v)
-
-    add = [[h_class[alg.add[h_rep[i]][h_rep[j]]] for j in range(n_h)] for i in range(n_h)]
-    mul = [[v_class[alg.mul[v_rep[i]][v_rep[j]]] for j in range(n_v)] for i in range(n_v)]
-    act = [[h_class[alg.act[h_rep[i]][v_rep[j]]] for j in range(n_v)] for i in range(n_h)]
-    ins = [[v_class[alg.ins[v_rep[i]][h_rep[j]]] for j in range(n_h)] for i in range(n_v)]
+    accept = rec.accept
+    h_class, h_reps = _classes(hs, lambda h: tuple(alg.act[h][v] in accept for v in vs))
+    v_class, v_reps = _classes(vs, lambda v: tuple(h_class[alg.act[h][v]] for h in hs))
+    add, act, mul, ins = _tables(alg, h_reps, h_class, v_reps, v_class)
     syn = validate_algebra(add, h_class[alg.zero], mul, v_class[alg.one], act, ins)
 
     letters = {a: v_class[rec.morphism.letters[a]] for a in rec.alphabet}
@@ -757,9 +760,9 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     new_accept = frozenset(h_class[h] for h in hs if h in accept)
     out_rec = Recognizer(morphism, new_accept)
 
-    h_terms = tuple(witness_forest(gen, gen.h_index[h_rep[i]]) for i in range(n_h))
-    v_terms = tuple(witness_context(gen, gen.v_index[v_rep[i]]) for i in range(n_v))
-    return SyntacticResult(syn, dict(h_class), dict(v_class), out_rec, h_terms, v_terms)
+    h_terms = tuple(witness_forest(gen, gen.h_index[h]) for h in h_reps)
+    v_terms = tuple(witness_context(gen, gen.v_index[v]) for v in v_reps)
+    return SyntacticResult(syn, h_class, v_class, out_rec, h_terms, v_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -829,29 +832,8 @@ class WreathProduct:
         ph, pv = self.pi_h, self.pi_v
         if ph[alg.zero] != inner.zero or pv[alg.one] != inner.one:
             return False
-        for i in range(alg.h_size):
-            for j in range(alg.h_size):
-                if ph[alg.add[i][j]] != inner.add[ph[i]][ph[j]]:
-                    return False
-            for u in range(alg.v_size):
-                if ph[alg.act[i][u]] != inner.act[ph[i]][pv[u]]:
-                    return False
-        for u in range(alg.v_size):
-            for w in range(alg.v_size):
-                if pv[alg.mul[u][w]] != inner.mul[pv[u]][pv[w]]:
-                    return False
-            for i in range(alg.h_size):
-                if pv[alg.ins[u][i]] != inner.ins[pv[u]][ph[i]]:
-                    return False
-        return True
-
-
-def _wreath_tables(ops, h_elems, h_index, v_elems, v_index):
-    add = [[h_index[ops.h_add(x, y)] for y in h_elems] for x in h_elems]
-    mul = [[v_index[ops.v_mul(u, w)] for w in v_elems] for u in v_elems]
-    act = [[h_index[ops.act_(x, u)] for u in v_elems] for x in h_elems]
-    ins = [[v_index[ops.ins_(u, x)] for x in h_elems] for u in v_elems]
-    return add, mul, act, ins
+        hs, vs = range(alg.h_size), range(alg.v_size)
+        return next(_map_failures(alg, hs, vs, ph, pv, inner), None) is None
 
 
 def _check_no_vertical_collapse(act_table, v_count):
@@ -886,13 +868,11 @@ def wreath(outer, inner, budget=100000):
     ]
     h_index = {x: i for i, x in enumerate(h_elems)}
     v_index = {u: i for i, u in enumerate(v_elems)}
-    add, mul, act, ins = _wreath_tables(ops, h_elems, h_index, v_elems, v_index)
+    add, act, mul, ins = _tables(ops, h_elems, h_index, v_elems, v_index)
     # faithfulness holds because both factors are faithful; the check guards
     # the tables anyway and errors on collapse
     _check_no_vertical_collapse(act, len(v_elems))
-    alg = validate_algebra(
-        add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins
-    )
+    alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
     return WreathProduct(
@@ -914,14 +894,10 @@ def wreath_generated(outer, inner, v_gens, h_gens=(), budget=20000):
     gen = generate(ops, letters, h_gens, budget=budget)
     h_elems = sorted(gen.h_index)
     h_index = {x: i for i, x in enumerate(h_elems)}
-    v_index, class_of, v_elems = {}, {}, []
-    for u in sorted(gen.v_index):
-        column = tuple(h_index[ops.act_(x, u)] for x in h_elems)
-        if column not in class_of:
-            class_of[column] = len(v_elems)
-            v_elems.append(u)
-        v_index[u] = class_of[column]
-    add, mul, act, ins = _wreath_tables(ops, h_elems, h_index, v_elems, v_index)
+    v_index, v_elems = _classes(
+        sorted(gen.v_index), lambda u: tuple(h_index[ops.act_(x, u)] for x in h_elems)
+    )
+    add, act, mul, ins = _tables(ops, h_elems, h_index, v_elems, v_index)
     alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
@@ -942,10 +918,7 @@ def generated_subalgebra(alg, h_gens=(), v_gens=()):
     v_embed = tuple(sorted(gen.v_index))
     h_index = {h: i for i, h in enumerate(h_embed)}
     v_index = {v: i for i, v in enumerate(v_embed)}
-    add = [[h_index[alg.add[x][y]] for y in h_embed] for x in h_embed]
-    mul = [[v_index[alg.mul[u][w]] for w in v_embed] for u in v_embed]
-    act = [[h_index[alg.act[x][u]] for u in v_embed] for x in h_embed]
-    ins = [[v_index[alg.ins[u][x]] for x in h_embed] for u in v_embed]
+    add, act, mul, ins = _tables(alg, h_embed, h_index, v_embed, v_index)
     sub = ForestAlgebra(
         h_size=len(h_embed),
         add=_freeze(add),
@@ -1000,29 +973,19 @@ def verify_division(target, ambient, w: DivisionWitness) -> CheckReport:
     rep = CheckReport(True)
     hc = list(w.h_carrier)
     vc = list(w.v_carrier)
-    hset, vset = set(hc), set(vc)
-    if ambient.h_zero not in hset:
+    carrier = {"h": set(hc), "v": set(vc)}
+    if ambient.h_zero not in carrier["h"]:
         rep.fail("h-carrier-zero", ())
-    if ambient.v_one not in vset:
+    if ambient.v_one not in carrier["v"]:
         rep.fail("v-carrier-one", ())
-    for x in hc:
-        for y in hc:
-            if ambient.h_add(x, y) not in hset:
-                rep.fail("h-carrier-add-closed", (x, y))
-        for u in vc:
-            if ambient.act_(x, u) not in hset:
-                rep.fail("h-carrier-act-closed", (x, u))
-    for u in vc:
-        for v in vc:
-            if ambient.v_mul(u, v) not in vset:
-                rep.fail("v-carrier-mul-closed", (u, v))
-        for x in hc:
-            if ambient.ins_(u, x) not in vset:
-                rep.fail("v-carrier-ins-closed", (u, x))
+    for (_, _, _, result, _, clause, _), x, rights, products in _products(ambient, hc, vc):
+        for y, z in zip(rights, products):
+            if z not in carrier[result]:
+                rep.fail(clause, (x, y))
     if not rep.ok:
         return rep
     hm, vm = w.h_map, w.v_map
-    if set(hm) != hset or set(vm) != vset:
+    if set(hm) != carrier["h"] or set(vm) != carrier["v"]:
         rep.fail("map-domain", ())
         return rep
     if set(hm.values()) != set(range(target.h_size)):
@@ -1033,20 +996,8 @@ def verify_division(target, ambient, w: DivisionWitness) -> CheckReport:
         rep.fail("h-map-zero", ())
     if vm[ambient.v_one] != target.one:
         rep.fail("v-map-one", ())
-    for x in hc:
-        for y in hc:
-            if hm[ambient.h_add(x, y)] != target.add[hm[x]][hm[y]]:
-                rep.fail("h-map-add", (x, y))
-        for u in vc:
-            if hm[ambient.act_(x, u)] != target.act[hm[x]][vm[u]]:
-                rep.fail("map-act", (x, u))
-    for u in vc:
-        for v in vc:
-            if vm[ambient.v_mul(u, v)] != target.mul[vm[u]][vm[v]]:
-                rep.fail("v-map-mul", (u, v))
-        for x in hc:
-            if vm[ambient.ins_(u, x)] != target.ins[vm[u]][hm[x]]:
-                rep.fail("map-ins", (u, x))
+    for clause, where in _map_failures(ambient, hc, vc, hm, vm, target):
+        rep.fail(clause, where)
     return rep
 
 

@@ -64,16 +64,10 @@ __all__ = [
     "LtVerdict",
     "DecideBudgets",
     "decide_lt",
-    "h_idempotent_necessary",
     "separating_context",
     "WreathRecognizer",
     "lt_wreath_recognizer",
 ]
-
-
-def h_idempotent_necessary(rec: Recognizer) -> bool:
-    """Necessary condition: the syntactic horizontal monoid is idempotent."""
-    return syntactic_algebra(rec).algebra.h_idempotent()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .algebra import (
     TmDivisionWitness,
     WreathOps,
     _as_map,
+    _classes,
     evaluate_context,
     evaluate_forest,
     generate,
@@ -109,9 +110,6 @@ class DerivedCategory:
     arrow_rep: tuple  # arrow id -> representative vpair index
     arrow_of: dict  # (vpair index, object index) -> arrow id
 
-    def harr_of_pair(self, pair):
-        return self.pa.h_index[pair]
-
 
 def derived_category(pa: PairAlgebra) -> DerivedCategory:
     """Materialize the derived category from a complete pair closure; the
@@ -150,20 +148,11 @@ def derived_category(pa: PairAlgebra) -> DerivedCategory:
         vector = tuple(a1.act[h1][v1] for h1 in r_sets[oi])
         return (oi, end, vector)
 
-    arrow_keys = []
-    key_index = {}
-    arrow_rep = []
-    arrow_of = {}
-    for vp_idx in range(len(pa.v_pairs)):
-        for oi in range(len(objects)):
-            key = key_of(vp_idx, oi)
-            aid = key_index.get(key)
-            if aid is None:
-                aid = len(arrow_keys)
-                key_index[key] = aid
-                arrow_keys.append(key)
-                arrow_rep.append(vp_idx)
-            arrow_of[(vp_idx, oi)] = aid
+    # an arrow is a class of vertical pairs placed at a start object
+    placed = [(vp_idx, oi) for vp_idx in range(len(pa.v_pairs)) for oi in range(len(objects))]
+    arrow_of, firsts = _classes(placed, lambda at: key_of(*at))
+    arrow_keys = [key_of(*at) for at in firsts]
+    arrow_rep = [vp_idx for vp_idx, _ in firsts]
 
     arr_size = len(arrow_keys)
     arr_start = tuple(k[0] for k in arrow_keys)
