@@ -76,19 +76,34 @@ class _Universe:
     def entry(self, tid):
         return self._entries[tid]
 
-    def truncate(self, tid, j):
-        depth, label, children = self._entries[tid]
-        if j > depth:
-            raise ValueError("cannot truncate a depth-%d type to depth %d" % (depth, j))
-        if j == depth:
+    def _truncated(self, tid, j):
+        """The depth-j truncation of a type when it needs no work, else None."""
+        if j == self._entries[tid][0]:
             return tid
         if j == 0:
             return ATOM
-        cached = self._trunc.get((tid, j))
-        if cached is None:
-            cached = self.intern(j, label, frozenset(self.truncate(c, j - 1) for c in children))
-            self._trunc[(tid, j)] = cached
-        return cached
+        return self._trunc.get((tid, j))
+
+    def truncate(self, tid, j):
+        depth = self._entries[tid][0]
+        if j > depth:
+            raise ValueError("cannot truncate a depth-%d type to depth %d" % (depth, j))
+        out = self._truncated(tid, j)
+        if out is not None:
+            return out
+        # children first, from an explicit stack, so any depth truncates
+        stack = [(tid, j)]
+        while stack:
+            t, i = stack[-1]
+            _, label, children = self._entries[t]
+            todo = [(c, i - 1) for c in children if self._truncated(c, i - 1) is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            kids = frozenset(self._truncated(c, i - 1) for c in children)
+            self._trunc[t, i] = self.intern(i, label, kids)
+        return self._trunc[tid, j]
 
     def render(self, tid):
         # children first, from an explicit stack, so any depth renders
@@ -327,9 +342,6 @@ class LtMachine:
     k: int
     recognizer: Recognizer
     states: tuple  # H index -> (node type ids, root type ids at k-1)
-
-    def signature_index(self, s: Forest) -> int:
-        return self.recognizer.morphism.eval_forest(s)
 
 
 def _apply_letter_sig(a, state, k, view=None):

@@ -19,9 +19,9 @@ in a context the hole spine is rendered first.
 
 Parsing (one tokenizer and one shift-reduce loop), rendering (from an
 explicit stack), hashing (each node combines its size and label with its
-children's cached hashes), `apply_context` and `compose` (loops along the
-hole spine) work at any depth.  The equality of two separately built terms,
-which compares nested keys, still recurses along the depth.
+children's cached hashes), comparison (the built-in tuple comparison of keys
+for small terms, an explicit stack for large ones), `apply_context` and
+`compose` (loops along the hole spine) work at any depth.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -79,7 +79,53 @@ def make_alphabet(labels) -> frozenset:
     return frozenset(out)
 
 
-class Tree:
+# Terms with fewer nodes than this nest their keys shallowly enough for the
+# built-in tuple comparison, which recurses along the nesting.
+_SHALLOW = 128
+
+
+def _key_order(x, y):
+    """-1, 0 or 1 as key x sorts before, with or after key y in Python's
+    tuple order, walked from an explicit stack so keys of any depth compare:
+    the items of the common prefix in order, then the lengths."""
+    stack = [(x, y)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is tuple:
+            stack.append((len(x), len(y)))
+            stack.extend(reversed(list(zip(x, y))))
+        elif x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+class _Term:
+    """Equality, order and hash of a term from its `key`, `size` and `_hash`.
+    A key nests at most about twice as deep as its term has nodes, and a
+    comparison descends no deeper than the shallower key, so a term below
+    _SHALLOW nodes compares with the built-in tuple comparison."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)) or self._hash != other._hash:
+            return False
+        if self.size < _SHALLOW:
+            return self.key == other.key
+        return _key_order(self.key, other.key) == 0
+
+    def __lt__(self, other):
+        if self.size < _SHALLOW or other.size < _SHALLOW:
+            return self.key < other.key
+        return _key_order(self.key, other.key) < 0
+
+    def __hash__(self):
+        return self._hash
+
+
+class Tree(_Term):
     """A node label over a canonical forest of children."""
 
     __slots__ = ("label", "children", "size", "key", "_hash")
@@ -93,15 +139,6 @@ class Tree:
         # from the children's cached hash, so a node hashes in O(1)
         self._hash = hash((self.size, label, children._hash))
 
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.key == other.key
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __hash__(self):
-        return self._hash
-
     def render(self):
         return _render((self,))
 
@@ -109,7 +146,7 @@ class Tree:
         return "Tree[%s]" % self.render()
 
 
-class Forest:
+class Forest(_Term):
     """A canonical multiset of trees; the horizontal part of the free algebra."""
 
     __slots__ = ("trees", "size", "key", "_hash")
@@ -124,15 +161,6 @@ class Forest:
     @property
     def is_empty(self):
         return not self.trees
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.key == other.key
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __add__(self, other):
         return Forest(self.trees + other.trees)
@@ -178,7 +206,7 @@ def _render(trees):
     return "".join(out)
 
 
-class Context:
+class Context(_Term):
     """A forest with exactly one hole at a leaf slot; acts on forests by
     substitution of the whole slot (a multi-tree forest may be plugged in).
 
@@ -204,15 +232,6 @@ class Context:
     @property
     def is_hole(self):
         return self.spine is None and self.rest.is_empty
-
-    def __eq__(self, other):
-        return isinstance(other, Context) and self.key == other.key
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __hash__(self):
-        return self._hash
 
     def render(self):
         # the hole spine first, then the rest of each level after its ")"

@@ -143,6 +143,15 @@ def test_deep_chain_types():
     assert _renders(root_types(s, k)) == {below}
 
 
+def test_deep_type_truncates():
+    # the root's depth-600 type of a chain 3000 deep
+    _, _, text = _chain(3000, seed=1)
+    s = f(text)
+    (t,) = root_types(s, 600)
+    for j in (599, 400, 100, 1, 0):
+        assert {truncate(t, j)} == root_types(s, j)
+
+
 # --- the equivalences ----------------------------------------------------------
 
 

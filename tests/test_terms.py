@@ -378,9 +378,7 @@ def test_hypothesis_add_commutes(s, t):
 
 # --- deep terms ---------------------------------------------------------------
 # Terms 10^5 nodes deep parse, hash, render, evaluate, compose and apply
-# without recursion.
-# Two separately built deep terms still compare by nested tuples, which
-# recurses, so these tests compare rendered text and values, not terms.
+# without recursion; terms thousands of nodes deep compare and sort.
 
 DEEP = 10**5
 
@@ -473,3 +471,48 @@ def test_short_chains_evaluate_as_a_bottom_up_fold(make):
         assert rec.morphism.eval_forest(s) == value
         v = rec.morphism.eval_context(p)
         assert all(alg.act[h][v] == _fold(rec, steps, h) for h in range(alg.h_size))
+
+
+def test_separately_parsed_deep_chains_compare_equal():
+    _, _, text, context_text = _chain(3000, seed=1)
+    s, t = parse_forest(text, AB), parse_forest(text, AB)
+    assert s is not t and s == t and not s < t and not t < s
+    p, q = parse_context(context_text, AB), parse_context(context_text, AB)
+    assert p is not q and p == q and not p < q
+
+
+def test_a_sum_of_two_deep_chains_sorts_its_siblings():
+    _, _, text, _ = _chain(3000, seed=1)
+    _, _, other, _ = _chain(3000, seed=2)
+    s = parse_forest(text, AB)
+    assert parse_forest(text + "+" + text, AB) == s + s
+    # chains with the same shape have the same size, so they sort by labels
+    t = parse_forest(other, AB)
+    assert s.size == t.size and s != t
+    first, second = sorted([text, other], key=lambda x: parse_forest(x, AB))
+    assert parse_forest(other + "+" + text, AB).render() == first + "+" + second
+
+
+def test_large_terms_order_as_their_keys():
+    # equal-sized terms past the shallow bound compare from an explicit
+    # stack; the order must stay Python's tuple order on the keys, which the
+    # built-in comparison still reaches at these depths
+    forests, contexts = [], []
+    for depth in (120, 150, 150, 200):
+        for seed in range(4):
+            _, _, text, context_text = _chain(depth, seed=seed)
+            for variant in (text, text.replace("a", "b", 1), text[::-1].replace("a", "b", 1)[::-1]):
+                forests.append(parse_forest(variant, AB))
+            contexts.append(parse_context(context_text, AB))
+    forests.append(forests[0] + forests[5])
+    forests.append(forests[5] + forests[0])
+    for pool in (forests, contexts):
+        assert any(x.size == y.size and x != y for x in pool for y in pool)
+        for x in pool:
+            for y in pool:
+                assert (x < y) == (x.key < y.key)
+                assert (x == y) == (x.key == y.key)
+        assert sorted(pool) == sorted(pool, key=lambda term: term.key)
+        assert [x.render() for x in sorted(pool)] == [
+            x.render() for x in sorted(pool, key=lambda term: term.key)
+        ]
