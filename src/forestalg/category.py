@@ -452,8 +452,7 @@ class _Enumerator:
         self.cat = cat
         # a leaf is ("h", c) or an extra like ("o", x); each gets an index bit
         self.extra = tuple(extra_leaves)
-        self._trees = {}  # size -> list of (tree, end, slots_mask)
-        self._tree_list = []  # size-major global list
+        self._tree_list = []  # size-major: (tree, size, end, slots_mask)
         self._tree_offsets = {0: 0}
         self._forests = {}
 
@@ -463,14 +462,14 @@ class _Enumerator:
             level = []
             if size == 1:
                 for c in range(self.cat.harr_size):
-                    level.append((("h", c), self.cat.harr_end[c], 0))
+                    level.append((("h", c), 1, self.cat.harr_end[c], 0))
                 for i, end in enumerate(self.extra):
-                    level.append((("s", i, end), end, 1 << i))
+                    level.append((("s", i, end), 1, end, 1 << i))
             else:
                 for u in range(self.cat.arr_size):
                     for forest, rootsum, slots in self.forests_exact(size - 1):
                         if rootsum == self.cat.arr_start[u]:
-                            level.append((("n", u, forest), self.cat.arr_end[u], slots))
+                            level.append((("n", u, forest), size, self.cat.arr_end[u], slots))
             self._tree_list.extend(level)
             self._tree_offsets[size] = len(self._tree_list)
         return self._tree_list[: self._tree_offsets[n]]
@@ -490,10 +489,9 @@ class _Enumerator:
                     out.append((tuple(acc), rootsum, slots))
                     return
                 for idx in range(min_idx, len(trees)):
-                    tree, end, tslots = trees[idx]
-                    size = _tree_size(tree)
+                    tree, size, end, tslots = trees[idx]
                     if size > remaining:
-                        continue
+                        break  # so are all later trees: the list is size-major
                     if tslots & slots:
                         continue  # each exposed slot used at most once
                     acc.append(tree)
@@ -509,12 +507,6 @@ class _Enumerator:
             build(n, 0, [], self.cat.obj_zero, 0)
         self._forests[key] = out
         return out
-
-
-def _tree_size(tree):
-    if tree[0] != "n":
-        return 1
-    return 1 + sum(_tree_size(t) for t in tree[2])
 
 
 def brute_force_global_ic(cat, max_nodes):

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from forestalg import samples
+from forestalg import derived, ktypes, samples
+from forestalg.algebra import syntactic_algebra
 from forestalg.category import (
     CategoryLawError,
     DiagramError,
@@ -182,6 +185,111 @@ def test_derived_identities_transfer_on_two_object_category():
     rep2 = check_derived_identities(samples.z2_fiber_category(), transfer_bound=4)
     # the fiber category fails global ic; some derived identity must fail too
     assert not rep2.all_hold()
+
+
+# --- diagram enumeration ------------------------------------------------------------
+
+
+class RefEnumerator:
+    """The enumerator as it was before trees carried their sizes: every
+    candidate tree's size is recomputed, and too-large trees are skipped
+    rather than ending the scan."""
+
+    def __init__(self, cat, extra_leaves=()):
+        self.cat = cat
+        self.extra = tuple(extra_leaves)
+        self._tree_list = []
+        self._tree_offsets = {0: 0}
+        self._forests = {}
+
+    def trees_upto(self, n):
+        top = max(self._tree_offsets)
+        for size in range(top + 1, n + 1):
+            level = []
+            if size == 1:
+                for c in range(self.cat.harr_size):
+                    level.append((("h", c), self.cat.harr_end[c], 0))
+                for i, end in enumerate(self.extra):
+                    level.append((("s", i, end), end, 1 << i))
+            else:
+                for u in range(self.cat.arr_size):
+                    for forest, rootsum, slots in self.forests_exact(size - 1):
+                        if rootsum == self.cat.arr_start[u]:
+                            level.append((("n", u, forest), self.cat.arr_end[u], slots))
+            self._tree_list.extend(level)
+            self._tree_offsets[size] = len(self._tree_list)
+        return self._tree_list[: self._tree_offsets[n]]
+
+    def forests_exact(self, n):
+        if n in self._forests:
+            return self._forests[n]
+        if n == 0:
+            out = [((), self.cat.obj_zero, 0)]
+        else:
+            trees = self.trees_upto(n)
+            out = []
+
+            def build(remaining, min_idx, acc, rootsum, slots):
+                if remaining == 0:
+                    out.append((tuple(acc), rootsum, slots))
+                    return
+                for idx in range(min_idx, len(trees)):
+                    tree, end, tslots = trees[idx]
+                    size = ref_tree_size(tree)
+                    if size > remaining or tslots & slots:
+                        continue
+                    acc.append(tree)
+                    rootsum2 = self.cat.obj_sum(rootsum, end)
+                    build(remaining - size, idx, acc, rootsum2, slots | tslots)
+                    acc.pop()
+
+            build(n, 0, [], self.cat.obj_zero, 0)
+        self._forests[n] = out
+        return out
+
+
+def ref_tree_size(tree):
+    if tree[0] != "n":
+        return 1
+    return 1 + sum(ref_tree_size(t) for t in tree[2])
+
+
+def sample_categories():
+    return [
+        or_cat(),
+        z2_cat(),
+        one_object_category(samples.flat_max3()),
+        one_object_category(samples.flat_trunc3()),
+        samples.interval_category(),
+        samples.z2_fiber_category(),
+    ]
+
+
+@pytest.mark.parametrize("slots, max_nodes", [(0, 5), (3, 4)])
+def test_enumerator_matches_reference(slots, max_nodes):
+    # with three slot leaves on object 0, as the horizontal transfer check
+    # enumerates multicontexts; the reference needs seconds past 4 nodes
+    for cat in sample_categories():
+        enum, ref = _Enumerator(cat, (0,) * slots), RefEnumerator(cat, (0,) * slots)
+        for n in range(max_nodes + 1):
+            assert enum.forests_exact(n) == ref.forests_exact(n)
+
+
+def test_derived_identities_on_a_derived_category_with_hundreds_of_arrows():
+    srec = syntactic_algebra(samples.parity_a("ab")).recognizer
+    ka = ktypes.ktype_algebra(srec.alphabet, 1)
+    cat = derived.derived_category(derived.pair_closure(srec.morphism, ka.morphism)).category
+    assert (cat.obj_size, cat.harr_size, cat.arr_size) == (16, 30, 399)
+    start = time.perf_counter()
+    rep = check_derived_identities(cat, 3)
+    # about 0.3 s; a scan that does not stop at the first too-large tree
+    # runs for minutes here
+    assert time.perf_counter() - start < 30
+    # parity is not locally testable: three of the four consequences fail
+    assert rep.horizontal_swap is None
+    assert rep.vertical_idempotence == (17,)
+    assert rep.nested_insertion_variant == (0, 1, 16, 2)
+    assert rep.horizontal_transfer == (0, 3, 5, "<slot0:1>+<slot1:0>+<slot2:1>")
 
 
 # --- brute force -------------------------------------------------------------------
