@@ -105,7 +105,7 @@ class _Term:
     """Equality, order and hash of a term from its `key`, `size` and `_hash`.
     A key nests at most about twice as deep as its term has nodes, and a
     comparison descends no deeper than the shallower key, so a term below
-    _SHALLOW nodes compares with the built-in tuple comparison."""
+    _SHALLOW nodes compares with anything by the built-in tuple comparison."""
 
     __slots__ = ()
 
@@ -117,7 +117,7 @@ class _Term:
         return _key_order(self.key, other.key) == 0
 
     def __lt__(self, other):
-        if self.size < _SHALLOW or other.size < _SHALLOW:
+        if self.size < _SHALLOW:
             return self.key < other.key
         return _key_order(self.key, other.key) < 0
 
