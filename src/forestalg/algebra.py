@@ -13,7 +13,6 @@ objects here are immutable after validation; operations are pure.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -501,11 +500,6 @@ def recognizer_from_json(data):
     return Recognizer(m, frozenset(data["accept"]))
 
 
-def load_recognizer(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return recognizer_from_json(json.load(fh))
-
-
 def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     """Forest algebra of a deterministic bottom-up forest automaton.
 
@@ -628,65 +622,64 @@ class Generated:
 
 def generate(ops, letters, h_gens=(), *, budget):
     """The least H containing zero and `h_gens` and the least V containing
-    one that are closed under h_add and act_ (H) and under right
-    multiplication by the letter images and ins_ (V).  In a forest algebra
-    ins(v, h) = v ins(one, h), so V is then closed under v_mul too.
+    one that are closed under h_add and act_ (H) and under v_mul and ins_
+    (V), closed by generators.  The additive generators are the elements
+    admitted as one of `h_gens` or as a tree value x g (x in H, g a letter
+    image).  H closes under adding them and under the letter actions, V under
+    right multiplication by the letter images and under ins(v, t) for the
+    generators t.  In a forest algebra that is enough: every H element is a
+    sum of generators, and ins(v, h) = v ins(one, h) is additive in h.
 
     `ops` offers the elementwise protocol; `letters` maps labels to V
-    elements.  Semi-naive: elements are processed in admission order, each
-    against the elements processed before it and itself, so every pair meets
-    once.  Raises BudgetError once |H| + |V| exceeds `budget`."""
+    elements.  Each element meets each generator and letter once, so the
+    work is O((|H| + |V|)(#generators + #letters)); raises BudgetError once
+    |H| + |V| exceeds `budget`."""
     h_add, v_mul, act, ins = ops.h_add, ops.v_mul, ops.act_, ops.ins_
     gens = sorted(letters.items())
-    h_elems, h_index, h_derivs = [], {}, []
-    v_elems, v_index, v_derivs = [], {}, []
+    H = h_elems, h_index, h_derivs = [], {}, []
+    V = v_elems, v_index, v_derivs = [], {}, []
+    adds = []  # the H indices of the additive generators
 
     def admit(elems, index, derivs, x, deriv):
-        index[x] = len(elems)
-        elems.append(x)
-        derivs.append(deriv)
-        if len(h_elems) + len(v_elems) > budget:
-            raise BudgetError(
-                "generated closure exceeded budget",
-                {"h": len(h_elems), "v": len(v_elems), "budget": budget},
-            )
+        if x not in index:
+            index[x] = len(elems)
+            elems.append(x)
+            derivs.append(deriv)
+            if deriv[0] in ("gen", "act"):
+                adds.append(index[x])
+            if len(h_elems) + len(v_elems) > budget:
+                raise BudgetError(
+                    "generated closure exceeded budget",
+                    {"h": len(h_elems), "v": len(v_elems), "budget": budget},
+                )
+        return index[x]
 
-    admit(v_elems, v_index, v_derivs, ops.v_one, ("one",))
-    admit(h_elems, h_index, h_derivs, ops.h_zero, ("zero",))
+    admit(*V, ops.v_one, ("one",))
+    admit(*H, ops.h_zero, ("zero",))
     for i, x in enumerate(h_gens):
-        if x not in h_index:
-            admit(h_elems, h_index, h_derivs, x, ("gen", i))
-    hi = vi = 0  # the elements below these indices are processed
-    while vi < len(v_elems) or hi < len(h_elems):
-        if vi < len(v_elems):
-            u = v_elems[vi]
+        admit(*H, x, ("gen", i))
+    # below hi, vi and ti are processed; a generator meets the elements
+    # processed before it, and the later ones meet it when they are processed
+    hi = vi = ti = 0
+    while ti < len(adds) or vi < len(v_elems) or hi < len(h_elems):
+        if ti < len(adds):
+            j = adds[ti]
+            for i in range(hi):
+                admit(*H, h_add(h_elems[i], h_elems[j]), ("add", i, j))
+            for i in range(vi):
+                admit(*V, ins(v_elems[i], h_elems[j]), ("ins", i, j))
+            ti += 1
+        elif vi < len(v_elems):
             for a, g in gens:
-                z = v_mul(u, g)
-                if z not in v_index:
-                    admit(v_elems, v_index, v_derivs, z, ("letter", vi, a))
-            for j in range(hi):
-                x = h_elems[j]
-                z = ins(u, x)
-                if z not in v_index:
-                    admit(v_elems, v_index, v_derivs, z, ("ins", vi, j))
-                z = act(x, u)
-                if z not in h_index:
-                    admit(h_elems, h_index, h_derivs, z, ("act", j, vi))
+                admit(*V, v_mul(v_elems[vi], g), ("letter", vi, a))
+            for j in adds[:ti]:
+                admit(*V, ins(v_elems[vi], h_elems[j]), ("ins", vi, j))
             vi += 1
         else:
-            x = h_elems[hi]
-            for j in range(hi + 1):
-                z = h_add(x, h_elems[j])
-                if z not in h_index:
-                    admit(h_elems, h_index, h_derivs, z, ("add", hi, j))
-            for j in range(vi):
-                u = v_elems[j]
-                z = act(x, u)
-                if z not in h_index:
-                    admit(h_elems, h_index, h_derivs, z, ("act", hi, j))
-                z = ins(u, x)
-                if z not in v_index:
-                    admit(v_elems, v_index, v_derivs, z, ("ins", j, hi))
+            for _, g in gens:
+                admit(*H, act(h_elems[hi], g), ("act", hi, v_index[g]))
+            for j in adds[:ti]:
+                admit(*H, h_add(h_elems[hi], h_elems[j]), ("add", hi, j))
             hi += 1
     return Generated(
         tuple(h_elems), tuple(v_elems), h_index, v_index, tuple(h_derivs), tuple(v_derivs)
@@ -704,25 +697,44 @@ def _as_map(pairs):
     return {x: pairs[i][1] for x, i in first.items()}
 
 
+# derivation step -> its operands' kinds and the term built from their terms
+_STEPS = {
+    "zero": ("", lambda d: terms.EMPTY),
+    "add": ("hh", lambda d, s, t: s + t),
+    "act": ("hv", lambda d, s, p: apply_context(s, p)),
+    "one": ("", lambda d: terms.HOLE),
+    "letter": ("v", lambda d, p: terms.compose(p, Context(terms.EMPTY, (d[2], terms.HOLE)))),
+    "ins": ("vh", lambda d, p, s: terms.compose(p, Context(s, None))),
+}
+
+
+def _replay(gen, kind, i, done=None):
+    """Replay derivation i of kind "h" or "v" of a `Generated` into a term,
+    operands first from an explicit stack, each at most once per memo `done`."""
+    derivs = {"h": gen.h_derivs, "v": gen.v_derivs}
+    done, stack = {} if done is None else done, [(kind, i)]
+    while stack:
+        at = stack[-1]
+        d = derivs[at[0]][at[1]]
+        kinds, build = _STEPS[d[0]]
+        operands = list(zip(kinds, d[1:]))
+        todo = [o for o in operands if o not in done]
+        stack.extend(todo)
+        if not todo:
+            stack.pop()
+            if at not in done:  # it was on the stack twice
+                done[at] = build(d, *map(done.get, operands))
+    return done[kind, i]
+
+
 def witness_forest(gen, i) -> Forest:
-    """Replay the derivation of horizontal element i of a `Generated` into a
-    forest that evaluates to it; generators in `h_gens` have no forest."""
-    d = gen.h_derivs[i]
-    if d[0] == "zero":
-        return terms.EMPTY
-    if d[0] == "add":
-        return witness_forest(gen, d[1]) + witness_forest(gen, d[2])
-    return apply_context(witness_forest(gen, d[1]), witness_context(gen, d[2]))
+    """A forest evaluating to horizontal element i of a `Generated` (none for `h_gens`)."""
+    return _replay(gen, "h", i)
 
 
 def witness_context(gen, j) -> Context:
     """Replay the derivation of vertical element j into a context."""
-    d = gen.v_derivs[j]
-    if d[0] == "one":
-        return terms.HOLE
-    if d[0] == "letter":
-        return terms.compose(witness_context(gen, d[1]), Context(terms.EMPTY, (d[2], terms.HOLE)))
-    return terms.compose(witness_context(gen, d[1]), Context(witness_forest(gen, d[2]), None))
+    return _replay(gen, "v", j)
 
 
 @dataclass
@@ -760,8 +772,9 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     new_accept = frozenset(h_class[h] for h in hs if h in accept)
     out_rec = Recognizer(morphism, new_accept)
 
-    h_terms = tuple(witness_forest(gen, gen.h_index[h]) for h in h_reps)
-    v_terms = tuple(witness_context(gen, gen.v_index[v]) for v in v_reps)
+    done = {}  # one replay memo for all the representatives
+    h_terms = tuple(_replay(gen, "h", gen.h_index[h], done) for h in h_reps)
+    v_terms = tuple(_replay(gen, "v", gen.v_index[v], done) for v in v_reps)
     return SyntacticResult(syn, h_class, v_class, out_rec, h_terms, v_terms)
 
 

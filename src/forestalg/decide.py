@@ -15,15 +15,16 @@ holding at a small k settles every larger one.  A violation is conclusive
 only once its side condition is re-verified on concrete replayed terms at
 k* = |H|^2 + 1, the worst-case level.
 
-Both relations at depth k are read off one level: the depth-k root-type
-quotient and the closure of the realizable (syntactic value, root-type set)
-pairs over it, which are the half-arrows of the derived category.  R pairs
-the values whose root-type sets are included; S pairs a value with a context
-value that keeps its root-type set.  When a level exceeds the budget, R
-saturates from typed-tree value tables over the level of depth k-1 if that
-level fit (this requires idempotence), and is "unavailable" otherwise: only
-identity (ii) is checked there, and the level cannot give LT.  S falls back
-to the exact S of the last level that fit, since S shrinks as k grows.
+Both relations at depth k are read off one level: the closure of the
+realizable (syntactic value, root-type set) pairs, the half-arrows of the
+derived category, taken against the depth-k root-type quotient elementwise,
+so its transformation monoid is never built.  R pairs the values whose
+root-type sets are included; S pairs a value with a context value that keeps
+its root-type set.  When a level exceeds the budget, R saturates from
+typed-tree value tables over the level of depth k-1 if that level fit (this
+requires idempotence), and is "unavailable" otherwise: only identity (ii) is
+checked there, and the level cannot give LT.  S falls back to the exact S of
+the last level that fit, since S shrinks as k grows.
 Exactness at k* itself is out of reach for nontrivial algebras (the type
 spaces grow non-elementarily), so the pipeline is sound but partial in the
 middle and exact at the extremes.
@@ -49,6 +50,7 @@ from .algebra import (
 from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
 from .ktypes import (
     _apply_letter_root,
+    _RootTypeOps,
     classes_predicate,
     ktype_algebra,
     root_types,
@@ -75,11 +77,12 @@ __all__ = [
 
 
 def _level(syn: SyntacticResult, k, budget):
-    """The depth-k root-type quotient and the closure of the realizable
-    (syntactic value, root-type set) pairs over it; raises BudgetError when
-    either exceeds the budget."""
-    ka = ktype_algebra(syn.recognizer.alphabet, k, budget=budget)
-    return ka, pair_closure(syn.recognizer.morphism, ka.morphism, budget=budget)
+    """The closure of the realizable (syntactic value, depth-k root-type set)
+    pairs against the elementwise root-type ops, with no quotient tables;
+    raises BudgetError when the root-type sets or the closure exceed it."""
+    ops = _RootTypeOps(syn.recognizer.alphabet, k, budget)
+    beta = Morphism(ops, syn.recognizer.alphabet, ops.letters)
+    return pair_closure(syn.recognizer.morphism, beta, budget=budget)
 
 
 class _Replayed(Mapping):
@@ -116,8 +119,8 @@ class Relation:
     witnesses: Mapping
 
 
-def _relation_r_exact(k, level):
-    ka, pa = level
+def _relation_r_exact(k, pa):
+    states = pa.beta.algebra.states
     # by_state[st] = value -> first pair index realizing it with root-type set st
     by_state = {}
     for i, (h, st) in enumerate(pa.h_pairs):
@@ -126,7 +129,7 @@ def _relation_r_exact(k, level):
     for st_s, s_values in by_state.items():
         below = {}  # values realizable with a subset of the root types of st_s
         for st_r, r_values in by_state.items():
-            if ka.states[st_r] <= ka.states[st_s]:
+            if states[st_r] <= states[st_s]:
                 for h_r, i_r in r_values.items():
                     below.setdefault(h_r, i_r)
         for h_s, i_s in s_values.items():
@@ -138,12 +141,11 @@ def _relation_r_exact(k, level):
     return Relation("R", k, "exact-closure", frozenset(handles), wit)
 
 
-def _relation_r_saturation(syn: SyntacticResult, k, level):
+def _relation_r_saturation(syn: SyntacticResult, k, pa):
     """R at depth k from the level of depth k-1 (depth 0 at k = 0); requires
     an idempotent horizontal monoid."""
     alg = syn.algebra
     m = syn.recognizer.morphism
-    _, pa = level
     # typed-tree value table at depth k: a(s) has the depth-k type (a, depth-
     # (k-1) root types of s), and at k = 0 every tree has the atom type
     by_type = {}  # tree type -> value -> (pair index of s, a) for a tree a(s)
@@ -195,14 +197,18 @@ def relation_r(rec, k, strategy="exact-closure", budget=300000):
     raise ValueError("unknown strategy %r" % strategy)
 
 
-def _relation_s_exact(k, level):
-    ka, pa = level
-    kalg = ka.algebra
+def _relation_s_exact(k, pa):
+    # column hk of the stacked depth-k V tuples: where each V pair sends set hk
+    v1s, vks = (np.array(side, dtype=np.int64) for side in zip(*pa.v_pairs))
+    keeping = {}  # hk -> (v1, first vi keeping hk with that v1), by vi
     handles = {}
     for hi, (h1, hk) in enumerate(pa.h_pairs):
-        for vi, (v1, vk) in enumerate(pa.v_pairs):
-            if kalg.act[hk][vk] == hk and (h1, v1) not in handles:
-                handles[(h1, v1)] = (hi, vi)
+        if hk not in keeping:
+            vis = np.flatnonzero(vks[:, hk] == hk)
+            _, firsts = np.unique(v1s[vis], return_index=True)
+            keeping[hk] = [(int(v1s[vi]), int(vi)) for vi in vis[np.sort(firsts)]]
+        for v1, vi in keeping[hk]:
+            handles.setdefault((h1, v1), (hi, vi))
     wit = _Replayed(handles, lambda h: (witness_forest(pa, h[0]), witness_context(pa, h[1])))
     return Relation("S", k, "exact-closure", frozenset(handles), wit)
 

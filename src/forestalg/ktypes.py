@@ -3,9 +3,9 @@
 The depth-k type of a node is the atom for k = 0, and otherwise the pair of
 its label and the set of depth-(k-1) types of its children.  Two forests are
 root-equivalent at depth k when their root type sets agree; that relation is
-a forest algebra congruence, and the quotient is materialized here as tables
-over the reachable root-type sets.  k-local testability is phrased over the
-finer relation that also compares the type sets of all nodes.
+a forest algebra congruence; its quotient is built here, as tables over the
+reachable root-type sets or elementwise.  k-local testability is phrased
+over the finer relation that also compares the type sets of all nodes.
 
 Types are hash-consed in an append-only interner; ids are stable within a
 session, and the canonical text rendering is what goes into transcripts.
@@ -308,6 +308,34 @@ def _require_root_sets_fit(n_letters, k, budget):
             )
 
 
+class _RootTypeOps:
+    """The depth-k root-type quotient elementwise, with no transformation
+    monoid: H indexes the reachable root-type sets `states` and V is the
+    tuple of indices a context sends them to; `add` is the union table."""
+
+    def __init__(self, alphabet, k, budget):
+        _require_root_sets_fit(len(alphabet), k, budget)
+        step = lambda a, st: _apply_letter_root(a, st, k)
+        self.states = tuple(_discover(frozenset(), step, alphabet, budget))
+        index = {st: i for i, st in enumerate(self.states)}
+        self.add = [[index[x | y] for y in self.states] for x in self.states]
+        self.h_zero = index[frozenset()]
+        self.v_one = tuple(range(len(self.states)))
+        self.letters = {a: tuple(index[step(a, st)] for st in self.states) for a in alphabet}
+
+    def h_add(self, x, y):
+        return self.add[x][y]
+
+    def v_mul(self, u, w):
+        return tuple(map(w.__getitem__, u))  # u, then w
+
+    def act_(self, h, v):
+        return v[h]
+
+    def ins_(self, v, h):
+        return tuple(map(self.add[h].__getitem__, v))  # v, then add h
+
+
 def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
     """Materialize the depth-k root-type quotient as a forest algebra.
 
@@ -320,16 +348,9 @@ def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
     if k < 0:
         raise ValueError("k must be nonnegative")
     alphabet = terms.make_alphabet(alphabet)
-    _require_root_sets_fit(len(alphabet), k, budget)
-    ordered = _discover(frozenset(), lambda a, st: _apply_letter_root(a, st, k), alphabet, budget)
-    index = {st: i for i, st in enumerate(ordered)}
-    add = [[index[x | y] for y in ordered] for x in ordered]
-    letter_maps = {
-        a: [index[_apply_letter_root(a, st, k)] for st in ordered] for a in sorted(alphabet)
-    }
-    alg, letters, _ = transformation_algebra(add, index[frozenset()], letter_maps, budget)
-    morphism = Morphism(alg, alphabet, letters)
-    return KTypeAlgebra(alphabet, k, alg, morphism, tuple(ordered))
+    ops = _RootTypeOps(alphabet, k, budget)
+    alg, letters, _ = transformation_algebra(ops.add, ops.h_zero, ops.letters, budget)
+    return KTypeAlgebra(alphabet, k, alg, Morphism(alg, alphabet, letters), ops.states)
 
 
 @dataclass

@@ -289,7 +289,7 @@ def test_derived_identities_on_a_derived_category_with_hundreds_of_arrows():
     assert rep.horizontal_swap is None
     assert rep.vertical_idempotence == (17,)
     assert rep.nested_insertion_variant == (0, 1, 16, 2)
-    assert rep.horizontal_transfer == (0, 3, 5, "<slot0:1>+<slot1:0>+<slot2:1>")
+    assert rep.horizontal_transfer == (0, 3, 9, "<slot0:1>+<slot1:0>+<slot2:1>")
 
 
 # --- brute force -------------------------------------------------------------------

@@ -16,9 +16,10 @@ import itertools
 
 import pytest
 
-from forestalg import decide, ktypes, samples, terms
+from forestalg import algebra, decide, ktypes, samples, terms
 from forestalg.algebra import (
     BudgetError,
+    Generated,
     Morphism,
     Recognizer,
     syntactic_algebra,
@@ -596,7 +597,7 @@ def _joint_inputs(alphabet):
 
 
 # relation_r's joint (value, root-type set) closure is the pair closure of its
-# level, whose guard runs in ktype_algebra
+# level, whose guard runs in ktypes._RootTypeOps, as in ktype_algebra
 
 
 @pytest.mark.parametrize("alphabet,k", list(N_TYPES))
@@ -696,3 +697,70 @@ def test_decide_ends_unknown_when_no_exact_r_fits():
     assert entry["r_strategy"] == "unavailable"
     assert entry["r_size"] is None
     assert entry["s_size"] is not None
+
+
+# --- levels and witness replay -------------------------------------------------------
+
+
+def test_levels_build_neither_the_ktype_algebra_nor_a_transformation_monoid(monkeypatch):
+    rec = samples.a_has_b_child("abcd")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level built the depth-k quotient's tables")
+
+    for module, name in [(ktypes, "ktype_algebra"), (decide, "ktype_algebra")] + [
+        (module, "transformation_algebra") for module in (algebra, ktypes)
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    verdict = decide_lt(rec)
+    assert (verdict.kind, verdict.level) == ("LT", 2)
+
+
+def ref_witness_forest(gen, i):
+    """The recursive replay, which replays a shared sub-derivation at each
+    place it is used."""
+    d = gen.h_derivs[i]
+    if d[0] == "zero":
+        return terms.EMPTY
+    if d[0] == "add":
+        return ref_witness_forest(gen, d[1]) + ref_witness_forest(gen, d[2])
+    return apply_context(ref_witness_forest(gen, d[1]), ref_witness_context(gen, d[2]))
+
+
+def ref_witness_context(gen, j):
+    d = gen.v_derivs[j]
+    if d[0] == "one":
+        return terms.HOLE
+    if d[0] == "letter":
+        letter = terms.Context(terms.EMPTY, (d[2], terms.HOLE))
+        return terms.compose(ref_witness_context(gen, d[1]), letter)
+    return terms.compose(ref_witness_context(gen, d[1]), terms.Context(ref_witness_forest(gen, d[2]), None))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_replay_renders_the_recursive_replay_on_every_level(k):
+    n = 0
+    for syn in SYNTACTIC + list(SEARCH_SYN.values()):
+        try:
+            pa = decide._level(syn, k, DecideBudgets().closure_budget)
+        except BudgetError:
+            continue
+        for i in range(len(pa.h_pairs)):
+            assert witness_forest(pa, i).render() == ref_witness_forest(pa, i).render()
+        for j in range(len(pa.v_pairs)):
+            assert witness_context(pa, j).render() == ref_witness_context(pa, j).render()
+        n += 1
+    assert n >= (4 if k == 2 else 15)
+
+
+def test_a_derivation_ten_thousand_steps_deep_replays_and_renders():
+    n = 10**4
+    h_derivs = (("zero",),) + tuple(("act", i, 1) for i in range(n))
+    v_derivs = (("one",),) + tuple(("letter", j, "a") for j in range(n))
+    gen = Generated((), (), {}, {}, h_derivs, v_derivs)
+    s = witness_forest(gen, n)
+    assert s.size == n
+    assert s.render() == "a(" * (n - 1) + "a" + ")" * (n - 1)
+    p = witness_context(gen, n)
+    assert p.size == n
+    assert p.render() == "a(" * n + "[]" + ")" * n

@@ -5,21 +5,23 @@ The reference functions below are the loops those closures used before: the
 round-robin loops behind `syntactic_algebra`, `pair_closure`, the joint
 closure of `dct_backward`, `tm_to_division`, `generated_subalgebra` and
 `wreath_generated`, the forced-image propagation of `search_division` and the
-K worklist of `dct_forward`.  The engine must generate the same element sets,
-the closures that sort their elements must return the same tables and
-witnesses, and every derivation must replay to its element.
+K worklist of `dct_forward`, and the engine's own earlier closure, which
+paired every element with every other.  The engine must generate the same
+element sets, the closures that sort their elements must return the same
+tables and witnesses, and every derivation must replay to its element.
 """
 
 import itertools
 
 import pytest
 
-from forestalg import decide, ktypes, samples
+from forestalg import algebra, decide, derived, ktypes, samples
 from forestalg.algebra import (
     AlgebraLawError,
     BudgetError,
     DivisionWitness,
     ForestAlgebra,
+    Generated,
     PairOps,
     WreathOps,
     WreathProduct,
@@ -52,6 +54,66 @@ from forestalg.terms import enumerate_forests, make_alphabet
 A = make_alphabet("a")
 
 # --- reference loops -----------------------------------------------------------
+
+
+def ref_generate(ops, letters, h_gens=(), *, budget):
+    """The engine as it was: each element, in admission order, meets every
+    element processed before it and itself, at O((|H| + |V|)^2)."""
+    h_add, v_mul, act, ins = ops.h_add, ops.v_mul, ops.act_, ops.ins_
+    gens = sorted(letters.items())
+    h_elems, h_index, h_derivs = [], {}, []
+    v_elems, v_index, v_derivs = [], {}, []
+
+    def admit(elems, index, derivs, x, deriv):
+        index[x] = len(elems)
+        elems.append(x)
+        derivs.append(deriv)
+        if len(h_elems) + len(v_elems) > budget:
+            raise BudgetError(
+                "generated closure exceeded budget",
+                {"h": len(h_elems), "v": len(v_elems), "budget": budget},
+            )
+
+    admit(v_elems, v_index, v_derivs, ops.v_one, ("one",))
+    admit(h_elems, h_index, h_derivs, ops.h_zero, ("zero",))
+    for i, x in enumerate(h_gens):
+        if x not in h_index:
+            admit(h_elems, h_index, h_derivs, x, ("gen", i))
+    hi = vi = 0  # the elements below these indices are processed
+    while vi < len(v_elems) or hi < len(h_elems):
+        if vi < len(v_elems):
+            u = v_elems[vi]
+            for a, g in gens:
+                z = v_mul(u, g)
+                if z not in v_index:
+                    admit(v_elems, v_index, v_derivs, z, ("letter", vi, a))
+            for j in range(hi):
+                x = h_elems[j]
+                z = ins(u, x)
+                if z not in v_index:
+                    admit(v_elems, v_index, v_derivs, z, ("ins", vi, j))
+                z = act(x, u)
+                if z not in h_index:
+                    admit(h_elems, h_index, h_derivs, z, ("act", j, vi))
+            vi += 1
+        else:
+            x = h_elems[hi]
+            for j in range(hi + 1):
+                z = h_add(x, h_elems[j])
+                if z not in h_index:
+                    admit(h_elems, h_index, h_derivs, z, ("add", hi, j))
+            for j in range(vi):
+                u = v_elems[j]
+                z = act(x, u)
+                if z not in h_index:
+                    admit(h_elems, h_index, h_derivs, z, ("act", hi, j))
+                z = ins(u, x)
+                if z not in v_index:
+                    admit(v_elems, v_index, v_derivs, z, ("ins", j, hi))
+            hi += 1
+    return Generated(
+        tuple(h_elems), tuple(v_elems), h_index, v_index, tuple(h_derivs), tuple(v_derivs)
+    )
 
 
 def ref_reachable_part(morphism):
@@ -544,12 +606,74 @@ def test_each_pair_of_elements_meets_once(index):
     ops = _Counting(rec.algebra)
     gen = generate(ops, rec.morphism.letters, budget=10**6)
     nh, nv = len(gen.h_elems), len(gen.v_elems)
+    # the additive generators are the tree values that were new when found
+    n_gens = sum(d[0] == "act" for d in gen.h_derivs)
     assert ops.calls == {
-        "h_add": nh * (nh + 1) // 2,
+        "h_add": nh * n_gens,
         "v_mul": nv * len(rec.alphabet),
-        "act_": nh * nv,
-        "ins_": nh * nv,
+        "act_": nh * len(rec.alphabet),
+        "ins_": nv * n_gens,
     }
+
+
+def _budget_call_sites():
+    syn = SYNTACTIC[5]  # a-has-b-child
+    beta = ktypes.ktype_algebra(syn.recognizer.alphabet, 1).morphism
+    dc, delta = list(_factorizations())[1]
+    outer, inner, gens = _wreath_letters("ab", 1)
+    for call in (
+        lambda: pair_closure(syn.recognizer.morphism, beta, budget=5),
+        lambda: dct_backward(dc, delta, budget=3),
+        lambda: wreath_generated(outer, inner, gens, budget=5),
+    ):
+        with pytest.raises(BudgetError):
+            call()
+
+
+# one run of each closure on `generate` over the inputs above
+GENERATE_CALL_SITES = {
+    "syntactic_algebra": lambda: [syntactic_algebra(rec) for rec in RECOGNIZERS],
+    "pair_closure": lambda: [
+        pair_closure(syn.recognizer.morphism, ktypes.ktype_algebra(syn.recognizer.alphabet, k).morphism)
+        for syn in SYNTACTIC
+        for k in (0, 1)
+    ],
+    "decide_lt": lambda: [decide.decide_lt(rec) for rec in RECOGNIZERS],
+    "dct_backward": lambda: [dct_backward(dc, delta) for dc, delta in _factorizations()],
+    "dct_forward": lambda: [dct_forward(dc, cov) for dc, cov in _forward_cases()],
+    "tm_to_division": lambda: [tm_to_division(t, a, w) for t, a, w in _tm_cases()],
+    "search_division": lambda: [search_division(t, a) for t, a in _division_cases()],
+    "generated_subalgebra": lambda: [
+        generated_subalgebra(alg, h_gens, v_gens)
+        for alg in [syn.algebra for syn in SYNTACTIC] + [samples.flat_diamond()]
+        for h_gens in [(), (alg.h_size - 1,)]
+        for v_gens in itertools.combinations(range(alg.v_size), 2)
+    ],
+    "wreath_generated": lambda: [wreath_generated(*_wreath_letters(x, 1)) for x in ("a", "ab")],
+    "budget errors": _budget_call_sites,
+}
+
+
+@pytest.mark.parametrize("site", sorted(GENERATE_CALL_SITES))
+def test_generate_matches_the_pairwise_reference_at_every_call_site(site, monkeypatch):
+    calls = []
+
+    def checked(ops, letters, h_gens=(), *, budget):
+        calls.append(budget)
+        try:
+            ref = ref_generate(ops, letters, h_gens, budget=budget)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                generate(ops, letters, h_gens, budget=budget)
+            raise
+        gen = generate(ops, letters, h_gens, budget=budget)
+        assert (set(gen.h_elems), set(gen.v_elems)) == (set(ref.h_elems), set(ref.v_elems))
+        return gen
+
+    monkeypatch.setattr(algebra, "generate", checked)
+    monkeypatch.setattr(derived, "generate", checked)
+    GENERATE_CALL_SITES[site]()
+    assert calls
 
 
 @pytest.mark.parametrize("index", range(len(RECOGNIZERS)))
