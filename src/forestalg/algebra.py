@@ -36,6 +36,7 @@ __all__ = [
     "algebra_from_json",
     "recognizer_to_json",
     "recognizer_from_json",
+    "AutomatonOps",
     "PairOps",
     "Generated",
     "generate",
@@ -500,76 +501,63 @@ def recognizer_from_json(data):
     return Recognizer(m, frozenset(data["accept"]))
 
 
+class AutomatonOps:
+    """A deterministic bottom-up forest automaton in the elementwise protocol:
+    H is a state index and V the tuple of states that a context sends each
+    state to; `add` is the state addition table, `letters` maps each label to
+    its tuple, and `states` optionally names the state of each index."""
+
+    def __init__(self, add, zero, letters, states=None):
+        self.add = add
+        self.h_zero = zero
+        self.v_one = tuple(range(len(add)))
+        self.letters = letters
+        self.states = states
+
+    def h_add(self, x, y):
+        return self.add[x][y]
+
+    def v_mul(self, u, w):
+        return tuple(map(w.__getitem__, u))  # u, then w
+
+    def act_(self, h, v):
+        return v[h]
+
+    def ins_(self, v, h):
+        return tuple(map(self.add[h].__getitem__, v))  # v, then add h
+
+
 def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     """Forest algebra of a deterministic bottom-up forest automaton.
 
     Takes a commutative state monoid (h_add, zero) and one transition map per
-    letter; the vertical monoid is the transformation monoid on the states
-    generated by the letter maps and the add-with-state maps, closed under
-    composition.  Faithfulness is automatic.  Returns the algebra, the letter
-    map into V, and a derivation log per V element for witness replay:
-    ("one",), ("letter", a), ("addh", g), or ("mul", i, j) meaning element i
-    acting first, then element j.
+    letter.  H is the states, numbered as given.  V is the transformation
+    monoid on the states generated by the letter maps and the add-with-state
+    maps, closed by `generate` with every state an additive generator, and
+    numbered in its admission order (V element 0 is the identity).
+    Faithfulness is automatic.  Raises BudgetError once the states plus the
+    V elements exceed `budget`.  Returns the algebra, the letter map into V
+    and the `Generated` closure, whose V elements are the transformation
+    tuples; its derivations that insert a state have no term to replay.
     """
     n = len(h_add)
     add = _check_monoid(n, h_add, zero, "h", commutative=True)
-    ident = np.arange(n, dtype=np.int64)
-    gens = [(ident, ("one",))]
-    letter_of = {}
+    letters = {}
     for a in sorted(letter_maps):
         tau = tuple(letter_maps[a])
         if len(tau) != n or any(not (0 <= x < n) for x in tau):
             raise ValueError("letter map for %r is not a transformation of the states" % a)
-        letter_of[a] = np.array(tau, dtype=np.int64)
-        gens.append((letter_of[a], ("letter", a)))
-    for g in range(n):
-        gens.append((add[:, g], ("addh", g)))
-    # V is the rows of elems[:size], keyed by their bytes; elements are
-    # processed in admission order, each against every element known then
-    v_index = {}
-    v_derivs = []
-    elems = np.empty((max(16, len(gens)), n), dtype=np.int64)
-    size = 0
-
-    def admit(key, row, deriv):
-        nonlocal elems, size
-        if size == len(elems):
-            elems = np.concatenate([elems, np.empty_like(elems)])
-        v_index[key] = size
-        elems[size] = row
-        v_derivs.append(deriv)
-        size += 1
-
-    for tau, deriv in gens:
-        if tau.tobytes() not in v_index:
-            admit(tau.tobytes(), tau, deriv)
-    ti = 0
-    while ti < size:
-        tau = elems[ti]
-        known = elems[:size]
-        # row si: tau then sigma, and sigma then tau
-        after = known[:, tau]
-        before = tau[known]
-        for si, (key_after, key_before) in enumerate(zip(_row_keys(after), _row_keys(before))):
-            for key, row, deriv in (
-                (key_after, after[si], ("mul", ti, si)),
-                (key_before, before[si], ("mul", si, ti)),
-            ):
-                if key not in v_index:
-                    admit(key, row, deriv)
-                    if size > budget:
-                        raise BudgetError(
-                            "transformation monoid exceeded budget",
-                            {"v": size, "budget": budget},
-                        )
-        ti += 1
-    elems = elems[:size]
+        letters[a] = tau
+    ops = AutomatonOps(add.tolist(), zero, letters)
+    gen = generate(ops, letters, h_gens=range(n), budget=budget)
+    # V is the rows of elems, keyed by their bytes, in admission order
+    elems = np.array(gen.v_elems, dtype=np.int64)
+    v_index = {key: i for i, key in enumerate(_row_keys(elems))}
     mul = [[v_index[key] for key in _row_keys(elems[:, u])] for u in elems]
     act = elems.T.tolist()
     ins = [[v_index[key] for key in _row_keys(add[u].T)] for u in elems]
-    alg = validate_algebra(h_add, zero, mul, v_index[ident.tobytes()], act, ins)
-    letters = {a: v_index[tau.tobytes()] for a, tau in letter_of.items()}
-    return alg, letters, tuple(v_derivs)
+    alg = validate_algebra(h_add, zero, mul, 0, act, ins)
+    return alg, {a: gen.v_index[tau] for a, tau in letters.items()}, gen
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +704,10 @@ def _replay(gen, kind, i, done=None):
     while stack:
         at = stack[-1]
         d = derivs[at[0]][at[1]]
+        if d[0] == "gen":
+            raise ValueError(
+                "H element %d is h_gens[%d] and has no term to replay" % (at[1], d[1])
+            )
         kinds, build = _STEPS[d[0]]
         operands = list(zip(kinds, d[1:]))
         todo = [o for o in operands if o not in done]
@@ -728,12 +720,14 @@ def _replay(gen, kind, i, done=None):
 
 
 def witness_forest(gen, i) -> Forest:
-    """A forest evaluating to horizontal element i of a `Generated` (none for `h_gens`)."""
+    """A forest evaluating to horizontal element i of a `Generated`; raises
+    ValueError when its derivation reaches an element of `h_gens`."""
     return _replay(gen, "h", i)
 
 
 def witness_context(gen, j) -> Context:
-    """Replay the derivation of vertical element j into a context."""
+    """A context evaluating to vertical element j of a `Generated`, with the
+    same ValueError as `witness_forest`."""
     return _replay(gen, "v", j)
 
 

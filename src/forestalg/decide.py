@@ -50,7 +50,7 @@ from .algebra import (
 from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
 from .ktypes import (
     _apply_letter_root,
-    _RootTypeOps,
+    _root_type_ops,
     classes_predicate,
     ktype_algebra,
     root_types,
@@ -80,7 +80,7 @@ def _level(syn: SyntacticResult, k, budget):
     """The closure of the realizable (syntactic value, depth-k root-type set)
     pairs against the elementwise root-type ops, with no quotient tables;
     raises BudgetError when the root-type sets or the closure exceed it."""
-    ops = _RootTypeOps(syn.recognizer.alphabet, k, budget)
+    ops = _root_type_ops(syn.recognizer.alphabet, k, budget)
     beta = Morphism(ops, syn.recognizer.alphabet, ops.letters)
     return pair_closure(syn.recognizer.morphism, beta, budget=budget)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import terms
 from .algebra import (
+    AutomatonOps,
     BudgetError,
     Morphism,
     Recognizer,
@@ -230,32 +231,36 @@ def _state_order_key(state):
 
 
 def _discover(initial, letter_step, alphabet, budget):
-    """Close a set of states under pairwise addition and letter application;
-    returns the states in a deterministic order."""
-    states = {initial}
-    order = [initial]
-    work = [initial]
+    """The states reachable from `initial`, the zero of `_state_add`, in a
+    deterministic order, closed by generators as `algebra.generate` closes H:
+    the generators are the tree states (a letter applied to a state), and
+    each state, in admission order, gets every letter applied and every tree
+    state found so far added.  That reaches every sum of tree states, so it
+    is the closure under pairwise addition too: the last-found tree state of
+    a sum is processed after the others are found, and so is each state it
+    reaches by adding them.  The work is O(|states| (|tree states| +
+    |letters|)); raises BudgetError once the states exceed `budget`."""
+    states, order, trees = {initial}, [initial], []
     letters = sorted(alphabet)
 
     def admit(st):
-        if st not in states:
-            states.add(st)
-            order.append(st)
-            work.append(st)
-            if len(states) > budget:
-                raise BudgetError(
-                    "state closure exceeded budget",
-                    {"states": len(states), "budget": budget},
-                )
+        if st in states:
+            return False
+        states.add(st)
+        order.append(st)
+        if len(states) > budget:
+            raise BudgetError(
+                "state closure exceeded budget", {"states": len(states), "budget": budget}
+            )
+        return True
 
-    while work:
-        st = work.pop()
+    for st in order:  # admit appends, so this reaches every state
         for a in letters:
-            admit(letter_step(a, st))
-        # pairing each popped state against everything known so far covers
-        # all pairs: later states pair with st when they are popped
-        for other in list(order):
-            admit(_state_add(st, other))
+            tree = letter_step(a, st)
+            if admit(tree):
+                trees.append(tree)
+        for tree in trees:
+            admit(_state_add(st, tree))
     return sorted(states, key=_state_order_key)
 
 
@@ -268,10 +273,11 @@ def _state_add(x, y):
 @dataclass
 class KTypeAlgebra:
     """The quotient algebra of root-type equivalence at depth k, with the
-    projection morphism; H elements are reachable root-type sets and V
-    elements are concrete transformation tables on them.  Terms realizing an
-    element come from `derived.pair_closure` over this morphism, which
-    records derivations; the quotient itself keeps none."""
+    projection morphism; H elements are the reachable root-type sets, in the
+    order of `states`, and V elements are transformations of them, in
+    `transformation_algebra`'s order.  Terms realizing an element come from
+    `derived.pair_closure` over this morphism, which records derivations;
+    the quotient itself keeps none."""
 
     alphabet: frozenset
     k: int
@@ -308,47 +314,40 @@ def _require_root_sets_fit(n_letters, k, budget):
             )
 
 
-class _RootTypeOps:
+def _automaton_ops(initial, letter_step, alphabet, budget):
+    """The automaton on the states `_discover` reaches from `initial`, in its
+    order, with their `_state_add` table and letter maps, as `AutomatonOps`."""
+    states = tuple(_discover(initial, letter_step, alphabet, budget))
+    index = {st: i for i, st in enumerate(states)}
+    add = [[index[_state_add(x, y)] for y in states] for x in states]
+    letters = {a: tuple(index[letter_step(a, st)] for st in states) for a in sorted(alphabet)}
+    return AutomatonOps(add, index[initial], letters, states)
+
+
+def _root_type_ops(alphabet, k, budget):
     """The depth-k root-type quotient elementwise, with no transformation
-    monoid: H indexes the reachable root-type sets `states` and V is the
-    tuple of indices a context sends them to; `add` is the union table."""
-
-    def __init__(self, alphabet, k, budget):
-        _require_root_sets_fit(len(alphabet), k, budget)
-        step = lambda a, st: _apply_letter_root(a, st, k)
-        self.states = tuple(_discover(frozenset(), step, alphabet, budget))
-        index = {st: i for i, st in enumerate(self.states)}
-        self.add = [[index[x | y] for y in self.states] for x in self.states]
-        self.h_zero = index[frozenset()]
-        self.v_one = tuple(range(len(self.states)))
-        self.letters = {a: tuple(index[step(a, st)] for st in self.states) for a in alphabet}
-
-    def h_add(self, x, y):
-        return self.add[x][y]
-
-    def v_mul(self, u, w):
-        return tuple(map(w.__getitem__, u))  # u, then w
-
-    def act_(self, h, v):
-        return v[h]
-
-    def ins_(self, v, h):
-        return tuple(map(self.add[h].__getitem__, v))  # v, then add h
+    monoid: H indexes the reachable root-type sets `states`, V is a tuple of
+    them and `add` is the union table.  The 4^T guard runs first."""
+    _require_root_sets_fit(len(alphabet), k, budget)
+    step = lambda a, st: _apply_letter_root(a, st, k)
+    return _automaton_ops(frozenset(), step, alphabet, budget)
 
 
 def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
     """Materialize the depth-k root-type quotient as a forest algebra.
 
     H is the closure of the empty set under union and letter application,
-    all 2^T sets of the T depth-k types; V is the transformation monoid
-    generated by the letter maps and the union-with-state maps.  Budgets
-    guard both closures, H's before it starts: its union table has 4^T
+    all 2^T sets of the T depth-k types, in `_discover`'s order; V is the
+    transformation monoid generated by the letter maps and the
+    union-with-state maps, in `transformation_algebra`'s order.  The budget
+    bounds the states, then the states plus the V elements, and its 4^T
+    guard runs before either closure starts: the union table has 4^T
     entries.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     alphabet = terms.make_alphabet(alphabet)
-    ops = _RootTypeOps(alphabet, k, budget)
+    ops = _root_type_ops(alphabet, k, budget)
     alg, letters, _ = transformation_algebra(ops.add, ops.h_zero, ops.letters, budget)
     return KTypeAlgebra(alphabet, k, alg, Morphism(alg, alphabet, letters), ops.states)
 
@@ -409,16 +408,12 @@ def lt_recognizer(alphabet, k, accept, budget=4000, node_view=None) -> LtMachine
         if node_view is not None:
             raise ValueError("representative acceptSpec requires the default node view")
         accept = classes_predicate(reps, k)
-    initial = (frozenset(), frozenset())
     step = lambda a, st: _apply_letter_sig(a, st, k, node_view)
-    ordered = _discover(initial, step, alphabet, budget)
-    index = {st: i for i, st in enumerate(ordered)}
-    add = [[index[_state_add(x, y)] for y in ordered] for x in ordered]
-    letter_maps = {a: [index[step(a, st)] for st in ordered] for a in sorted(alphabet)}
-    alg, letters, _ = transformation_algebra(add, index[initial], letter_maps, budget)
+    ops = _automaton_ops((frozenset(), frozenset()), step, alphabet, budget)
+    alg, letters, _ = transformation_algebra(ops.add, ops.h_zero, ops.letters, budget)
     morphism = Morphism(alg, alphabet, letters)
-    accepted = frozenset(i for i, st in enumerate(ordered) if accept(st[0], st[1]))
-    return LtMachine(alphabet, k, Recognizer(morphism, accepted), tuple(ordered))
+    accepted = frozenset(i for i, st in enumerate(ops.states) if accept(st[0], st[1]))
+    return LtMachine(alphabet, k, Recognizer(morphism, accepted), ops.states)
 
 
 def lt_oracle(rec: Recognizer, k: int, max_nodes: int):

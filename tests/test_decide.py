@@ -597,7 +597,7 @@ def _joint_inputs(alphabet):
 
 
 # relation_r's joint (value, root-type set) closure is the pair closure of its
-# level, whose guard runs in ktypes._RootTypeOps, as in ktype_algebra
+# level, whose guard runs in ktypes._root_type_ops, as in ktype_algebra
 
 
 @pytest.mark.parametrize("alphabet,k", list(N_TYPES))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from forestalg import samples
@@ -112,6 +114,25 @@ def test_derived_category_two_letters_beta0():
         ka = ktype_algebra(AB, 0)
         dc = derived_category(pair_closure(rec.morphism, ka.morphism))
         assert check_derived_well_defined(dc)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "sample, alphabet", [("parity_a", "a"), ("contains_a", "ab"), ("a_has_b_child", "ab")]
+)
+def test_derived_tables_do_not_depend_on_the_arrow_representative(sample, alphabet, k):
+    rec = syn_rec(getattr(samples, sample)(alphabet))
+    dc = derived_category(pair_closure(rec.morphism, ktype_algebra(alphabet, k).morphism))
+    assert check_derived_well_defined(dc)
+    # one wrong comp entry, or one wrong ins entry, is caught
+    cat = dc.category
+    assert cat.arr_size > 1
+    for table in ("comp", "ins"):
+        entries = dict(getattr(cat, table))
+        key = min(entries)
+        entries[key] = (entries[key] + 1) % cat.arr_size
+        bad = dataclasses.replace(dc, category=dataclasses.replace(cat, **{table: entries}))
+        assert not check_derived_well_defined(bad)
 
 
 # --- derived category theorem, forward -----------------------------------------------

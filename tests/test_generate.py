@@ -688,6 +688,33 @@ def test_reachable_part_matches_reference(index):
         assert rec.morphism.eval_context(witness_context(gen, j)) == v
 
 
+def test_replay_through_an_h_gens_element_raises_a_value_error():
+    # an element of h_gens comes with no derivation, so no term realizes it
+    alg = syntactic_algebra(samples.contains_a()).algebra
+    gen = generate(alg, {}, [alg.h_size - 1], budget=100)
+    assert (gen.h_derivs[1], gen.v_derivs[1]) == (("gen", 0), ("ins", 0, 1))
+    for replay, i in ((witness_forest, 1), (witness_context, 1)):
+        with pytest.raises(ValueError, match=r"^H element 1 is h_gens\[0\] "):
+            replay(gen, i)
+
+
+def test_transformation_algebra_contexts_replay_unless_they_insert_a_state():
+    # every state is an h_gens element of the closure: a context built from
+    # letters alone replays to its element, one that inserts a state raises
+    h_add = [[min(i + j, 2) for j in range(3)] for i in range(3)]
+    alg, letters, gen = algebra.transformation_algebra(h_add, 0, {"a": [1, 2, 2]})
+    m = algebra.Morphism(alg, A, letters)
+    inserts = []
+    for j, d in enumerate(gen.v_derivs):
+        inserts.append(d[0] == "ins" or (d[0] == "letter" and inserts[d[1]]))
+        if inserts[j]:
+            with pytest.raises(ValueError, match=r"^H element \d+ is h_gens\[\d+\] "):
+                witness_context(gen, j)
+        else:
+            assert m.eval_context(witness_context(gen, j)) == j
+    assert sorted(set(inserts)) == [False, True]
+
+
 @pytest.mark.parametrize("index", range(len(SYNTACTIC)))
 def test_syntactic_representatives_replay_to_their_class(index):
     syn = SYNTACTIC[index]

@@ -3,9 +3,9 @@ they replaced.
 
 The reference functions below are the plain quantifier loops: they define
 which violation is "first".  The kernels must raise the same law with the
-same witness indices, build identical transformation algebras (tables,
-letter map, derivation log, budget error point) and return the same identity
-witness.
+same witness indices, build the same transformation algebras up to the
+numbering of V (and run out of budget exactly when the reference's full
+monoid does) and return the same identity witness.
 """
 
 import itertools
@@ -311,21 +311,39 @@ def test_faithfulness_reports_the_first_pair(data):
 
 
 def _assert_same_transformation_algebra(h_add, zero, letter_maps, budget):
-    try:
-        want = ref_transformation_algebra(h_add, zero, letter_maps, budget)
-    except BudgetError as e:
+    # the same algebra as the reference's full monoid, up to a renumbering of
+    # V read off each element's act column; H keeps the numbering it is given
+    n = len(h_add)
+    mul, one, act, ins, ref_letters, _ = ref_transformation_algebra(
+        h_add, zero, letter_maps, 10**9
+    )
+    if n + len(mul) > budget:
         with pytest.raises(BudgetError) as got:
             transformation_algebra(h_add, zero, letter_maps, budget)
-        assert (str(got.value), got.value.stats) == (str(e), e.stats)
+        h = min(n, budget)
+        assert str(got.value) == "generated closure exceeded budget"
+        assert got.value.stats == {"h": h, "v": budget + 1 - h, "budget": budget}
         return
-    alg, letters, derivs = transformation_algebra(h_add, zero, letter_maps, budget)
-    mul, one, act, ins, ref_letters, ref_derivs = want
-    assert alg.mul == tuple(map(tuple, mul))
-    assert alg.one == one
-    assert alg.act == tuple(map(tuple, act))
-    assert alg.ins == tuple(map(tuple, ins))
-    assert letters == ref_letters
-    assert derivs == ref_derivs
+    alg, letters, gen = transformation_algebra(h_add, zero, letter_maps, budget)
+    assert (alg.h_size, alg.add, alg.zero) == (n, tuple(map(tuple, h_add)), zero)
+    column = [tuple(row[v] for row in alg.act) for v in range(alg.v_size)]
+    ref_column = [tuple(row[v] for row in act) for v in range(len(mul))]
+    assert gen.v_elems == tuple(column)
+    assert sorted(column) == sorted(ref_column)
+    ref_of = {c: v for v, c in enumerate(ref_column)}
+    to_ref = [ref_of[c] for c in column]
+    assert to_ref[alg.one] == one
+    assert {a: to_ref[v] for a, v in letters.items()} == ref_letters
+    assert {a: column[v] for a, v in letters.items()} == {
+        a: tuple(m) for a, m in letter_maps.items()
+    }
+    vs, hs = range(alg.v_size), range(n)
+    assert [[to_ref[alg.mul[u][w]] for w in vs] for u in vs] == [
+        [mul[to_ref[u]][to_ref[w]] for w in vs] for u in vs
+    ]
+    assert [[to_ref[alg.ins[u][h]] for h in hs] for u in vs] == [
+        [ins[to_ref[u]][h] for h in hs] for u in vs
+    ]
 
 
 @pytest.mark.parametrize("args", AUTOMATA, ids=range(len(AUTOMATA)))

@@ -236,7 +236,7 @@ def test_root_type_ops_agree_with_the_ktype_algebra_tables(alphabet, k):
     # act column of one element of the validated quotient
     ka = ktype_algebra(alphabet, k)
     alg = ka.algebra
-    ops = ktypes._RootTypeOps(ka.alphabet, k, 20000)
+    ops = ktypes._root_type_ops(ka.alphabet, k, 20000)
     assert ops.states == ka.states
     hs, vs = range(alg.h_size), range(alg.v_size)
     column = [tuple(alg.act[h][v] for h in hs) for v in vs]
@@ -312,6 +312,99 @@ def test_lt_recognizer_acceptance_is_signature_invariant():
         sig = klt_signature(s, 1)
         v = machine.recognizer.accepts(s)
         assert seen.setdefault(sig, v) == v
+
+
+# --- state discovery --------------------------------------------------------------
+
+
+def ref_discover(initial, letter_step, alphabet, budget):
+    """The closure `_discover` replaced: each popped state meets every state
+    known then, so the work is quadratic in the states."""
+    states = {initial}
+    order = [initial]
+    work = [initial]
+    letters = sorted(alphabet)
+
+    def admit(st):
+        if st not in states:
+            states.add(st)
+            order.append(st)
+            work.append(st)
+            if len(states) > budget:
+                raise BudgetError(
+                    "state closure exceeded budget",
+                    {"states": len(states), "budget": budget},
+                )
+
+    while work:
+        st = work.pop()
+        for a in letters:
+            admit(letter_step(a, st))
+        for other in list(order):
+            admit(ktypes._state_add(st, other))
+    return sorted(states, key=ktypes._state_order_key)
+
+
+def _never(nodes, roots):
+    return False
+
+
+def _discovery_inputs():
+    """The (initial, letter step, alphabet, budget) inputs that the root-type
+    quotients and the LT machines built in these tests hand to `_discover`."""
+    calls = []
+    discover = ktypes._discover
+
+    def record(*args):
+        calls.append(args)
+        return discover(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ktypes, "_discover", record)
+        levels = [("a", 0), ("a", 1), ("a", 2), ("ab", 0), ("ab", 1), ("abc", 0), ("abc", 1)]
+        for alphabet, k in levels:
+            ktype_algebra(alphabet, k)
+        for alphabet, k in [("a", 1), ("ab", 1), ("abc", 1), ("a", 2)]:
+            lt_recognizer(alphabet, k, _never)
+        view = lambda t: "hit" if a_with_b_child_type(t) else None
+        lt_recognizer(AB, 2, lambda nodes, roots: "hit" in nodes, node_view=view)
+        with pytest.raises(BudgetError):
+            lt_recognizer(AB, 2, _never, budget=500)
+    return calls
+
+
+DISCOVERY_INPUTS = _discovery_inputs()
+
+
+@pytest.mark.parametrize("index", range(len(DISCOVERY_INPUTS)))
+def test_discover_matches_the_pairwise_reference(index):
+    args = DISCOVERY_INPUTS[index]
+    try:
+        want = ref_discover(*args)
+    except BudgetError as e:
+        with pytest.raises(BudgetError) as got:
+            ktypes._discover(*args)
+        assert (str(got.value), got.value.stats) == (str(e), e.stats)
+        return
+    assert ktypes._discover(*args) == want
+
+
+@pytest.mark.parametrize("alphabet, k", [("a", 3), ("ab", 2)])
+def test_discover_runs_out_of_budget_after_little_work(alphabet, k, monkeypatch):
+    # each state meets each tree state once; the pairwise closure made about
+    # 8.0M additions before raising here
+    calls = []
+    state_add = ktypes._state_add
+
+    def counted(x, y):
+        calls.append(None)
+        return state_add(x, y)
+
+    monkeypatch.setattr(ktypes, "_state_add", counted)
+    with pytest.raises(BudgetError) as exc:
+        lt_recognizer(alphabet, k, _never)
+    assert exc.value.stats == {"states": 4001, "budget": 4000}
+    assert len(calls) < 10**5
 
 
 # --- oracle -----------------------------------------------------------------------
