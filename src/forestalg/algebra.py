@@ -247,15 +247,13 @@ def validate_algebra(h_add, zero, v_mul, one, act, ins=None):
                 raise AlgebraLawError("insertion-shape", (v, h), "entry out of range")
             g = _first(mismatch[:, h])
             raise AlgebraLawError("insertion", (v, h, g), "g.ins(v,h) != g.v + h")
+    return _algebra(h_add, zero, v_mul, one, act, ins)
+
+
+def _algebra(add, zero, mul, one, act, ins):
+    """The ForestAlgebra of the given tables, frozen, with no checks."""
     return ForestAlgebra(
-        h_size=h_size,
-        add=_freeze(h_add),
-        zero=zero,
-        v_size=v_size,
-        mul=_freeze(v_mul),
-        one=one,
-        act=_freeze(act),
-        ins=_freeze(ins),
+        len(add), _freeze(add), zero, len(mul), _freeze(mul), one, _freeze(act), _freeze(ins)
     )
 
 
@@ -533,12 +531,17 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     Takes a commutative state monoid (h_add, zero) and one transition map per
     letter.  H is the states, numbered as given.  V is the transformation
     monoid on the states generated by the letter maps and the add-with-state
-    maps, closed by `generate` with every state an additive generator, and
-    numbered in its admission order (V element 0 is the identity).
-    Faithfulness is automatic.  Raises BudgetError once the states plus the
-    V elements exceed `budget`.  Returns the algebra, the letter map into V
-    and the `Generated` closure, whose V elements are the transformation
-    tuples; its derivations that insert a state have no term to replay.
+    maps, closed by `generate` and numbered in its admission order (V
+    element 0 is the identity).  As ins(v, g + h) = ins(ins(v, g), h), the
+    tree states (letter images of reachable states) generate the maps that
+    add a reachable state; the states this closure does not reach are
+    `h_gens` of a second one.  A monoid of transformations acts faithfully
+    and inserts by addition, so only the inputs are validated.  Raises
+    BudgetError once the closed states plus the V elements exceed `budget`.
+    Returns the algebra, the letter map into V and the `Generated` closure,
+    whose V elements are the transformation tuples; `witness_context`
+    replays each unless its derivation inserts an unreachable state, when it
+    raises ValueError.
     """
     n = len(h_add)
     add = _check_monoid(n, h_add, zero, "h", commutative=True)
@@ -549,14 +552,17 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
             raise ValueError("letter map for %r is not a transformation of the states" % a)
         letters[a] = tau
     ops = AutomatonOps(add.tolist(), zero, letters)
-    gen = generate(ops, letters, h_gens=range(n), budget=budget)
+    gen = generate(ops, letters, budget=budget)
+    unreached = [h for h in range(n) if h not in gen.h_index]
+    if unreached:
+        gen = generate(ops, letters, h_gens=unreached, budget=budget)
     # V is the rows of elems, keyed by their bytes, in admission order
     elems = np.array(gen.v_elems, dtype=np.int64)
     v_index = {key: i for i, key in enumerate(_row_keys(elems))}
     mul = [[v_index[key] for key in _row_keys(elems[:, u])] for u in elems]
     act = elems.T.tolist()
     ins = [[v_index[key] for key in _row_keys(add[u].T)] for u in elems]
-    alg = validate_algebra(h_add, zero, mul, 0, act, ins)
+    alg = _algebra(h_add, zero, mul, 0, act, ins)
     return alg, {a: gen.v_index[tau] for a, tau in letters.items()}, gen
 
 
@@ -843,17 +849,6 @@ class WreathProduct:
         return next(_map_failures(alg, hs, vs, ph, pv, inner), None) is None
 
 
-def _check_no_vertical_collapse(act_table, v_count):
-    seen = {}
-    for v in range(v_count):
-        column = tuple(row[v] for row in act_table)
-        if column in seen:
-            raise AlgebraLawError(
-                "wreath-collapse", (seen[column], v), "distinct vertical pairs act identically"
-            )
-        seen[column] = v
-
-
 def wreath(outer, inner, budget=100000):
     """Full wreath product outer o inner with explicit tables.
 
@@ -876,9 +871,8 @@ def wreath(outer, inner, budget=100000):
     h_index = {x: i for i, x in enumerate(h_elems)}
     v_index = {u: i for i, u in enumerate(v_elems)}
     add, act, mul, ins = _tables(ops, h_elems, h_index, v_elems, v_index)
-    # faithfulness holds because both factors are faithful; the check guards
-    # the tables anyway and errors on collapse
-    _check_no_vertical_collapse(act, len(v_elems))
+    # faithfulness holds when both factors are faithful; validation reports
+    # a collapse as a faithfulness violation
     alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
@@ -926,16 +920,7 @@ def generated_subalgebra(alg, h_gens=(), v_gens=()):
     h_index = {h: i for i, h in enumerate(h_embed)}
     v_index = {v: i for i, v in enumerate(v_embed)}
     add, act, mul, ins = _tables(alg, h_embed, h_index, v_embed, v_index)
-    sub = ForestAlgebra(
-        h_size=len(h_embed),
-        add=_freeze(add),
-        zero=h_index[alg.zero],
-        v_size=len(v_embed),
-        mul=_freeze(mul),
-        one=v_index[alg.one],
-        act=_freeze(act),
-        ins=_freeze(ins),
-    )
+    sub = _algebra(add, h_index[alg.zero], mul, v_index[alg.one], act, ins)
     return sub, h_embed, v_embed
 
 

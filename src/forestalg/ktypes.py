@@ -275,9 +275,10 @@ class KTypeAlgebra:
     """The quotient algebra of root-type equivalence at depth k, with the
     projection morphism; H elements are the reachable root-type sets, in the
     order of `states`, and V elements are transformations of them, in
-    `transformation_algebra`'s order.  Terms realizing an element come from
-    `derived.pair_closure` over this morphism, which records derivations;
-    the quotient itself keeps none."""
+    `transformation_algebra`'s order.  Every state is reachable, so the
+    closure behind V replays each element into a context, but the quotient
+    keeps no derivations; terms realizing an element come from
+    `derived.pair_closure` over this morphism."""
 
     alphabet: frozenset
     k: int
@@ -339,10 +340,11 @@ def ktype_algebra(alphabet, k, budget=20000) -> KTypeAlgebra:
     H is the closure of the empty set under union and letter application,
     all 2^T sets of the T depth-k types, in `_discover`'s order; V is the
     transformation monoid generated by the letter maps and the
-    union-with-state maps, in `transformation_algebra`'s order.  The budget
-    bounds the states, then the states plus the V elements, and its 4^T
-    guard runs before either closure starts: the union table has 4^T
-    entries.
+    union-with-state maps, in `transformation_algebra`'s order.  Every set
+    is a union of tree states (root-type sets of one tree), so the maps that
+    add those generate V.  The budget bounds the states, then the states
+    plus the V elements, and its 4^T guard runs before either closure
+    starts: the union table has 4^T entries.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -8,6 +8,7 @@ from forestalg.algebra import (
     AlgebraLawError,
     BudgetError,
     DivisionWitness,
+    ForestAlgebra,
     Morphism,
     Recognizer,
     TmDivisionWitness,
@@ -274,6 +275,15 @@ def test_wreath_action_definitional():
         for vi, (f, v1) in enumerate(wp.v_pairs):
             expect = (outer.add[h2][f[h1]], inner.act[h1][v1])
             assert wp.h_pairs[alg.act[hi][vi]] == expect
+
+
+def test_wreath_of_an_unfaithful_factor_fails_faithfulness():
+    # V = Z2 acting trivially on a one-element H: every law but faithfulness
+    # holds, and the wreath's two vertical pairs act alike
+    inner = ForestAlgebra(1, ((0,),), 0, 2, ((0, 1), (1, 0)), 0, ((0, 0),), ((0,), (1,)))
+    with pytest.raises(AlgebraLawError) as got:
+        wreath(samples.trivial_algebra(), inner)
+    assert (got.value.law, got.value.where) == ("faithfulness", (0, 1))
 
 
 def test_wreath_budget():

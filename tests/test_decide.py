@@ -504,6 +504,42 @@ def test_lt_verdicts_pass_both_identity_checks():
     assert n_lt >= 8
 
 
+def _at_most_one_node_type(nodes, roots):
+    return len(nodes) <= 1
+
+
+def _differential_inputs():
+    yield samples.contains_a()
+    yield samples.parity_a()
+    yield samples.parity_a("a")
+    yield samples.a_has_b_child("ab")
+    yield samples.empty_language()
+    yield samples.universal_language()
+    for alphabet, pred in itertools.product(
+        ("a", "ab"), (_even_node_types, _one_root_type, _at_most_one_node_type)
+    ):
+        yield ktypes.lt_recognizer(alphabet, 1, pred).recognizer
+
+
+def test_decide_lt_agrees_with_the_oracle_and_its_separators_flip_acceptance():
+    # LT at level L: no two forests of at most 6 nodes that are L-locally
+    # equivalent differ in acceptance; NotLT: the separator, put around the
+    # two sides of the evidence, gives one accepted forest and one rejected
+    kinds = []
+    for rec in _differential_inputs():
+        verdict = decide_lt(rec)
+        kinds.append(verdict.kind)
+        ev = verdict.evidence
+        if verdict.kind == "LT":
+            assert ktypes.lt_oracle(rec, verdict.level, 6) is None
+        elif verdict.kind == "NotLT":
+            sides = ("term", "doubled") if verdict.reason == "nonidempotent" else ("lhs", "rhs")
+            w = terms.parse_context(ev["separator"], rec.alphabet)
+            left, right = (terms.parse_forest(ev[side], rec.alphabet) for side in sides)
+            assert rec.accepts(apply_context(left, w)) != rec.accepts(apply_context(right, w))
+    assert (kinds.count("LT"), kinds.count("NotLT")) == (10, 2)
+
+
 # --- the depth-k type coder --------------------------------------------------------
 
 

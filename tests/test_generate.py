@@ -698,21 +698,69 @@ def test_replay_through_an_h_gens_element_raises_a_value_error():
             replay(gen, i)
 
 
-def test_transformation_algebra_contexts_replay_unless_they_insert_a_state():
-    # every state is an h_gens element of the closure: a context built from
-    # letters alone replays to its element, one that inserts a state raises
+def _inserts_a_gen(gen, j):
+    """Whether the derivation of V element j of a `Generated` reaches an
+    element of h_gens."""
+    derivs, stack = {"h": gen.h_derivs, "v": gen.v_derivs}, [("v", j)]
+    while stack:
+        kind, i = stack.pop()
+        d = derivs[kind][i]
+        if d[0] == "gen":
+            return True
+        stack.extend(zip(algebra._STEPS[d[0]][0], d[1:]))  # the operands
+    return False
+
+
+@pytest.mark.parametrize(
+    "tau, unreachable", [([1, 2, 2], False), ([0, 0, 0], True)], ids=["reachable", "unreachable"]
+)
+def test_transformation_algebra_contexts_replay_unless_they_insert_an_unreachable_state(
+    tau, unreachable
+):
+    # the tree states generate the reachable states, so only an unreachable
+    # state is an h_gens element, and only contexts inserting it have no term
     h_add = [[min(i + j, 2) for j in range(3)] for i in range(3)]
-    alg, letters, gen = algebra.transformation_algebra(h_add, 0, {"a": [1, 2, 2]})
+    alg, letters, gen = algebra.transformation_algebra(h_add, 0, {"a": tau})
     m = algebra.Morphism(alg, A, letters)
-    inserts = []
-    for j, d in enumerate(gen.v_derivs):
-        inserts.append(d[0] == "ins" or (d[0] == "letter" and inserts[d[1]]))
+    inserts = [_inserts_a_gen(gen, j) for j in range(alg.v_size)]
+    for j in range(alg.v_size):
         if inserts[j]:
             with pytest.raises(ValueError, match=r"^H element \d+ is h_gens\[\d+\] "):
                 witness_context(gen, j)
         else:
             assert m.eval_context(witness_context(gen, j)) == j
-    assert sorted(set(inserts)) == [False, True]
+    assert sorted(set(inserts)) == ([False, True] if unreachable else [False])
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (lambda: ktypes.ktype_algebra("abc", 1), (64, 263, 6)),
+        (lambda: ktypes.lt_recognizer("ab", 1, _one_root_type), (13, 37, 8)),
+    ],
+    ids=["ktype-abc-1", "lt-ab-1"],
+)
+def test_transformation_algebra_meets_each_tree_state_once(build, sizes, monkeypatch):
+    # the additive generators are the tree states alone, not every state
+    runs = []
+
+    def counted(ops, letters, h_gens=(), *, budget):
+        ops = _Counting(ops)
+        runs.append((ops, len(letters), generate(ops, letters, h_gens, budget=budget)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(algebra, "generate", counted)
+    build()
+    [(ops, n_letters, gen)] = runs  # every state is reachable: one closure
+    nh, nv = len(gen.h_elems), len(gen.v_elems)
+    n_trees = sum(d[0] == "act" for d in gen.h_derivs)
+    assert ops.calls == {
+        "h_add": nh * n_trees,
+        "v_mul": nv * n_letters,
+        "act_": nh * n_letters,
+        "ins_": nv * n_trees,
+    }
+    assert (nh, nv, n_trees) == sizes  # ktype-abc-1: 263 * 6 = 1578 ins_ calls
 
 
 @pytest.mark.parametrize("index", range(len(SYNTACTIC)))

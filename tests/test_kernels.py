@@ -312,7 +312,9 @@ def test_faithfulness_reports_the_first_pair(data):
 
 def _assert_same_transformation_algebra(h_add, zero, letter_maps, budget):
     # the same algebra as the reference's full monoid, up to a renumbering of
-    # V read off each element's act column; H keeps the numbering it is given
+    # V read off each element's act column; H keeps the numbering it is given.
+    # The closure interleaves states and V elements, so a raise pins only
+    # that one element too many was admitted, not where the split lies.
     n = len(h_add)
     mul, one, act, ins, ref_letters, _ = ref_transformation_algebra(
         h_add, zero, letter_maps, 10**9
@@ -320,11 +322,15 @@ def _assert_same_transformation_algebra(h_add, zero, letter_maps, budget):
     if n + len(mul) > budget:
         with pytest.raises(BudgetError) as got:
             transformation_algebra(h_add, zero, letter_maps, budget)
-        h = min(n, budget)
+        stats = got.value.stats
         assert str(got.value) == "generated closure exceeded budget"
-        assert got.value.stats == {"h": h, "v": budget + 1 - h, "budget": budget}
+        assert sorted(stats) == ["budget", "h", "v"] and stats["budget"] == budget
+        assert stats["h"] + stats["v"] == budget + 1
+        assert 1 <= stats["h"] <= n and stats["v"] >= 1
         return
     alg, letters, gen = transformation_algebra(h_add, zero, letter_maps, budget)
+    # the function validates only its inputs; the laws are checked here
+    assert validate_algebra(alg.add, alg.zero, alg.mul, alg.one, alg.act, alg.ins) == alg
     assert (alg.h_size, alg.add, alg.zero) == (n, tuple(map(tuple, h_add)), zero)
     column = [tuple(row[v] for row in alg.act) for v in range(alg.v_size)]
     ref_column = [tuple(row[v] for row in act) for v in range(len(mul))]
