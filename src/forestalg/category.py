@@ -792,6 +792,19 @@ def _subset_sums(a, n, sign):
     return v
 
 
+def _escapes(zeta, inside, n, clauses):
+    """The masks that some clause reaches outside its target's cover, shaped
+    like the cover indicators `inside`, given their zeta transforms.  Each
+    clause is (left, right, target) rows.  The products aimed at each target
+    are summed and each sum is inverted once: the inverse of each product
+    counts pairs and is never negative, so a sum is positive exactly where
+    some clause reaches."""
+    reach = np.zeros_like(zeta)
+    for left, right, target in clauses:
+        reach[target] += zeta[left] * zeta[right]
+    return (_subset_sums(reach, n, -1) > 0) & ~inside
+
+
 def verify_covering(cat, alg, cov: Covering) -> CoverReport:
     """Exhaustive check of the division clauses: every cover is nonempty,
     closed under each clause of `_clauses`, and disjoint from the covers of
@@ -800,9 +813,10 @@ def verify_covering(cat, alg, cov: Covering) -> CoverReport:
     The algebra only needs the elementwise protocol; cover members are its
     elements (indices for table algebras, masks for FlatMaskAlgebra).  A
     table algebra is checked member pair by member pair, and a failure names
-    the clause with the pair appended.  Over a FlatMaskAlgebra each clause is
-    one union-convolution of indicator arrays, from zeta transforms taken
-    once per cover, and a failure names the clause.
+    the clause with the pair appended.  Over a FlatMaskAlgebra the covers are
+    zeta-transformed once, one sum of union-convolutions per target finds the
+    targets that fail, and only the clauses aimed at those are convolved one
+    by one; a failure names the clause.
     """
     rep = CoverReport(True)
     for c in range(cat.harr_size):
@@ -821,10 +835,15 @@ def verify_covering(cat, alg, cov: Covering) -> CoverReport:
         for i, members in enumerate(covers):
             inside[i, list(members)] = True
         zeta = _subset_sums(inside, n, 1)
-        for name, where, _, left, right, target in _clauses(cat):
-            got = _subset_sums(zeta[row[left]] * zeta[row[right]], n, -1)
-            if (got[~inside[row[target]]] > 0).any():
-                rep.fail(name, where)
+        clauses = _clauses(cat)
+        clause_rows = [(row[left], row[right], row[target]) for *_, left, right, target in clauses]
+        failing = _escapes(zeta, inside, n, clause_rows).any(axis=1)
+        # a target fails exactly when one of the clauses aimed at it does
+        for name, where, _, left, right, target in clauses:
+            if failing[row[target]]:
+                got = _subset_sums(zeta[row[left]] * zeta[row[right]], n, -1)
+                if (got[~inside[row[target]]] > 0).any():
+                    rep.fail(name, where)
     else:
         for name, where, op, left, right, target in _clauses(cat):
             f, allowed = getattr(alg, op), covers[row[target]]
@@ -854,11 +873,9 @@ def canonical_flat_cover(cat, max_symbols=18):
     empty support at `harr_one` and at each identity arrow.  Each clause
     builds a diagram from two diagrams, and every diagram is built by clause
     instances, so the fixpoint is exactly the set of diagram supports.  Each
-    round zeta-transforms every cover once, sums the products aimed at each
-    target and inverts each sum once: the inverse of each product counts
-    pairs, so the sum is positive exactly where some clause reaches.  The
-    subset monoid has 2^(half-arrows + arrows) elements, so the symbol count
-    is capped.
+    round zeta-transforms every cover once and adds what `_escapes` finds.
+    The subset monoid has 2^(half-arrows + arrows) elements, so the symbol
+    count is capped.
 
     Returns (Covering over a FlatMaskAlgebra, stats).
     """
@@ -879,17 +896,13 @@ def canonical_flat_cover(cat, max_symbols=18):
     clauses = [(row[left], row[right], row[target]) for *_, left, right, target in _clauses(cat)]
 
     while True:
-        zeta = _subset_sums(inside, nsym, 1)
-        reach = np.zeros_like(zeta)
-        for left, right, target in clauses:
-            reach[target] += zeta[left] * zeta[right]
-        new = (_subset_sums(reach, nsym, -1) > 0) & ~inside
+        new = _escapes(_subset_sums(inside, nsym, 1), inside, nsym, clauses)
         if not new.any():
             break
         inside |= new
 
     alg = FlatMaskAlgebra(nsym)
-    covers = [frozenset(int(m) for m in np.nonzero(r)[0]) for r in inside]
+    covers = [frozenset(np.flatnonzero(r).tolist()) for r in inside]
     cov = Covering(alg, tuple(covers[:nh]), tuple(covers[nh:]))
     stats = {
         "forest_pairs": sum(len(s) for s in cov.half_cover),

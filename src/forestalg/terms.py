@@ -23,13 +23,18 @@ children's cached hashes), comparison (the built-in tuple comparison of keys
 for small terms, an explicit stack for large ones), `apply_context` and
 `compose` (loops along the hole spine) work at any depth.
 
-All values are immutable after construction and safe to share across threads.
+A parse builds one object per distinct subtree of its text, so equal
+subtrees are the same object; a forest of 10^5 nodes with few distinct
+subtrees keeps few objects alive.  All values are immutable after
+construction and safe to share across threads and between terms.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import islice
+from operator import attrgetter
 
 __all__ = [
     "Tree",
@@ -82,6 +87,7 @@ def make_alphabet(labels) -> frozenset:
 # Terms with fewer nodes than this nest their keys shallowly enough for the
 # built-in tuple comparison, which recurses along the nesting.
 _SHALLOW = 128
+_KEY, _SIZE, _HASH = attrgetter("key"), attrgetter("size"), attrgetter("_hash")
 
 
 def _key_order(x, y):
@@ -152,11 +158,15 @@ class Forest(_Term):
     __slots__ = ("trees", "size", "key", "_hash")
 
     def __init__(self, trees=()):
-        ts = sorted(trees)
+        ts = list(trees)
+        self.size = sum(map(_SIZE, ts))
+        # below _SHALLOW a tree's key orders it as __lt__ does, with no
+        # Python call per comparison
+        shallow = self.size < _SHALLOW or max(map(_SIZE, ts)) < _SHALLOW
+        ts.sort(key=_KEY if shallow else None)
         self.trees = tuple(ts)
-        self.size = sum(t.size for t in ts)
-        self.key = tuple(t.key for t in ts)
-        self._hash = hash((self.size,) + tuple(t._hash for t in ts))
+        self.key = tuple(map(_KEY, ts))
+        self._hash = hash((self.size, *map(_HASH, ts)))
 
     @property
     def is_empty(self):
@@ -286,79 +296,87 @@ def compose(p, q):
 # Parsing
 
 
-_TOKEN_RE = re.compile(r"(?P<SYM>[+()])|(?P<HOLE>\[\])|(?P<LABEL>[A-Za-z0-9_]+)|(?P<BAD>\S)")
+_TOKEN_RE = re.compile(r"[+()]|\[\]|[A-Za-z0-9_]+")
+# The first character that starts no token: a "[" without its "]", a "]"
+# that closes no "[" or a character outside the grammar.
+_BAD_RE = re.compile(r"\[(?!\])|(?<!\[)\]|[^\s+()\[\]A-Za-z0-9_]")
+# the tokens that are not labels; "" marks the end of the text
+_NOT_LABEL = frozenset(["+", "(", ")", "[]", ""])
 
 
-def _tokenize(text):
-    """The (kind, text, position) tokens of the whole text, ending with
-    ("END", "", len(text)); kind is "SYM" for "+", "(" and ")", "HOLE" or
-    "LABEL"."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, tok, pos = m.lastgroup, m.group(), m.start()
-        if kind == "BAD":
-            if tok == "[":
-                raise ParseError("expected ']' after '['", pos + 1)
-            raise ParseError("unexpected character %r" % tok, pos)
-        tokens.append((kind, tok, pos))
-    tokens.append(("END", "", len(text)))
-    return tokens
+def _position(text, i):
+    """The character position of token i of text, or len(text) for the end."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
 
 
 def _parse(text, alphabet, allow_hole):
     """One shift-reduce loop over the tokens.  Each open parenthesis has a
-    frame [label, position, trees, holes] above the top level's frame, where
-    `holes` has a (spine, position) entry per summand that is or contains the
-    hole; a level that ends is reduced into a summand of the frame below."""
-    tokens = _tokenize(text)
+    frame [label, token index, trees, holes] above the top level's frame,
+    where `holes` has a (spine, token index) entry per summand that is or
+    contains the hole; a level that ends is reduced into a summand of the
+    frame below.  Each distinct tree is built once: `shared` maps it to its
+    first instance, so equal subtrees are one object."""
+    bad = _BAD_RE.search(text)  # the whole text is read before any syntax
+    if bad is not None:
+        if bad.group() == "[":
+            raise ParseError("expected ']' after '['", bad.start() + 1)
+        raise ParseError("unexpected character %r" % bad.group(), bad.start())
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    leaves = {a: Tree(a, EMPTY) for a in alphabet}
+    shared = {t: t for t in leaves.values()}
     frames = [[None, 0, [], []]]
     i, at_start = 0, True  # at_start: the next summand is a level's first
     while True:
-        kind, tok, pos = tokens[i]
+        tok = tokens[i]
         i += 1
         _, _, trees, holes = frames[-1]
         value = None  # the value of a level that ends here
         if at_start and tok == "0":
-            if tokens[i][1] == "+":
+            if tokens[i] == "+":
                 raise ParseError(
-                    'the empty-forest literal "0" cannot appear in a sum', tokens[i][2]
+                    'the empty-forest literal "0" cannot appear in a sum', _position(text, i)
                 )
             value = EMPTY
-        elif kind == "HOLE":
+        elif tok == "[]":
             if not allow_hole:
-                raise ParseError("hole not allowed in a forest", pos)
-            holes.append((None, pos))
-        elif kind != "LABEL":
-            raise ParseError("expected a label", pos)
+                raise ParseError("hole not allowed in a forest", _position(text, i - 1))
+            holes.append((None, i - 1))
+        elif tok in _NOT_LABEL:
+            raise ParseError("expected a label", _position(text, i - 1))
         elif tok == "0":
-            raise ParseError('the empty-forest literal "0" cannot be used as a tree', pos)
-        elif tok not in alphabet:
-            raise UnknownLabelError(tok, pos)
-        elif tokens[i][1] == "(":
-            frames.append([tok, pos, [], []])
+            raise ParseError(
+                'the empty-forest literal "0" cannot be used as a tree', _position(text, i - 1)
+            )
+        elif tok not in leaves:
+            raise UnknownLabelError(tok, _position(text, i - 1))
+        elif tokens[i] == "(":
+            frames.append([tok, i - 1, [], []])
             i, at_start = i + 1, True
             continue
         else:
-            trees.append(Tree(tok, EMPTY))
-        while value is not None or tokens[i][1] != "+":
+            trees.append(leaves[tok])
+        while value is not None or tokens[i] != "+":
             if value is None:
                 if len(holes) > 1:
-                    raise ParseError("more than one hole", holes[1][1])
+                    raise ParseError("more than one hole", _position(text, holes[1][1]))
                 value = Context(Forest(trees), holes[0][0]) if holes else Forest(trees)
-            label, label_pos, _, _ = frames.pop()
-            kind, tok, pos = tokens[i]
+            label, label_at, _, _ = frames.pop()
+            tok = tokens[i]
             if not frames:
-                if kind != "END":
-                    raise ParseError("trailing input", pos)
+                if tok:
+                    raise ParseError("trailing input", _position(text, i))
                 return value
             if tok != ")":
-                raise ParseError("expected ')'", pos)
+                raise ParseError("expected ')'", _position(text, i))
             i += 1
             _, _, trees, holes = frames[-1]
             if isinstance(value, Forest):
-                trees.append(Tree(label, value))
+                tree = Tree(label, value)
+                trees.append(shared.setdefault(tree, tree))
             else:
-                holes.append(((label, value), label_pos))
+                holes.append(((label, value), label_at))
             value = None
         i, at_start = i + 1, False
 

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestalg import samples, terms
+from forestalg import ktypes, samples, terms
 from forestalg.terms import (
     EMPTY,
     HOLE,
@@ -154,6 +155,210 @@ def test_parse_error_type_message_and_position(kind, text, error, message, posit
     assert type(exc.value) is error
     assert str(exc.value) == "%s (at position %d)" % (message, position)
     assert exc.value.position == position
+
+
+# --- the parser against the reference -----------------------------------------
+# The reference is the parser before subtrees were shared: a tokenizer that
+# records every token's kind and position, and a shift-reduce loop that builds
+# a new tree per node.  The parser must give equal terms and the same errors.
+
+_REF_TOKEN_RE = re.compile(r"(?P<SYM>[+()])|(?P<HOLE>\[\])|(?P<LABEL>[A-Za-z0-9_]+)|(?P<BAD>\S)")
+
+
+def _ref_tokenize(text):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "BAD":
+            if tok == "[":
+                raise ParseError("expected ']' after '['", pos + 1)
+            raise ParseError("unexpected character %r" % tok, pos)
+        tokens.append((kind, tok, pos))
+    tokens.append(("END", "", len(text)))
+    return tokens
+
+
+def ref_parse(text, alphabet, allow_hole):
+    tokens = _ref_tokenize(text)
+    frames = [[None, 0, [], []]]
+    i, at_start = 0, True
+    while True:
+        kind, tok, pos = tokens[i]
+        i += 1
+        _, _, trees, holes = frames[-1]
+        value = None
+        if at_start and tok == "0":
+            if tokens[i][1] == "+":
+                raise ParseError(
+                    'the empty-forest literal "0" cannot appear in a sum', tokens[i][2]
+                )
+            value = EMPTY
+        elif kind == "HOLE":
+            if not allow_hole:
+                raise ParseError("hole not allowed in a forest", pos)
+            holes.append((None, pos))
+        elif kind != "LABEL":
+            raise ParseError("expected a label", pos)
+        elif tok == "0":
+            raise ParseError('the empty-forest literal "0" cannot be used as a tree', pos)
+        elif tok not in alphabet:
+            raise UnknownLabelError(tok, pos)
+        elif tokens[i][1] == "(":
+            frames.append([tok, pos, [], []])
+            i, at_start = i + 1, True
+            continue
+        else:
+            trees.append(Tree(tok, EMPTY))
+        while value is not None or tokens[i][1] != "+":
+            if value is None:
+                if len(holes) > 1:
+                    raise ParseError("more than one hole", holes[1][1])
+                value = Context(Forest(trees), holes[0][0]) if holes else Forest(trees)
+            label, label_pos, _, _ = frames.pop()
+            kind, tok, pos = tokens[i]
+            if not frames:
+                if kind != "END":
+                    raise ParseError("trailing input", pos)
+                return value
+            if tok != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+            _, _, trees, holes = frames[-1]
+            if isinstance(value, Forest):
+                trees.append(Tree(label, value))
+            else:
+                holes.append(((label, value), label_pos))
+            value = None
+        i, at_start = i + 1, False
+
+
+def _outcome(parse, text, allow_hole):
+    try:
+        return parse(text, AB, allow_hole)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def _assert_parses_as_reference(text):
+    for allow_hole in (False, True):
+        got = _outcome(terms._parse, text, allow_hole)
+        want = _outcome(ref_parse, text, allow_hole)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want, text
+        else:
+            assert type(got) is type(want)
+            assert terms._key_order(got.key, want.key) == 0
+            assert got.render() == want.render()
+            assert hash(got) == hash(want)
+
+
+def _wide_text(rng, nodes):
+    """A sum of shallow random trees over {a, b} with about `nodes` nodes."""
+
+    def tree(depth):
+        kids = rng.randint(0, 3) if depth > 1 else 0
+        label = rng.choice("ab")
+        return label + "(" + "+".join(tree(depth - 1) for _ in range(kids)) + ")" if kids else label
+
+    out, total = [], 0
+    while total < nodes:
+        out.append(tree(rng.randint(1, 5)))
+        total += sum(ch.isalnum() for ch in out[-1])
+    return "+".join(out)
+
+
+def _holes_at_each_depth(text):
+    """The text with "[]+" inserted at the top level and after each "(":
+    contexts with the hole as a sibling at every depth."""
+    cuts = [0] + [m.end() for m in re.finditer(r"\(", text)]
+    return [text[:k] + "[]+" + text[k:] for k in cuts]
+
+
+def _one_character_edits(text, rng=None, samples=None):
+    """The text with one character deleted or replaced: at every position, or
+    at `samples` seeded positions."""
+    spots = range(len(text)) if rng is None else [rng.randrange(len(text)) for _ in range(samples)]
+    for k in spots:
+        yield text[:k] + text[k + 1 :]
+        for ch in "ab0c+()[] -":
+            if ch != text[k]:
+                yield text[:k] + ch + text[k + 1 :]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_forests_parse_as_the_reference(seed):
+    rng = random.Random(seed)
+    _assert_parses_as_reference(_wide_text(rng, 20_000))
+    for edited in _one_character_edits(_wide_text(rng, 300), rng, 20):
+        _assert_parses_as_reference(edited)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_deep_chains_parse_as_the_reference(seed):
+    rng = random.Random(seed)
+    for depth in (10**4, 300):
+        _, _, text, context_text = _chain(depth, seed=seed)
+        for t in (text, context_text):
+            _assert_parses_as_reference(t)
+            if depth < 10**4:
+                for edited in _one_character_edits(t, rng, 10):
+                    _assert_parses_as_reference(edited)
+
+
+def test_contexts_with_the_hole_at_each_depth_parse_as_the_reference():
+    _, _, text, context_text = _chain(40, seed=3)
+    for t in [context_text] + _holes_at_each_depth(text) + _holes_at_each_depth("a(b(a)+a+b)+a(b)"):
+        _assert_parses_as_reference(t)
+
+
+def test_error_table_and_its_one_character_edits_parse_as_the_reference():
+    small = ["0", "a", "a(b(a)+a+b)+a(b)", "a(b(a)+a+b)+a([])", "a([]+b)+b(a)", "a(0)+a"]
+    for text in [row[1] for row in _RAISE_SITES] + small:
+        _assert_parses_as_reference(text)
+        for edited in _one_character_edits(text):
+            _assert_parses_as_reference(edited)
+
+
+# --- shared subtrees ------------------------------------------------------------
+
+
+def _nodes(s):
+    stack, out = list(s.trees), []
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        stack.extend(t.children.trees)
+    return out
+
+
+def _unshared(s):
+    """s rebuilt with a new object for every node."""
+    return Forest(Tree(t.label, _unshared(t.children)) for t in s.trees)
+
+
+def test_a_parse_shares_equal_subtrees():
+    s = f("a(b)+a(b)+b(a(b))+a(0)+a")
+    assert [t.render() for t in s.trees] == ["a", "a", "a(b)", "a(b)", "b(a(b))"]
+    a, a0, ab, ab2, bab = s.trees
+    assert a is a0 and ab is ab2 and bab.children.trees[0] is ab
+    nodes = _nodes(s)
+    assert len(nodes) == 9
+    assert len({id(t) for t in nodes}) == len({t.key for t in nodes}) == 4
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_wide_forest_has_one_object_per_distinct_subtree(seed):
+    s = f(_wide_text(random.Random(seed), 20_000))
+    nodes = _nodes(s)
+    assert len(nodes) == s.size
+    assert len({id(t) for t in nodes}) == len({t.key for t in nodes}) < s.size // 2
+    u = _unshared(s)
+    assert u == s and len({id(t) for t in _nodes(u)}) == s.size
+    for k in range(3):
+        assert ktypes.node_types(s, k) == ktypes.node_types(u, k)
+        assert ktypes.root_types(s, k) == ktypes.root_types(u, k)
+    for k in (1, 2):
+        assert ktypes.klt_signature(s, k) == ktypes.klt_signature(u, k)
 
 
 def test_alphabet_validation():
