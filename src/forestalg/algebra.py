@@ -144,10 +144,7 @@ def _check_range(arr, size, law):
 
 def _row_keys(arr):
     """The bytes of each row of a 2-d integer array, as dict keys."""
-    arr = np.ascontiguousarray(arr)
-    if arr.shape[1] == 0:
-        return [b""] * arr.shape[0]
-    return arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel().tolist()
+    return [row.tobytes() for row in np.ascontiguousarray(arr)]
 
 
 def _check_monoid(size, table, unit, name, commutative):
@@ -177,25 +174,14 @@ def _check_monoid(size, table, unit, name, commutative):
     return t
 
 
-def _derive_ins(h_size, add, v_size, act):
-    """ins(v, h) is the unique v' with g.v' = g.v + h for all g."""
-    ins = []
-    for v in range(v_size):
-        row = []
-        for h in range(h_size):
-            target = [add[act[g][v]][h] for g in range(h_size)]
-            found = None
-            for w in range(v_size):
-                if all(act[g][w] == target[g] for g in range(h_size)):
-                    if found is not None:
-                        raise AlgebraLawError(
-                            "insertion", (v, h, found, w), "two candidates act identically"
-                        )
-                    found = w
-            if found is None:
-                raise AlgebraLawError("insertion-missing", (v, h), "no element realizes g.v + h")
-            row.append(found)
-        ins.append(row)
+def _derive_ins(add, act):
+    """ins(v, h) is the unique v' with g.v' = g.v + h for all g: as the action
+    is faithful, the element whose act column is column h of add[act[:, v]]."""
+    element_of = {column: w for w, column in enumerate(_row_keys(act.T))}
+    ins = [[element_of.get(c) for c in _row_keys(add[act[:, v]].T)] for v in range(act.shape[1])]
+    missing = next(((v, row.index(None)) for v, row in enumerate(ins) if None in row), None)
+    if missing is not None:
+        raise AlgebraLawError("insertion-missing", missing, "no element realizes g.v + h")
     return ins
 
 
@@ -229,7 +215,7 @@ def validate_algebra(h_add, zero, v_mul, one, act, ins=None):
     if clash is not None:
         raise AlgebraLawError("faithfulness", clash, "distinct v act identically")
     if ins is None:
-        ins = _derive_ins(h_size, h_add, v_size, act)
+        ins = _derive_ins(add, a)
     else:
         if len(ins) != v_size or any(len(row) != h_size for row in ins):
             raise AlgebraLawError("insertion-shape", (), "ins is not %d x %d" % (v_size, h_size))
@@ -403,22 +389,26 @@ def evaluate_forest(ops, letter, s: Forest):
 
     Iterative, so any depth evaluates: the stack holds one entry per level
     above the one being summed, with that level's remaining trees, its sum
-    so far and the label above it."""
+    so far and the tree above it.  Each distinct tree object is evaluated
+    once, so the equal subtrees that a parse shares cost one lookup each."""
     h_add, act, zero = ops.h_add, ops.act_, ops.h_zero
-    stack = []
-    trees, h, label = iter(s.trees), zero, None
+    stack, value_of = [], {}  # value_of: the id of a tree of s, alive while s is, -> its value
+    trees, h, tree = iter(s.trees), zero, None
     while True:
         for t in trees:
-            if t.children.trees:
-                stack.append((trees, h, label))
-                trees, h, label = iter(t.children.trees), zero, t.label
-                break
-            h = h_add(h, act(zero, letter(t.label)))
+            value = value_of.get(id(t))
+            if value is None:
+                if t.children.trees:
+                    stack.append((trees, h, tree))
+                    trees, h, tree = iter(t.children.trees), zero, t
+                    break
+                value = value_of[id(t)] = act(zero, letter(t.label))
+            h = h_add(h, value)
         else:
             if not stack:
                 return h
-            value = act(h, letter(label))
-            trees, h, label = stack.pop()
+            value = value_of[id(tree)] = act(h, letter(tree.label))
+            trees, h, tree = stack.pop()
             h = h_add(h, value)
 
 
@@ -535,14 +525,14 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     element 0 is the identity).  As ins(v, g + h) = ins(ins(v, g), h), the
     tree states (letter images of reachable states) generate the maps that
     add a reachable state; the states this closure does not reach are
-    `h_gens` of a second one.  A monoid of transformations acts faithfully
-    and inserts by addition, so only the inputs are validated.  Raises
+    `h_gens` of a second one.  The tables are read off that closure's rows
+    by `_gen_tables`.  A monoid of transformations acts faithfully and
+    inserts by addition, so only the inputs are validated.  Raises
     BudgetError once the closed states plus the V elements exceed `budget`.
     Returns the algebra, the letter map into V and the `Generated` closure,
     whose V elements are the transformation tuples; `witness_context`
-    replays each unless its derivation inserts an unreachable state, when it
-    raises ValueError.
-    """
+    replays each unless its derivation inserts an unreachable state (then
+    ValueError)."""
     n = len(h_add)
     add = _check_monoid(n, h_add, zero, "h", commutative=True)
     letters = {}
@@ -556,13 +546,9 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     unreached = [h for h in range(n) if h not in gen.h_index]
     if unreached:
         gen = generate(ops, letters, h_gens=unreached, budget=budget)
-    # V is the rows of elems, keyed by their bytes, in admission order
-    elems = np.array(gen.v_elems, dtype=np.int64)
-    v_index = {key: i for i, key in enumerate(_row_keys(elems))}
-    mul = [[v_index[key] for key in _row_keys(elems[:, u])] for u in elems]
-    act = elems.T.tolist()
-    ins = [[v_index[key] for key in _row_keys(add[u].T)] for u in elems]
-    alg = _algebra(h_add, zero, mul, 0, act, ins)
+    # H keeps the state numbers (range(n) maps each to itself), V admission order
+    add, act, mul, ins = _gen_tables(gen, range(n), range(n), gen.v_elems, gen.v_index)
+    alg = _algebra(add, zero, mul, 0, act, ins)
     return alg, {a: gen.v_index[tau] for a, tau in letters.items()}, gen
 
 
@@ -604,7 +590,9 @@ class Generated:
     """Elements in admission order, their indices, and one derivation each:
     ("zero",) | ("gen", i) | ("add", i, j) | ("act", i, j) for H, and
     ("one",) | ("letter", i, label) | ("ins", i, j) for V, where i and j
-    index earlier elements (act: H then V; ins: V then H)."""
+    index earlier elements (act: H then V; ins: V then H).  Row x of h_rows
+    (v_rows) holds the indices of x act_ (v_mul) each letter image in label
+    order, then of x h_add (ins_) each additive generator in admission order."""
 
     h_elems: tuple
     v_elems: tuple
@@ -612,6 +600,8 @@ class Generated:
     v_index: dict
     h_derivs: tuple
     v_derivs: tuple
+    h_rows: tuple = ()
+    v_rows: tuple = ()
 
 
 def generate(ops, letters, h_gens=(), *, budget):
@@ -626,13 +616,14 @@ def generate(ops, letters, h_gens=(), *, budget):
 
     `ops` offers the elementwise protocol; `letters` maps labels to V
     elements.  Each element meets each generator and letter once, so the
-    work is O((|H| + |V|)(#generators + #letters)); raises BudgetError once
-    |H| + |V| exceeds `budget`."""
+    work is O((|H| + |V|)(#generators + #letters)), and the products are kept
+    as the rows that `_gen_tables` reads; raises BudgetError once |H| + |V|
+    exceeds `budget`."""
     h_add, v_mul, act, ins = ops.h_add, ops.v_mul, ops.act_, ops.ins_
     gens = sorted(letters.items())
     H = h_elems, h_index, h_derivs = [], {}, []
     V = v_elems, v_index, v_derivs = [], {}, []
-    adds = []  # the H indices of the additive generators
+    adds, h_rows, v_rows = [], [], []  # the generators' H indices; processed elements' rows
 
     def admit(elems, index, derivs, x, deriv):
         if x not in index:
@@ -652,32 +643,69 @@ def generate(ops, letters, h_gens=(), *, budget):
     admit(*H, ops.h_zero, ("zero",))
     for i, x in enumerate(h_gens):
         admit(*H, x, ("gen", i))
-    # below hi, vi and ti are processed; a generator meets the elements
-    # processed before it, and the later ones meet it when they are processed
-    hi = vi = ti = 0
-    while ti < len(adds) or vi < len(v_elems) or hi < len(h_elems):
+    # processed: the elements with rows and the generators below ti; a generator
+    # meets the elements processed before it, the later ones meet it in turn
+    ti = 0
+    while ti < len(adds) or len(v_rows) < len(v_elems) or len(h_rows) < len(h_elems):
         if ti < len(adds):
             j = adds[ti]
-            for i in range(hi):
-                admit(*H, h_add(h_elems[i], h_elems[j]), ("add", i, j))
-            for i in range(vi):
-                admit(*V, ins(v_elems[i], h_elems[j]), ("ins", i, j))
+            for i, row in enumerate(h_rows):
+                row.append(admit(*H, h_add(h_elems[i], h_elems[j]), ("add", i, j)))
+            for i, row in enumerate(v_rows):
+                row.append(admit(*V, ins(v_elems[i], h_elems[j]), ("ins", i, j)))
             ti += 1
-        elif vi < len(v_elems):
+        elif len(v_rows) < len(v_elems):
+            vi, row = len(v_rows), []
             for a, g in gens:
-                admit(*V, v_mul(v_elems[vi], g), ("letter", vi, a))
+                row.append(admit(*V, v_mul(v_elems[vi], g), ("letter", vi, a)))
             for j in adds[:ti]:
-                admit(*V, ins(v_elems[vi], h_elems[j]), ("ins", vi, j))
-            vi += 1
+                row.append(admit(*V, ins(v_elems[vi], h_elems[j]), ("ins", vi, j)))
+            v_rows.append(row)
         else:
+            hi, row = len(h_rows), []
             for _, g in gens:
-                admit(*H, act(h_elems[hi], g), ("act", hi, v_index[g]))
+                row.append(admit(*H, act(h_elems[hi], g), ("act", hi, v_index[g])))
             for j in adds[:ti]:
-                admit(*H, h_add(h_elems[hi], h_elems[j]), ("add", hi, j))
-            hi += 1
+                row.append(admit(*H, h_add(h_elems[hi], h_elems[j]), ("add", hi, j)))
+            h_rows.append(row)
     return Generated(
-        tuple(h_elems), tuple(v_elems), h_index, v_index, tuple(h_derivs), tuple(v_derivs)
+        tuple(h_elems), tuple(v_elems), h_index, v_index, tuple(h_derivs), tuple(v_derivs),
+        tuple(h_rows), tuple(v_rows),
     )
+
+
+def _gen_arrays(gen):
+    """The add, act, mul and ins tables of a `Generated` over its admission
+    indices, column by column along the derivations.  Row column c multiplies
+    by a letter image or by ins(one, t) (g + t = g ins(one, t)), so if row i
+    holds w at c, then u w = (u v_i) c and h w = (h v_i) c; and g + (h_i + t)
+    = (g + h_i) + t, ins(v, h_i + t) = ins(ins(v, h_i), t)."""
+    hr, vr = np.array(gen.h_rows, dtype=np.int32), np.array(gen.v_rows, dtype=np.int32)
+    (nh, width), nv = hr.shape, len(vr)
+    adds = [h for h, d in enumerate(gen.h_derivs) if d[0] in ("gen", "act")]
+    column = {t: c for c, t in enumerate(adds, width - len(adds))}
+    add, act, mul, ins = (np.empty(s, np.int32) for s in ((nh, nh), (nh, nv), (nv, nv), (nv, nh)))
+    # zero and one are element 0 of H and V; a generator t is zero + t
+    add[:, 0], act[:, 0], mul[:, 0], ins[:, 0] = range(nh), range(nh), range(nv), range(nv)
+    for h, d in enumerate(gen.h_derivs[1:], 1):
+        i, c = (d[1], column[d[2]]) if d[0] == "add" else (0, column[h])
+        add[:, h], ins[:, h] = hr[add[:, i], c], vr[ins[:, i], c]
+    for w, d in enumerate(gen.v_derivs[1:], 1):
+        c = gen.v_rows[d[1]].index(w)
+        act[:, w], mul[:, w] = hr[act[:, d[1]], c], vr[mul[:, d[1]], c]
+    return add, act, mul, ins
+
+
+def _gen_tables(gen, h_elems, h_index, v_elems, v_index, arrays=None):
+    """`_tables` for elements of a `Generated`, read off its rows instead of
+    computed elementwise; `arrays` are its `_gen_arrays` if already built."""
+    pick = {"h": [gen.h_index[x] for x in h_elems], "v": [gen.v_index[u] for u in v_elems]}
+    number = {"h": np.array([h_index[x] for x in gen.h_elems], dtype=np.int32)}
+    number["v"] = np.array([v_index[u] for u in gen.v_elems], dtype=np.int32)
+    return [
+        number[result][table[np.ix_(pick[left], pick[right])]].tolist()
+        for (left, _, right, result, *_), table in zip(_OPS, arrays or _gen_arrays(gen))
+    ]
 
 
 def _as_map(pairs):
@@ -840,13 +868,13 @@ class WreathProduct:
 
     def pi_check(self):
         """Exhaustively verify that the inner-coordinate projection is a
-        forest algebra homomorphism onto the inner factor."""
-        alg, inner = self.algebra, self.inner
-        ph, pv = self.pi_h, self.pi_v
-        if ph[alg.zero] != inner.zero or pv[alg.one] != inner.one:
-            return False
-        hs, vs = range(alg.h_size), range(alg.v_size)
-        return next(_map_failures(alg, hs, vs, ph, pv, inner), None) is None
+        forest algebra homomorphism onto the inner factor, table by table."""
+        alg, pi = self.algebra, dict(h=np.array(self.pi_h), v=np.array(self.pi_v))
+        same = [pi["h"][alg.zero] == self.inner.zero, pi["v"][alg.one] == self.inner.one]
+        for left, _, right, result, name, _, _ in _OPS:
+            image, at = pi[result][np.array(getattr(alg, name))], np.ix_(pi[left], pi[right])
+            same.append(np.array_equal(image, np.array(getattr(self.inner, name))[at]))
+        return all(same)
 
 
 def wreath(outer, inner, budget=100000):
@@ -862,12 +890,9 @@ def wreath(outer, inner, budget=100000):
             {"required": v_count, "budget": budget},
         )
     ops = WreathOps(outer, inner)
-    h_elems = [(x, y) for x in range(outer.h_size) for y in range(inner.h_size)]
-    v_elems = [
-        (f, v)
-        for f in itertools.product(range(outer.v_size), repeat=inner.h_size)
-        for v in range(inner.v_size)
-    ]
+    h_elems = list(itertools.product(range(outer.h_size), range(inner.h_size)))
+    functions = itertools.product(range(outer.v_size), repeat=inner.h_size)
+    v_elems = list(itertools.product(functions, range(inner.v_size)))
     h_index = {x: i for i, x in enumerate(h_elems)}
     v_index = {u: i for i, u in enumerate(v_elems)}
     add, act, mul, ins = _tables(ops, h_elems, h_index, v_elems, v_index)
@@ -893,12 +918,12 @@ def wreath_generated(outer, inner, v_gens, h_gens=(), budget=20000):
     ops = WreathOps(outer, inner)
     letters = dict(enumerate((tuple(f), v) for f, v in v_gens))
     gen = generate(ops, letters, h_gens, budget=budget)
+    arrays = _gen_arrays(gen)
     h_elems = sorted(gen.h_index)
     h_index = {x: i for i, x in enumerate(h_elems)}
-    v_index, v_elems = _classes(
-        sorted(gen.v_index), lambda u: tuple(h_index[ops.act_(x, u)] for x in h_elems)
-    )
-    add, act, mul, ins = _tables(ops, h_elems, h_index, v_elems, v_index)
+    column = _row_keys(arrays[1].T)  # the act column of each pair, its class signature
+    v_index, v_elems = _classes(sorted(gen.v_index), lambda u: column[gen.v_index[u]])
+    add, act, mul, ins = _gen_tables(gen, h_elems, h_index, v_elems, v_index, arrays)
     alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
@@ -919,7 +944,7 @@ def generated_subalgebra(alg, h_gens=(), v_gens=()):
     v_embed = tuple(sorted(gen.v_index))
     h_index = {h: i for i, h in enumerate(h_embed)}
     v_index = {v: i for i, v in enumerate(v_embed)}
-    add, act, mul, ins = _tables(alg, h_embed, h_index, v_embed, v_index)
+    add, act, mul, ins = _gen_tables(gen, h_embed, h_index, v_embed, v_index)
     sub = _algebra(add, h_index[alg.zero], mul, v_index[alg.one], act, ins)
     return sub, h_embed, v_embed
 

@@ -676,6 +676,69 @@ def test_generate_matches_the_pairwise_reference_at_every_call_site(site, monkey
     assert calls
 
 
+def assert_rows_hold_the_products(ops, letters, gen):
+    """Every row of `gen` is complete, and each entry is the product of its
+    element with the column's operand: the letters in label order, then the
+    additive generators in admission order."""
+    images = [letters[a] for a in sorted(letters)]
+    adds = [gen.h_elems[h] for h, d in enumerate(gen.h_derivs) if d[0] in ("gen", "act")]
+    for elems, rows, by_letter, by_gen in (
+        (gen.h_elems, gen.h_rows, ops.act_, ops.h_add),
+        (gen.v_elems, gen.v_rows, ops.v_mul, ops.ins_),
+    ):
+        assert len(rows) == len(elems)
+        for x, row in zip(elems, rows):
+            want = [by_letter(x, g) for g in images] + [by_gen(x, t) for t in adds]
+            assert [elems[i] for i in row] == want
+
+
+@pytest.mark.parametrize("site", sorted(GENERATE_CALL_SITES))
+def test_generated_rows_give_the_elementwise_tables_at_every_call_site(site, monkeypatch):
+    # the tables read off the rows equal the elementwise ones, over the
+    # admission order, at every call site, tabulating or not
+    calls = []
+
+    def checked(ops, letters, h_gens=(), *, budget):
+        gen = generate(ops, letters, h_gens, budget=budget)
+        assert_rows_hold_the_products(ops, letters, gen)
+        elems = (gen.h_elems, gen.h_index, gen.v_elems, gen.v_index)
+        assert algebra._gen_tables(gen, *elems) == algebra._tables(ops, *elems)
+        calls.append(budget)
+        return gen
+
+    monkeypatch.setattr(algebra, "generate", checked)
+    monkeypatch.setattr(derived, "generate", checked)
+    GENERATE_CALL_SITES[site]()
+    assert calls
+
+
+def test_generated_tables_need_no_elementwise_tables(monkeypatch):
+    # the wreath, depth-k and generated subalgebra tables are read off the
+    # closure's rows alone
+
+    def refuse(*args):
+        raise AssertionError("_tables called")
+
+    monkeypatch.setattr(algebra, "_tables", refuse)
+    built = decide.lt_wreath_recognizer("ab", 1, _even_node_types)
+    assert built.pi_ok
+    outer, inner, gens = _wreath_letters("ab", 1)
+    assert wreath_generated(outer, inner, gens) == ref_wreath_generated(outer, inner, gens)
+    ka = ktypes.ktype_algebra("abc", 1).algebra
+    assert (ka.h_size, ka.v_size) == (64, 263)
+    assert validate_algebra(ka.add, ka.zero, ka.mul, ka.one, ka.act, ka.ins) == ka
+    for syn in SYNTACTIC:
+        alg = syn.algebra
+        for v_gens in itertools.combinations(range(alg.v_size), 2):
+            got = generated_subalgebra(alg, (alg.h_size - 1,), v_gens)
+            assert got == ref_generated_subalgebra(alg, (alg.h_size - 1,), v_gens)
+
+
+def test_generate_rows_default_to_empty():
+    gen = Generated((0,), (0,), {0: 0}, {0: 0}, (("zero",),), (("one",),))
+    assert (gen.h_rows, gen.v_rows) == ((), ())
+
+
 @pytest.mark.parametrize("index", range(len(RECOGNIZERS)))
 def test_reachable_part_matches_reference(index):
     rec = RECOGNIZERS[index]

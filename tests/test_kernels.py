@@ -85,6 +85,23 @@ def ref_validate(h_add, zero, v_mul, one, act, ins):
                     raise AlgebraLawError("insertion", (v, h, g), "g.ins(v,h) != g.v + h")
 
 
+def ref_derive_ins(h_size, add, v_size, act):
+    """The insertion table as `validate_algebra` derived it before: for every
+    (v, h), the V elements w with g.w = g.v + h for all g, one at a time."""
+    ins = []
+    for v in range(v_size):
+        row = []
+        for h in range(h_size):
+            target = [add[act[g][v]][h] for g in range(h_size)]
+            found = [w for w in range(v_size) if all(act[g][w] == target[g] for g in range(h_size))]
+            if not found:
+                raise AlgebraLawError("insertion-missing", (v, h), "no element realizes g.v + h")
+            assert len(found) == 1  # the action was found faithful first
+            row.append(found[0])
+        ins.append(row)
+    return ins
+
+
 def ref_transformation_algebra(h_add, zero, letter_maps, budget=100000):
     """Returns (mul, one, act, ins, letters, derivations)."""
     n = len(h_add)
@@ -240,6 +257,18 @@ def test_valid_inputs_pass_both():
     for tables in VALID:
         assert _outcome(ref_validate, *tables) is None
         assert _outcome(validate_algebra, *tables) is None
+
+
+def test_derived_insertion_matches_the_reference():
+    # a missing insertion: H = {0, 1} under "or" and V = {1}, with no element
+    # that sends every g to g + 1
+    lone = ([[0, 1], [1, 1]], 0, [[0]], 0, [[0], [1]])
+    assert _outcome(validate_algebra, *lone) == ("insertion-missing", (0, 1))
+    assert _outcome(ref_derive_ins, 2, lone[0], 1, lone[4]) == ("insertion-missing", (0, 1))
+    for add, zero, mul, one, act, ins in VALID:
+        derived = validate_algebra(add, zero, mul, one, act)
+        assert derived.ins == ins
+        assert list(map(list, ins)) == ref_derive_ins(len(add), add, len(mul), act)
 
 
 # codomain of each table: index 0 is H, 1 is V

@@ -4,7 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestalg import ktypes, samples, terms
+from forestalg import decide, ktypes, samples, terms
+from forestalg.algebra import WreathOps, evaluate_forest
 from forestalg.terms import (
     EMPTY,
     HOLE,
@@ -359,6 +360,59 @@ def test_a_wide_forest_has_one_object_per_distinct_subtree(seed):
         assert ktypes.root_types(s, k) == ktypes.root_types(u, k)
     for k in (1, 2):
         assert ktypes.klt_signature(s, k) == ktypes.klt_signature(u, k)
+
+
+def ref_evaluate_forest(ops, letter, s):
+    """The evaluator before its memo: every node is visited, shared or not."""
+    h_add, act, zero = ops.h_add, ops.act_, ops.h_zero
+    stack = []
+    trees, h, label = iter(s.trees), zero, None
+    while True:
+        for t in trees:
+            if t.children.trees:
+                stack.append((trees, h, label))
+                trees, h, label = iter(t.children.trees), zero, t.label
+                break
+            h = h_add(h, act(zero, letter(t.label)))
+        else:
+            if not stack:
+                return h
+            value = act(h, letter(label))
+            trees, h, label = stack.pop()
+            h = h_add(h, value)
+
+
+class _CountingActs:
+    """An elementwise protocol that counts its act_ calls, one per tree value."""
+
+    def __init__(self, ops):
+        self.ops, self.acts = ops, 0
+        self.h_zero, self.h_add = ops.h_zero, ops.h_add
+
+    def act_(self, h, v):
+        self.acts += 1
+        return self.ops.act_(h, v)
+
+
+def _evaluators():
+    """(ops, letter) pairs: two table recognizers and the elementwise wreath
+    ops of a depth-1 recognizer, whose H values are pairs."""
+    for make in (samples.parity_a, samples.a_has_b_child):
+        rec = make("ab")
+        yield rec.algebra, rec.morphism.letter
+    delta = decide.lt_wreath_recognizer("ab", 1, lambda nodes, roots: len(nodes) % 2).delta
+    yield WreathOps(delta.outer, delta.inner), delta.letters.__getitem__
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_evaluation_visits_each_distinct_subtree_once(seed):
+    wide = f(_wide_text(random.Random(seed), 20_000))
+    deep = f(_chain(10**4, seed=seed)[2])
+    for ops, letter in _evaluators():
+        for s in (wide, _unshared(wide), deep, EMPTY, f("a+a(b)+a(b)")):
+            counting = _CountingActs(ops)
+            assert evaluate_forest(counting, letter, s) == ref_evaluate_forest(ops, letter, s)
+            assert counting.acts == len({id(t) for t in _nodes(s)})
 
 
 def test_alphabet_validation():
