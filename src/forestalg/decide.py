@@ -32,6 +32,7 @@ middle and exact at the extremes.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -237,35 +238,70 @@ def _first_violation(add, left, right, cols):
     return int(rows[row]), col
 
 
-def _add_act(alg):
-    return (
-        np.array(alg.add, dtype=np.int64).reshape(alg.h_size, alg.h_size),
-        np.array(alg.act, dtype=np.int64).reshape(alg.h_size, alg.v_size),
-    )
+class _OrbitClasses:
+    """The add and act tables as arrays, and the orbit classes of each H value
+    x, made on first use: cls_x numbers the H values by their add rows on the
+    orbit {x.q : q in V}, so cls_x[h] = cls_x[h'] iff h + x.q = h' + x.q for
+    every context q.  So an identity y.t + x.u = z.t + x.u over all contexts
+    t and u holds iff cls_x[y.t] = cls_x[z.t] for every t: |V| lookups, not
+    |V|^2 sums."""
+
+    def __init__(self, alg):
+        self.add = np.array(alg.add, dtype=np.int64).reshape(alg.h_size, alg.h_size)
+        self.act = np.array(alg.act, dtype=np.int64).reshape(alg.h_size, alg.v_size)
+        self._cls = {}
+
+    def of(self, x):
+        if x not in self._cls:
+            orbit = np.bincount(self.act[x], minlength=len(self.add)) > 0
+            keys = {}  # add row on the orbit -> class, numbered by first appearance
+            rows = self.add[:, orbit]
+            self._cls[x] = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in rows])
+        return self._cls[x]
 
 
-def _check_identity_i(syn, rel: Relation):
-    add, act = _add_act(syn.algebra)
-    for (hr, hs) in sorted(rel.pairs):
-        # act[hr + hs][vt] + act[hr][vu] versus act[hs][vt] + act[hr][vu]
-        hit = _first_violation(add, act[add[hr, hs]], act[hs], act[hr])
-        if hit is not None:
-            vt, vu = hit
-            r_term, s_term = rel.witnesses[(hr, hs)]
-            return ("i", r_term, s_term, syn.v_terms[vt], syn.v_terms[vu])
+def _sorted_groups(rel: Relation):
+    """The pairs of rel in sorted order, as arrays of the pairs that share a
+    first component, one at a time, so that a check stops after its first
+    failing group."""
+    n = len(rel.pairs)
+    pairs = np.fromiter(itertools.chain.from_iterable(rel.pairs), np.int64, 2 * n).reshape(n, 2)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    starts = np.flatnonzero(pairs[1:, 0] != pairs[:-1, 0]) + 1
+    bounds = [0, *starts.tolist(), n] if n else []
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield pairs[lo:hi]
+
+
+def _check_identity_i(syn, rel: Relation, orbits=None):
+    o = orbits or _OrbitClasses(syn.algebra)
+    add, act = o.add, o.act
+    for group in _sorted_groups(rel):
+        r, ss = int(group[0, 0]), group[:, 1]
+        # (r+s)t + ru = st + ru for all t, u iff cls_r[act[r+s]] = cls_r[act[s]]
+        bad = (o.of(r)[act[add[r, ss]]] != o.of(r)[act[ss]]).any(1)
+        if bad.any():
+            s = int(ss[bad.argmax()])
+            vt, vu = _first_violation(add, act[add[r, s]], act[s], act[r])
+            return ("i", *rel.witnesses[(r, s)], syn.v_terms[vt], syn.v_terms[vu])
     return None
 
 
-def _check_identity_ii(syn, rel: Relation):
-    add, act = _add_act(syn.algebra)
-    for (hr, vp) in sorted(rel.pairs):
-        # act[rp][vq] + act[rp][vq2] versus act[hr][vq] + act[rp][vq2]
-        rp = act[hr, vp]
-        hit = _first_violation(add, act[rp], act[hr], act[rp])
-        if hit is not None:
-            vq, vq2 = hit
-            r_term, p_term = rel.witnesses[(hr, vp)]
-            return ("ii", r_term, p_term, syn.v_terms[vq], syn.v_terms[vq2])
+def _check_identity_ii(syn, rel: Relation, orbits=None):
+    o = orbits or _OrbitClasses(syn.algebra)
+    add, act = o.add, o.act
+    for group in _sorted_groups(rel):
+        r, ps = int(group[0, 0]), group[:, 1]
+        # rpq + rpq' = rq + rpq' for all q, q' iff cls_rp[act[rp]] = cls_rp[act[r]],
+        # so the pairs (r, p) count only through their distinct rp
+        rps, which = np.unique(act[r, ps], return_inverse=True)
+        cls = np.stack([o.of(int(rp)) for rp in rps])
+        bad = (cls[:, act[r]] != cls[np.arange(len(rps))[:, None], act[rps]]).any(1)[which]
+        if bad.any():
+            p = int(ps[bad.argmax()])
+            rp = act[r, p]
+            vq, vq2 = _first_violation(add, act[rp], act[r], act[rp])
+            return ("ii", *rel.witnesses[(r, p)], syn.v_terms[vq], syn.v_terms[vq2])
     return None
 
 
@@ -370,7 +406,7 @@ def _nonidempotent_evidence(syn: SyntacticResult, h):
     }
 
 
-def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
+def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters, orbits=None):
     """Bounded search over enumerated terms for identity violations whose
     side condition holds at kstar; any hit is conclusive NotLT evidence.
 
@@ -382,7 +418,8 @@ def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
     order: one per t with (r+s)t = st, else one per (t, u), and one per
     (q, q'); past `search_cap` the search stops at cap + 1."""
     m = syn.recognizer.morphism
-    add, act = _add_act(syn.algebra)
+    o = orbits or _OrbitClasses(syn.algebra)
+    add, act = o.add, o.act
     forests = list(enumerate_forests(syn.recognizer.alphabet, budgets.search_bound))
     contexts = list(enumerate_contexts(syn.recognizer.alphabet, budgets.search_bound))
     h_of = [m.eval_forest(s) for s in forests]
@@ -445,6 +482,7 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
         evidence = _nonidempotent_evidence(syn, bad)
         return LtVerdict("NotLT", None, "nonidempotent", kstar, evidence, progress, counters)
 
+    orbits = _OrbitClasses(alg)  # one class table per H value, for every level
     best_exact_s = None
     last_level = None  # the level of depth k-1, if it fit the budget
     for k in range(0, budgets.max_k + 1):
@@ -473,9 +511,9 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
             "s_size": len(rel_s.pairs) if rel_s is not None else None,
         }
 
-        witness = _check_identity_i(syn, rel_r) if rel_r is not None else None
+        witness = _check_identity_i(syn, rel_r, orbits) if rel_r is not None else None
         if witness is None and rel_s is not None:
-            witness = _check_identity_ii(syn, rel_s)
+            witness = _check_identity_ii(syn, rel_s, orbits)
         if witness is not None:
             entry["outcome"] = "violated"
             progress.append(entry)
@@ -504,7 +542,7 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
         entry["outcome"] = "inconclusive"
         progress.append(entry)
 
-    got = _direct_witness_search(syn, kstar, budgets, counters)
+    got = _direct_witness_search(syn, kstar, budgets, counters, orbits)
     if got is not None:
         return LtVerdict("NotLT", None, "identity-witness", kstar, got, progress, counters)
     return LtVerdict("Unknown", None, "budgets-exhausted", kstar, {}, progress, counters)

@@ -16,15 +16,10 @@ import itertools
 
 import pytest
 
+from automata import a_above_b, leaf_depth
 from forestalg import algebra, decide, ktypes, samples, terms
-from forestalg.algebra import (
-    BudgetError,
-    Generated,
-    Morphism,
-    Recognizer,
-    syntactic_algebra,
-    transformation_algebra,
-)
+from forestalg.algebra import BudgetError, Generated, syntactic_algebra
+from forestalg.category import check_identities
 from forestalg.decide import (
     DecideBudgets,
     _check_identity_i,
@@ -35,7 +30,7 @@ from forestalg.decide import (
     relation_s,
     verify_violation_at,
 )
-from forestalg.derived import pair_closure, witness_context, witness_forest
+from forestalg.derived import derived_category, pair_closure, witness_context, witness_forest
 from forestalg.ktypes import root_types
 from forestalg.terms import apply_context, enumerate_contexts, enumerate_forests
 
@@ -350,41 +345,6 @@ def ref_direct_witness_search(syn, kstar, budgets, counters):
     return None
 
 
-def _automaton(alphabet, states, zero, add, step, final):
-    """The recognizer of a bottom-up automaton given by Python functions."""
-    index = {st: i for i, st in enumerate(states)}
-    table = [[index[add(x, y)] for y in states] for x in states]
-    maps = {a: [index[step(a, st)] for st in states] for a in alphabet}
-    alg, letters, _ = transformation_algebra(table, index[zero], maps)
-    accept = frozenset(i for i, st in enumerate(states) if final(st))
-    return Recognizer(Morphism(alg, terms.make_alphabet(alphabet), letters), accept)
-
-
-def leaf_depth(alphabet, m, r):
-    """Some leaf lies at depth = r (mod m); not LT for m >= 2."""
-    subsets = [frozenset(c) for n in range(m + 1) for c in itertools.combinations(range(m), n)]
-
-    def deepen(depths):
-        return frozenset((d + 1) % m for d in depths) if depths else frozenset({1 % m})
-
-    return _automaton(
-        alphabet, subsets, frozenset(), frozenset.union, lambda a, st: deepen(st), lambda st: r in st
-    )
-
-
-def a_above_b(alphabet):
-    """Some a has a b descendant: not LT over {a,b,c}, but over {a,b} the
-    same as some a having a b child, which is LT."""
-    return _automaton(
-        alphabet,
-        [(p, b) for p in (0, 1) for b in (0, 1)],
-        (0, 0),
-        lambda x, y: (x[0] | y[0], x[1] | y[1]),
-        lambda a, st: (st[0] | (a == "a" and st[1]), st[1] | (a == "b")),
-        lambda st: st[0] == 1,
-    )
-
-
 # name -> (recognizer, k* values, search_bound): truncated searches, complete
 # searches without a hit, and hits in identity (i) and in identity (ii)
 SEARCH_CASES = {
@@ -538,6 +498,52 @@ def test_decide_lt_agrees_with_the_oracle_and_its_separators_flip_acceptance():
             left, right = (terms.parse_forest(ev[side], rec.alphabet) for side in sides)
             assert rec.accepts(apply_context(left, w)) != rec.accepts(apply_context(right, w))
     assert (kinds.count("LT"), kinds.count("NotLT")) == (10, 2)
+
+
+# --- the derived category's identities -------------------------------------------
+
+# every small (recognizer, depths) case whose depth-k derived category builds
+# in under 1 s on a 2-core host; each case left out takes over 1 s there
+_DERIVED_CASES = {
+    "contains_a": (samples.contains_a, (0, 1)),
+    "parity_a": (samples.parity_a, (0, 1)),
+    "parity_a-a": (lambda: samples.parity_a("a"), (0, 1, 2)),
+    "a_has_b_child-ab": (lambda: samples.a_has_b_child("ab"), (0, 1)),
+    "a_has_b_child-abc": (lambda: samples.a_has_b_child("abc"), (0,)),
+    "empty": (samples.empty_language, (0, 1)),
+    "universal": (samples.universal_language, (0, 1)),
+    "leaf-depth-a-m2": (lambda: leaf_depth("a", 2, 1), (0, 1, 2)),
+    "leaf-depth-a-m3": (lambda: leaf_depth("a", 3, 1), (0, 1)),
+    "leaf-depth-a-m4": (lambda: leaf_depth("a", 4, 1), (0, 1)),
+    "leaf-depth-ab-m2": (lambda: leaf_depth("ab", 2, 1), (0,)),
+    "leaf-depth-ab-m3": (lambda: leaf_depth("ab", 3, 1), (0,)),
+    "a-above-b-ab": (lambda: a_above_b("ab"), (0, 1)),
+    "a-above-b-abc": (lambda: a_above_b("abc"), (0,)),
+    "lt-a-even": (lambda: ktypes.lt_recognizer("a", 1, _even_node_types).recognizer, (0, 1, 2)),
+    "lt-a-one-root": (lambda: ktypes.lt_recognizer("a", 1, _one_root_type).recognizer, (0, 1, 2)),
+    "lt-a-one-node": (
+        lambda: ktypes.lt_recognizer("a", 1, _at_most_one_node_type).recognizer, (0, 1, 2)
+    ),
+    "lt-ab-even": (lambda: ktypes.lt_recognizer("ab", 1, _even_node_types).recognizer, (0,)),
+    "lt-ab-one-root": (lambda: ktypes.lt_recognizer("ab", 1, _one_root_type).recognizer, (0, 1)),
+    "lt-ab-one-node": (
+        lambda: ktypes.lt_recognizer("ab", 1, _at_most_one_node_type).recognizer, (0, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k", [(name, k) for name, (_, ks) in _DERIVED_CASES.items() for k in ks]
+)
+def test_derived_category_identities_agree_with_decide_identities(name, k):
+    # the category's loop removal, horizontal absorption and horizontal
+    # idempotence hold exactly when decide's two identities hold at depth k
+    syn = syntactic_algebra(_DERIVED_CASES[name][0]())
+    ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k)
+    dc = derived_category(pair_closure(syn.recognizer.morphism, ka.morphism))
+    both = _check_identity_i(syn, relation_r(syn, k)) is None
+    both = both and _check_identity_ii(syn, relation_s(syn, k)) is None
+    assert check_identities(dc.category).all_hold() == both
 
 
 # --- the depth-k type coder --------------------------------------------------------

@@ -9,10 +9,12 @@ monoid does) and return the same identity witness.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from automata import a_above_b, leaf_depth
 from forestalg import algebra, ktypes, samples
 from forestalg.algebra import (
     AlgebraLawError,
@@ -443,3 +445,101 @@ def test_identity_witnesses_match_reference_on_all_pairs(index):
     rel_s = Relation("S", 0, "all", pairs_s, {p: p for p in pairs_s})
     assert _check_identity_i(syn, rel_r) == ref_check_identity_i(syn, rel_r)
     assert _check_identity_ii(syn, rel_s) == ref_check_identity_ii(syn, rel_s)
+
+
+# leaf depth mod m and a-above-b violate both identities at every depth; at
+# depth 2 over two or more letters no exact level fits, so R saturates from
+# depth 1 and S is the exact S of depth 1, as in decide_lt
+VIOLATING = {
+    **{
+        "leaf-depth-%s-m%d" % (alphabet, m): algebra.syntactic_algebra(leaf_depth(alphabet, m, 1))
+        for alphabet in ("a", "ab")
+        for m in (2, 3, 4)
+    },
+    "a-above-b-abc": algebra.syntactic_algebra(a_above_b("abc")),
+}
+
+
+def _relations(syn, k):
+    try:
+        return relation_r(syn, k), relation_s(syn, k)
+    except BudgetError:
+        return relation_r(syn, k, "saturation"), relation_s(syn, k - 1)
+
+
+def _by_value(pairs):
+    """A relation whose witnesses are its pairs, so a check names the pair
+    it reports."""
+    pairs = frozenset(pairs)
+    return Relation("R", 0, "all", pairs, {p: p for p in pairs})
+
+
+def _assert_same_violations(syn, check, ref, pairs, rounds):
+    # each round drops the pair reported last, so later pairs come first
+    pairs = set(pairs)
+    for _ in range(rounds):
+        rel = _by_value(pairs)
+        want = ref(syn, rel)
+        assert check(syn, rel) == want
+        if want is None:
+            return
+        pairs.remove(want[1:3])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(VIOLATING))
+def test_identity_witnesses_match_reference_on_violated_relations(name, k):
+    syn = VIOLATING[name]
+    rel_r, rel_s = _relations(syn, k)
+    for check, ref, rel in (
+        (_check_identity_i, ref_check_identity_i, rel_r),
+        (_check_identity_ii, ref_check_identity_ii, rel_s),
+    ):
+        want = ref(syn, rel)
+        assert want is not None
+        assert check(syn, rel) == want
+        _assert_same_violations(syn, check, ref, rel.pairs, 8)
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATING))
+def test_identity_checks_on_empty_and_one_pair_relations(name):
+    syn = VIOLATING[name]
+    rel_r, rel_s = _relations(syn, 1)
+    for check, ref, rel in (
+        (_check_identity_i, ref_check_identity_i, rel_r),
+        (_check_identity_ii, ref_check_identity_ii, rel_s),
+    ):
+        assert check(syn, _by_value(())) is None
+        outcomes = set()
+        for pair in sorted(rel.pairs)[:: 1 + len(rel.pairs) // 100]:
+            one = _by_value([pair])
+            want = ref(syn, one)
+            assert check(syn, one) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_identity_checks_match_reference_on_random_union_automata(data):
+    # states are the subsets of a 2- or 3-element set, added by union, with
+    # random letter maps; the checks run on the automaton's own algebra over
+    # all pairs, with the context indices standing in for their terms
+    n = 1 << data.draw(st.sampled_from([2, 3]))
+    letter_maps = {
+        a: data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        for a in data.draw(st.sampled_from(["a", "ab"]))
+    }
+    union = [[x | y for y in range(n)] for x in range(n)]
+    try:
+        alg = transformation_algebra(union, 0, letter_maps, budget=300)[0]
+    except BudgetError:
+        assume(False)
+    syn = SimpleNamespace(algebra=alg, v_terms=range(alg.v_size))
+    hs, vs = range(alg.h_size), range(alg.v_size)
+    _assert_same_violations(
+        syn, _check_identity_i, ref_check_identity_i, itertools.product(hs, hs), 4
+    )
+    _assert_same_violations(
+        syn, _check_identity_ii, ref_check_identity_ii, itertools.product(hs, vs), 4
+    )
