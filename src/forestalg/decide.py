@@ -32,9 +32,11 @@ middle and exact at the extremes.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -238,48 +240,38 @@ def _first_violation(add, left, right, cols):
     return int(rows[row]), col
 
 
-class _OrbitClasses:
-    """The add and act tables as arrays, and the orbit classes of each H value
-    x, made on first use: cls_x numbers the H values by their add rows on the
-    orbit {x.q : q in V}, so cls_x[h] = cls_x[h'] iff h + x.q = h' + x.q for
-    every context q.  So an identity y.t + x.u = z.t + x.u over all contexts
-    t and u holds iff cls_x[y.t] = cls_x[z.t] for every t: |V| lookups, not
-    |V|^2 sums."""
-
-    def __init__(self, alg):
-        self.add = np.array(alg.add, dtype=np.int64).reshape(alg.h_size, alg.h_size)
-        self.act = np.array(alg.act, dtype=np.int64).reshape(alg.h_size, alg.v_size)
-        self._cls = {}
-
-    def of(self, x):
-        if x not in self._cls:
-            orbit = np.bincount(self.act[x], minlength=len(self.add)) > 0
-            keys = {}  # add row on the orbit -> class, numbered by first appearance
-            rows = self.add[:, orbit]
-            self._cls[x] = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in rows])
-        return self._cls[x]
+def _add_act(alg):
+    return (
+        np.array(alg.add, dtype=np.int64).reshape(alg.h_size, alg.h_size),
+        np.array(alg.act, dtype=np.int64).reshape(alg.h_size, alg.v_size),
+    )
 
 
-def _sorted_groups(rel: Relation):
-    """The pairs of rel in sorted order, as arrays of the pairs that share a
-    first component, one at a time, so that a check stops after its first
-    failing group."""
-    n = len(rel.pairs)
-    pairs = np.fromiter(itertools.chain.from_iterable(rel.pairs), np.int64, 2 * n).reshape(n, 2)
-    pairs = pairs[np.lexsort(pairs.T[::-1])]
-    starts = np.flatnonzero(pairs[1:, 0] != pairs[:-1, 0]) + 1
-    bounds = [0, *starts.tolist(), n] if n else []
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield pairs[lo:hi]
+def _orbit_classes(add, act):
+    """The orbit classes of each H value x, made on first use: cls(x) numbers
+    the H values by their add rows on the orbit {x.q : q in V}, so cls(x)[h] =
+    cls(x)[h'] iff h + x.q = h' + x.q for every context q.  So an identity
+    y.t + x.u = z.t + x.u over all contexts t and u holds iff cls(x)[y.t] =
+    cls(x)[z.t] for every t: |V| lookups, not |V|^2 sums.  The checks test the
+    pairs of rel that share a first component at once, in sorted order, and
+    replay only the first failing pair through _first_violation."""
+
+    @cache
+    def cls(x):
+        orbit = np.bincount(act[x], minlength=len(add)) > 0
+        keys = {}  # add row on the orbit -> class, numbered by first appearance
+        return np.array([keys.setdefault(row.tobytes(), len(keys)) for row in add[:, orbit]])
+
+    return cls
 
 
-def _check_identity_i(syn, rel: Relation, orbits=None):
-    o = orbits or _OrbitClasses(syn.algebra)
-    add, act = o.add, o.act
-    for group in _sorted_groups(rel):
-        r, ss = int(group[0, 0]), group[:, 1]
+def _check_identity_i(syn, rel: Relation):
+    add, act = _add_act(syn.algebra)
+    cls = _orbit_classes(add, act)
+    for r, group in groupby(sorted(rel.pairs), key=itemgetter(0)):
+        ss = np.array([s for _, s in group])
         # (r+s)t + ru = st + ru for all t, u iff cls_r[act[r+s]] = cls_r[act[s]]
-        bad = (o.of(r)[act[add[r, ss]]] != o.of(r)[act[ss]]).any(1)
+        bad = (cls(r)[act[add[r, ss]]] != cls(r)[act[ss]]).any(1)
         if bad.any():
             s = int(ss[bad.argmax()])
             vt, vu = _first_violation(add, act[add[r, s]], act[s], act[r])
@@ -287,16 +279,16 @@ def _check_identity_i(syn, rel: Relation, orbits=None):
     return None
 
 
-def _check_identity_ii(syn, rel: Relation, orbits=None):
-    o = orbits or _OrbitClasses(syn.algebra)
-    add, act = o.add, o.act
-    for group in _sorted_groups(rel):
-        r, ps = int(group[0, 0]), group[:, 1]
+def _check_identity_ii(syn, rel: Relation):
+    add, act = _add_act(syn.algebra)
+    cls = _orbit_classes(add, act)
+    for r, group in groupby(sorted(rel.pairs), key=itemgetter(0)):
+        ps = np.array([p for _, p in group])
         # rpq + rpq' = rq + rpq' for all q, q' iff cls_rp[act[rp]] = cls_rp[act[r]],
         # so the pairs (r, p) count only through their distinct rp
         rps, which = np.unique(act[r, ps], return_inverse=True)
-        cls = np.stack([o.of(int(rp)) for rp in rps])
-        bad = (cls[:, act[r]] != cls[np.arange(len(rps))[:, None], act[rps]]).any(1)[which]
+        table = np.stack([cls(int(rp)) for rp in rps])
+        bad = (table[:, act[r]] != table[np.arange(len(rps))[:, None], act[rps]]).any(1)[which]
         if bad.any():
             p = int(ps[bad.argmax()])
             rp = act[r, p]
@@ -406,7 +398,7 @@ def _nonidempotent_evidence(syn: SyntacticResult, h):
     }
 
 
-def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters, orbits=None):
+def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
     """Bounded search over enumerated terms for identity violations whose
     side condition holds at kstar; any hit is conclusive NotLT evidence.
 
@@ -418,8 +410,7 @@ def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters, orbit
     order: one per t with (r+s)t = st, else one per (t, u), and one per
     (q, q'); past `search_cap` the search stops at cap + 1."""
     m = syn.recognizer.morphism
-    o = orbits or _OrbitClasses(syn.algebra)
-    add, act = o.add, o.act
+    add, act = _add_act(syn.algebra)
     forests = list(enumerate_forests(syn.recognizer.alphabet, budgets.search_bound))
     contexts = list(enumerate_contexts(syn.recognizer.alphabet, budgets.search_bound))
     h_of = [m.eval_forest(s) for s in forests]
@@ -482,7 +473,6 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
         evidence = _nonidempotent_evidence(syn, bad)
         return LtVerdict("NotLT", None, "nonidempotent", kstar, evidence, progress, counters)
 
-    orbits = _OrbitClasses(alg)  # one class table per H value, for every level
     best_exact_s = None
     last_level = None  # the level of depth k-1, if it fit the budget
     for k in range(0, budgets.max_k + 1):
@@ -511,9 +501,9 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
             "s_size": len(rel_s.pairs) if rel_s is not None else None,
         }
 
-        witness = _check_identity_i(syn, rel_r, orbits) if rel_r is not None else None
+        witness = _check_identity_i(syn, rel_r) if rel_r is not None else None
         if witness is None and rel_s is not None:
-            witness = _check_identity_ii(syn, rel_s, orbits)
+            witness = _check_identity_ii(syn, rel_s)
         if witness is not None:
             entry["outcome"] = "violated"
             progress.append(entry)
@@ -542,7 +532,7 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
         entry["outcome"] = "inconclusive"
         progress.append(entry)
 
-    got = _direct_witness_search(syn, kstar, budgets, counters, orbits)
+    got = _direct_witness_search(syn, kstar, budgets, counters)
     if got is not None:
         return LtVerdict("NotLT", None, "identity-witness", kstar, got, progress, counters)
     return LtVerdict("Unknown", None, "budgets-exhausted", kstar, {}, progress, counters)
