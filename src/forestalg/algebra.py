@@ -7,12 +7,17 @@ v in V and h in H there is an insertion element ins(v, h) in V with
 g . ins(v, h) = g.v + h for all g.
 
 Tables are 0-based and row-major with the row as the left operand.  All
-objects here are immutable after validation; operations are pure.
+objects here are immutable; operations are pure.  `validate_algebra` checks
+every law where tables enter from outside: in `algebra_from_json`,
+`recognizer_from_json` and `flat_algebra`, and on the state monoid given to
+`transformation_algebra`.  Algebras built from algebras obey every law by
+construction and are not validated; the tests validate them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +85,8 @@ def _freeze(table):
 
 @dataclass(frozen=True)
 class ForestAlgebra:
+    """The tables of a finite forest algebra, taken unchecked."""
+
     h_size: int
     add: tuple
     zero: int
@@ -174,6 +181,18 @@ def _check_monoid(size, table, unit, name, commutative):
     return t
 
 
+def _check_faithful(act):
+    """Raise the lexicographically first pair of equal columns of the act
+    array: the first two occurrences of the column repeated first."""
+    first_of, clash = {}, None
+    for v, column in enumerate(_row_keys(act.T)):
+        v1 = first_of.setdefault(column, v)
+        if v1 != v and (clash is None or v1 < clash[0]):
+            clash = (v1, v)
+    if clash is not None:
+        raise AlgebraLawError("faithfulness", clash, "distinct v act identically")
+
+
 def _derive_ins(add, act):
     """ins(v, h) is the unique v' with g.v' = g.v + h for all g: as the action
     is faithful, the element whose act column is column h of add[act[:, v]]."""
@@ -204,16 +223,7 @@ def validate_algebra(h_add, zero, v_mul, one, act, ins=None):
         if v1 is not None:
             v2 = _first(comp_bad[v1])
             raise AlgebraLawError("action-composition", (h, v1, v2), "(hv1)v2 != h(v1v2)")
-    # the lexicographically first pair of equal columns is the first two
-    # occurrences of the repeated column that occurs first
-    first_of = {}
-    clash = None
-    for v, column in enumerate(_row_keys(a.T)):
-        v1 = first_of.setdefault(column, v)
-        if v1 != v and (clash is None or v1 < clash[0]):
-            clash = (v1, v)
-    if clash is not None:
-        raise AlgebraLawError("faithfulness", clash, "distinct v act identically")
+    _check_faithful(a)
     if ins is None:
         ins = _derive_ins(add, a)
     else:
@@ -295,18 +305,6 @@ _OPS = (
 )
 
 
-def _tables(ops, h_elems, h_index, v_elems, v_index):
-    """The add, act, mul and ins tables of the elements under `ops`, which
-    offers the elementwise protocol: row x and column y hold the index of
-    x op y, and the indices may number classes of elements."""
-    elems, index = {"h": h_elems, "v": v_elems}, {"h": h_index, "v": v_index}
-    tables = []
-    for left, op, right, result, _, _, _ in _OPS:
-        op, at, rights = getattr(ops, op), index[result], elems[right]
-        tables.append([[at[op(x, y)] for y in rights] for x in elems[left]])
-    return tables
-
-
 def _products(ops, h_elems, v_elems):
     """One row per element x and operation: (entry of _OPS, x, the right
     operands y, the products x op y), in report order: the H elements, then
@@ -348,8 +346,9 @@ def direct_product(a, b):
     hs = list(itertools.product(range(a.h_size), range(b.h_size)))
     vs = list(itertools.product(range(a.v_size), range(b.v_size)))
     h_index, v_index = {x: i for i, x in enumerate(hs)}, {u: i for i, u in enumerate(vs)}
-    add, act, mul, ins = _tables(PairOps(a, b), hs, h_index, vs, v_index)
-    alg = validate_algebra(add, h_index[a.zero, b.zero], mul, v_index[a.one, b.one], act, ins)
+    add, act, mul, ins = _all_tables(PairOps(a, b), hs, h_index, vs, v_index)
+    _check_faithful(np.array(act))  # a factor built directly may be unfaithful
+    alg = _algebra(add, h_index[a.zero, b.zero], mul, v_index[a.one, b.one], act, ins)
     return alg, hs, vs
 
 
@@ -697,8 +696,9 @@ def _gen_arrays(gen):
 
 
 def _gen_tables(gen, h_elems, h_index, v_elems, v_index, arrays=None):
-    """`_tables` for elements of a `Generated`, read off its rows instead of
-    computed elementwise; `arrays` are its `_gen_arrays` if already built."""
+    """The add, act, mul and ins tables of elements of a `Generated`, read off
+    its rows: row x, column y is the index (maybe of a class) of x op y.
+    `arrays` are its `_gen_arrays` if already built."""
     pick = {"h": [gen.h_index[x] for x in h_elems], "v": [gen.v_index[u] for u in v_elems]}
     number = {"h": np.array([h_index[x] for x in gen.h_elems], dtype=np.int32)}
     number["v"] = np.array([v_index[u] for u in gen.v_elems], dtype=np.int32)
@@ -706,6 +706,13 @@ def _gen_tables(gen, h_elems, h_index, v_elems, v_index, arrays=None):
         number[result][table[np.ix_(pick[left], pick[right])]].tolist()
         for (left, _, right, result, *_), table in zip(_OPS, arrays or _gen_arrays(gen))
     ]
+
+
+def _all_tables(ops, h_elems, h_index, v_elems, v_index):
+    """`_gen_tables` of all the given elements, which must be closed under
+    `ops`: each one is a generator, so each product is an entry of a row."""
+    gen = generate(ops, dict(enumerate(v_elems)), h_elems, budget=len(h_elems) + len(v_elems))
+    return _gen_tables(gen, h_elems, h_index, v_elems, v_index)
 
 
 def _as_map(pairs):
@@ -765,14 +772,28 @@ def witness_context(gen, j) -> Context:
     return _replay(gen, "v", j)
 
 
+class _Replayed(Sequence):
+    """The terms of chosen elements of one kind of a `Generated`, each
+    replayed when read, through a shared `_replay` memo."""
+
+    def __init__(self, gen, kind, elems, done):
+        self.gen, self.kind, self.elems, self.done = gen, kind, elems, done
+
+    def __len__(self):
+        return len(self.elems)
+
+    def __getitem__(self, i):
+        return _replay(self.gen, self.kind, self.elems[i], self.done)
+
+
 @dataclass
 class SyntacticResult:
     algebra: ForestAlgebra
     h_map: dict  # reachable input H index -> syntactic H index
     v_map: dict  # reachable input V index -> syntactic V index
     recognizer: Recognizer
-    h_terms: tuple  # representative Forest per syntactic H element
-    v_terms: tuple  # representative Context per syntactic V element
+    h_terms: Sequence  # representative Forest per syntactic H element, replayed on read
+    v_terms: Sequence  # representative Context per syntactic V element, replayed on read
 
 
 def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
@@ -784,25 +805,36 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     Contexts alone are experiment-complete because 1 + g = ins(one, g) lies
     in V: h + g is h ins(one, g), and h v w is h (v w), so a context that
     separates h + g from h' + g, or h v from h' v, separates h from h'.
+
+    Classes are keyed by the bytes of their acceptance rows (H) and class
+    columns (V) and gathered from the input's tables; a quotient by a
+    congruence obeys every law its input does, so none is checked here.
     """
     alg = rec.algebra
     gen = generate(alg, rec.morphism.letters, budget=alg.h_size + alg.v_size)
     hs = sorted(gen.h_index)
     vs = sorted(gen.v_index)
-    accept = rec.accept
-    h_class, h_reps = _classes(hs, lambda h: tuple(alg.act[h][v] in accept for v in vs))
-    v_class, v_reps = _classes(vs, lambda v: tuple(h_class[alg.act[h][v]] for h in hs))
-    add, act, mul, ins = _tables(alg, h_reps, h_class, v_reps, v_class)
-    syn = validate_algebra(add, h_class[alg.zero], mul, v_class[alg.one], act, ins)
+    reach = np.array(alg.act)[np.ix_(hs, vs)]  # the reachable H are closed under the action
+    accepting = np.array([h in rec.accept for h in range(alg.h_size)])
+    h_class, h_reps = _classes(hs, dict(zip(hs, _row_keys(accepting[reach]))).get)
+    of = {"h": np.array([h_class.get(h, 0) for h in range(alg.h_size)])}  # 0 if unreachable
+    v_class, v_reps = _classes(vs, dict(zip(vs, _row_keys(of["h"][reach].T))).get)
+    of["v"] = np.array([v_class.get(v, 0) for v in range(alg.v_size)])
+    reps = {"h": h_reps, "v": v_reps}
+    add, act, mul, ins = (
+        of[result][np.array(getattr(alg, name))[np.ix_(reps[left], reps[right])]].tolist()
+        for left, _, right, result, name, *_ in _OPS
+    )
+    syn = _algebra(add, h_class[alg.zero], mul, v_class[alg.one], act, ins)
 
     letters = {a: v_class[rec.morphism.letters[a]] for a in rec.alphabet}
     morphism = Morphism(syn, rec.alphabet, letters)
-    new_accept = frozenset(h_class[h] for h in hs if h in accept)
+    new_accept = frozenset(h_class[h] for h in hs if h in rec.accept)
     out_rec = Recognizer(morphism, new_accept)
 
     done = {}  # one replay memo for all the representatives
-    h_terms = tuple(_replay(gen, "h", gen.h_index[h], done) for h in h_reps)
-    v_terms = tuple(_replay(gen, "v", gen.v_index[v], done) for v in v_reps)
+    h_terms = _Replayed(gen, "h", [gen.h_index[h] for h in h_reps], done)
+    v_terms = _Replayed(gen, "v", [gen.v_index[v] for v in v_reps], done)
     return SyntacticResult(syn, h_class, v_class, out_rec, h_terms, v_terms)
 
 
@@ -895,10 +927,9 @@ def wreath(outer, inner, budget=100000):
     v_elems = list(itertools.product(functions, range(inner.v_size)))
     h_index = {x: i for i, x in enumerate(h_elems)}
     v_index = {u: i for i, u in enumerate(v_elems)}
-    add, act, mul, ins = _tables(ops, h_elems, h_index, v_elems, v_index)
-    # faithfulness holds when both factors are faithful; validation reports
-    # a collapse as a faithfulness violation
-    alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
+    add, act, mul, ins = _all_tables(ops, h_elems, h_index, v_elems, v_index)
+    _check_faithful(np.array(act))  # faithful if both factors are; one built directly may not be
+    alg = _algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
     return WreathProduct(
@@ -924,7 +955,7 @@ def wreath_generated(outer, inner, v_gens, h_gens=(), budget=20000):
     column = _row_keys(arrays[1].T)  # the act column of each pair, its class signature
     v_index, v_elems = _classes(sorted(gen.v_index), lambda u: column[gen.v_index[u]])
     add, act, mul, ins = _gen_tables(gen, h_elems, h_index, v_elems, v_index, arrays)
-    alg = validate_algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
+    alg = _algebra(add, h_index[ops.h_zero], mul, v_index[ops.v_one], act, ins)
     pi_h = tuple(p[1] for p in h_elems)
     pi_v = tuple(p[1] for p in v_elems)
     return WreathProduct(

@@ -11,14 +11,18 @@ are arrows, the start of each node matching the sum of its children's ends;
 they evaluate to half-arrows.  Removing one leaf exposes an object and gives
 a context diagram, which evaluates to an arrow.
 
-Everything is table-driven and immutable after validation; checks are
-exhaustive and report the first witness.
+Everything is table-driven and immutable; checks are exhaustive and report
+the first witness.  `validate_category` checks every law where tables enter
+from outside, in `category_from_json` and the hand-built samples; the
+categories built from algebras are not validated, and the tests validate
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +70,8 @@ class DiagramError(ValueError):
 
 @dataclass(frozen=True)
 class ForestCategory:
+    """The tables of a finite forest category, taken unchecked."""
+
     obj_size: int
     obj_add: tuple
     obj_zero: int
@@ -94,10 +100,22 @@ class ForestCategory:
             raise DiagramError("half-arrow %d does not meet arrow %d" % (c, u)) from None
 
     def arrows_from(self, x):
-        return [u for u in range(self.arr_size) if self.arr_start[u] == x]
+        return self._by_object[0].get(x, ())
+
+    def arrows_to(self, x):
+        return self._by_object[1].get(x, ())
 
     def harrs_to(self, x):
-        return [c for c in range(self.harr_size) if self.harr_end[c] == x]
+        return self._by_object[2].get(x, ())
+
+    @cached_property
+    def _by_object(self):
+        """Arrows by start and by end object, half-arrows by end object."""
+        out = ({}, {}, {})
+        for by, ends in zip(out, (self.arr_start, self.arr_end, self.harr_end)):
+            for i, x in enumerate(ends):
+                by.setdefault(x, []).append(i)
+        return tuple({x: tuple(items) for x, items in by.items()} for by in out)
 
     def objects_idempotent(self):
         return all(self.obj_add[x][x] == x for x in range(self.obj_size))
@@ -202,12 +220,11 @@ def validate_category(cat: ForestCategory) -> ForestCategory:
     for u in range(cat.arr_size):
         for c in range(cat.harr_size):
             w = cat.ins[(u, c)]
-            for f in range(cat.arr_size):
-                if cat.arr_end[f] == cat.arr_start[u]:
-                    if cat.comp[(f, w)] != cat.ins[(cat.comp[(f, u)], c)]:
-                        raise CategoryLawError(
-                            "insertion-precomposition", (f, u, c), "f.ins(u,c) != ins(f.u,c)"
-                        )
+            for f in cat.arrows_to(cat.arr_start[u]):
+                if cat.comp[(f, w)] != cat.ins[(cat.comp[(f, u)], c)]:
+                    raise CategoryLawError(
+                        "insertion-precomposition", (f, u, c), "f.ins(u,c) != ins(f.u,c)"
+                    )
             for d in range(cat.harr_size):
                 if cat.ins[(w, d)] != cat.ins[(u, cat.harr_add[c][d])]:
                     raise CategoryLawError(
@@ -218,27 +235,26 @@ def validate_category(cat: ForestCategory) -> ForestCategory:
 
 def one_object_category(alg: ForestAlgebra) -> ForestCategory:
     """A forest category with one object is a forest algebra; this is that
-    correspondence, pointed the other way."""
+    correspondence, pointed the other way.  It obeys every law that `alg`
+    does, so it is not validated here."""
     comp = {(u, v): alg.mul[u][v] for u in range(alg.v_size) for v in range(alg.v_size)}
     act = {(c, u): alg.act[c][u] for c in range(alg.h_size) for u in range(alg.v_size)}
     ins = {(u, c): alg.ins[u][c] for u in range(alg.v_size) for c in range(alg.h_size)}
-    return validate_category(
-        ForestCategory(
-            obj_size=1,
-            obj_add=((0,),),
-            obj_zero=0,
-            harr_size=alg.h_size,
-            harr_add=alg.add,
-            harr_one=alg.zero,
-            harr_end=tuple(0 for _ in range(alg.h_size)),
-            arr_size=alg.v_size,
-            arr_start=tuple(0 for _ in range(alg.v_size)),
-            arr_end=tuple(0 for _ in range(alg.v_size)),
-            identity=(alg.one,),
-            comp=comp,
-            act=act,
-            ins=ins,
-        )
+    return ForestCategory(
+        obj_size=1,
+        obj_add=((0,),),
+        obj_zero=0,
+        harr_size=alg.h_size,
+        harr_add=alg.add,
+        harr_one=alg.zero,
+        harr_end=tuple(0 for _ in range(alg.h_size)),
+        arr_size=alg.v_size,
+        arr_start=tuple(0 for _ in range(alg.v_size)),
+        arr_end=tuple(0 for _ in range(alg.v_size)),
+        identity=(alg.one,),
+        comp=comp,
+        act=act,
+        ins=ins,
     )
 
 

@@ -1,9 +1,10 @@
 """Bottom-up forest automata given by Python functions, with known answers,
-shared by the test modules; they mirror `perfbench/corpus.Automaton`."""
+and the derived-category cases built from them and the samples, shared by
+the test modules; the automata mirror `perfbench/corpus.Automaton`."""
 
 import itertools
 
-from forestalg import terms
+from forestalg import ktypes, samples, terms
 from forestalg.algebra import Morphism, Recognizer, transformation_algebra
 
 
@@ -40,3 +41,67 @@ def a_above_b(alphabet):
         lambda a, st: (st[0] | (a == "a" and st[1]), st[1] | (a == "b")),
         lambda st: st[0] == 1,
     )
+
+
+def count_xor_depth(alphabet, m, r, d, s):
+    """(number of a-nodes = r mod m) xor (some leaf at depth = s mod d); the
+    count makes H non-idempotent."""
+    subsets = [frozenset(c) for n in range(d + 1) for c in itertools.combinations(range(d), n)]
+
+    def deepen(depths):
+        return frozenset((x + 1) % d for x in depths) if depths else frozenset({1 % d})
+
+    return automaton(
+        alphabet,
+        [(c, x) for c in range(m) for x in subsets],
+        (0, frozenset()),
+        lambda x, y: ((x[0] + y[0]) % m, x[1] | y[1]),
+        lambda a, st: ((st[0] + (a == "a")) % m, deepen(st[1])),
+        lambda st: (st[0] == r) != (s in st[1]),
+    )
+
+
+# accept predicates of lt_recognizer over (node types, root types)
+
+
+def even_node_types(nodes, roots):
+    return len(nodes) % 2 == 0
+
+
+def one_root_type(nodes, roots):
+    return len(roots) == 1
+
+
+def at_most_one_node_type(nodes, roots):
+    return len(nodes) <= 1
+
+
+def _lt(alphabet, pred):
+    return lambda: ktypes.lt_recognizer(alphabet, 1, pred).recognizer
+
+
+# (recognizer maker, depths k) of every small case whose depth-k derived
+# category builds and checks its identities in under 2 s on a 2-core host.
+# Left out: a_has_b_child("abc") at k = 1 (3.5 s, 7195 arrows).
+DERIVED_CASES = {
+    "contains_a": (samples.contains_a, (0, 1)),
+    "parity_a": (samples.parity_a, (0, 1)),
+    "parity_a-a": (lambda: samples.parity_a("a"), (0, 1, 2)),
+    "a_has_b_child-ab": (lambda: samples.a_has_b_child("ab"), (0, 1)),
+    "a_has_b_child-abc": (lambda: samples.a_has_b_child("abc"), (0,)),
+    "empty": (samples.empty_language, (0, 1)),
+    "universal": (samples.universal_language, (0, 1)),
+    "leaf-depth-a-m2": (lambda: leaf_depth("a", 2, 1), (0, 1, 2)),
+    "leaf-depth-a-m3": (lambda: leaf_depth("a", 3, 1), (0, 1, 2)),
+    "leaf-depth-a-m4": (lambda: leaf_depth("a", 4, 1), (0, 1, 2)),
+    "leaf-depth-ab-m2": (lambda: leaf_depth("ab", 2, 1), (0, 1)),
+    "leaf-depth-ab-m3": (lambda: leaf_depth("ab", 3, 1), (0, 1)),
+    "a-above-b-ab": (lambda: a_above_b("ab"), (0, 1)),
+    "a-above-b-abc": (lambda: a_above_b("abc"), (0, 1)),
+    "lt-a-even": (_lt("a", even_node_types), (0, 1, 2)),
+    "lt-a-one-root": (_lt("a", one_root_type), (0, 1, 2)),
+    "lt-a-one-node": (_lt("a", at_most_one_node_type), (0, 1, 2)),
+    "lt-ab-even": (_lt("ab", even_node_types), (0, 1)),
+    "lt-ab-one-root": (_lt("ab", one_root_type), (0, 1)),
+    "lt-ab-one-node": (_lt("ab", at_most_one_node_type), (0, 1)),
+}

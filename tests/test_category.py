@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -43,6 +44,7 @@ def test_one_object_category_from_flat_or_is_valid():
     cat = or_cat()
     assert cat.obj_size == 1
     assert cat.harr_size == 2 and cat.arr_size == 2
+    assert validate_category(cat) is cat
 
 
 def test_one_object_category_matches_algebra_tables():
@@ -64,14 +66,7 @@ def test_broken_composition_rejected():
     bad = dict(cat.comp)
     bad[(0, 2)] = 0  # id0 . u = id0 breaks endpoints
     with pytest.raises(CategoryLawError):
-        validate_category(
-            type(cat)(
-                **{
-                    **cat.__dict__,
-                    "comp": bad,
-                }
-            )
-        )
+        validate_category(dataclasses.replace(cat, comp=bad))
 
 
 def test_json_round_trip():

@@ -16,7 +16,14 @@ import itertools
 
 import pytest
 
-from automata import a_above_b, leaf_depth
+from automata import (
+    DERIVED_CASES,
+    a_above_b,
+    at_most_one_node_type,
+    even_node_types,
+    leaf_depth,
+    one_root_type,
+)
 from forestalg import algebra, decide, ktypes, samples, terms
 from forestalg.algebra import BudgetError, Generated, syntactic_algebra
 from forestalg.category import check_identities
@@ -191,21 +198,13 @@ def ref_relation_s_exact(syn, k, budget=100000):
 # --- inputs ------------------------------------------------------------------
 
 
-def _even_node_types(nodes, roots):
-    return len(nodes) % 2 == 0
-
-
-def _one_root_type(nodes, roots):
-    return len(roots) == 1
-
-
 def _recognizers():
     yield samples.contains_a()
     yield samples.parity_a()
     yield samples.contains_a_redundant()
     yield samples.empty_language()
     yield samples.a_has_b_child("ab")
-    for alphabet, pred in itertools.product(("a", "ab"), (_even_node_types, _one_root_type)):
+    for alphabet, pred in itertools.product(("a", "ab"), (even_node_types, one_root_type)):
         yield ktypes.lt_recognizer(alphabet, 1, pred).recognizer
 
 
@@ -439,8 +438,8 @@ def _decide_inputs():
     yield from _recognizers()
     yield samples.universal_language()
     yield samples.a_has_b_child("abc")
-    yield ktypes.lt_recognizer("a", 2, _even_node_types).recognizer
-    yield ktypes.lt_recognizer("abc", 1, _one_root_type).recognizer
+    yield ktypes.lt_recognizer("a", 2, even_node_types).recognizer
+    yield ktypes.lt_recognizer("abc", 1, one_root_type).recognizer
     # idempotent and not LT: a verdict must not say LT
     yield leaf_depth("a", 2, 0)
     yield leaf_depth("ab", 3, 1)
@@ -464,10 +463,6 @@ def test_lt_verdicts_pass_both_identity_checks():
     assert n_lt >= 8
 
 
-def _at_most_one_node_type(nodes, roots):
-    return len(nodes) <= 1
-
-
 def _differential_inputs():
     yield samples.contains_a()
     yield samples.parity_a()
@@ -476,7 +471,7 @@ def _differential_inputs():
     yield samples.empty_language()
     yield samples.universal_language()
     for alphabet, pred in itertools.product(
-        ("a", "ab"), (_even_node_types, _one_root_type, _at_most_one_node_type)
+        ("a", "ab"), (even_node_types, one_root_type, at_most_one_node_type)
     ):
         yield ktypes.lt_recognizer(alphabet, 1, pred).recognizer
 
@@ -502,43 +497,13 @@ def test_decide_lt_agrees_with_the_oracle_and_its_separators_flip_acceptance():
 
 # --- the derived category's identities -------------------------------------------
 
-# every small (recognizer, depths) case whose depth-k derived category builds
-# in under 1 s on a 2-core host; each case left out takes over 1 s there
-_DERIVED_CASES = {
-    "contains_a": (samples.contains_a, (0, 1)),
-    "parity_a": (samples.parity_a, (0, 1)),
-    "parity_a-a": (lambda: samples.parity_a("a"), (0, 1, 2)),
-    "a_has_b_child-ab": (lambda: samples.a_has_b_child("ab"), (0, 1)),
-    "a_has_b_child-abc": (lambda: samples.a_has_b_child("abc"), (0,)),
-    "empty": (samples.empty_language, (0, 1)),
-    "universal": (samples.universal_language, (0, 1)),
-    "leaf-depth-a-m2": (lambda: leaf_depth("a", 2, 1), (0, 1, 2)),
-    "leaf-depth-a-m3": (lambda: leaf_depth("a", 3, 1), (0, 1)),
-    "leaf-depth-a-m4": (lambda: leaf_depth("a", 4, 1), (0, 1)),
-    "leaf-depth-ab-m2": (lambda: leaf_depth("ab", 2, 1), (0,)),
-    "leaf-depth-ab-m3": (lambda: leaf_depth("ab", 3, 1), (0,)),
-    "a-above-b-ab": (lambda: a_above_b("ab"), (0, 1)),
-    "a-above-b-abc": (lambda: a_above_b("abc"), (0,)),
-    "lt-a-even": (lambda: ktypes.lt_recognizer("a", 1, _even_node_types).recognizer, (0, 1, 2)),
-    "lt-a-one-root": (lambda: ktypes.lt_recognizer("a", 1, _one_root_type).recognizer, (0, 1, 2)),
-    "lt-a-one-node": (
-        lambda: ktypes.lt_recognizer("a", 1, _at_most_one_node_type).recognizer, (0, 1, 2)
-    ),
-    "lt-ab-even": (lambda: ktypes.lt_recognizer("ab", 1, _even_node_types).recognizer, (0,)),
-    "lt-ab-one-root": (lambda: ktypes.lt_recognizer("ab", 1, _one_root_type).recognizer, (0, 1)),
-    "lt-ab-one-node": (
-        lambda: ktypes.lt_recognizer("ab", 1, _at_most_one_node_type).recognizer, (0, 1)
-    ),
-}
-
-
 @pytest.mark.parametrize(
-    "name,k", [(name, k) for name, (_, ks) in _DERIVED_CASES.items() for k in ks]
+    "name,k", [(name, k) for name, (_, ks) in DERIVED_CASES.items() for k in ks]
 )
 def test_derived_category_identities_agree_with_decide_identities(name, k):
     # the category's loop removal, horizontal absorption and horizontal
     # idempotence hold exactly when decide's two identities hold at depth k
-    syn = syntactic_algebra(_DERIVED_CASES[name][0]())
+    syn = syntactic_algebra(DERIVED_CASES[name][0]())
     ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k)
     dc = derived_category(pair_closure(syn.recognizer.morphism, ka.morphism))
     both = _check_identity_i(syn, relation_r(syn, k)) is None

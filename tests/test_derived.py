@@ -8,12 +8,12 @@ from forestalg.category import (
     brute_force_global_ic,
     canonical_flat_cover,
     check_identities,
+    validate_category,
     verify_covering,
 )
 from forestalg.derived import (
     FactorizationError,
     WreathMorphism,
-    check_derived_well_defined,
     dct_backward,
     dct_forward,
     derived_category,
@@ -81,6 +81,32 @@ def test_witness_replay():
 # --- derived category ------------------------------------------------------------
 
 
+def check_derived_well_defined(dc):
+    """Re-verify empirically that composition and insertion do not depend on
+    the representative context of an arrow class: any vpair with the same
+    action key must induce the same table entries."""
+    pa = dc.pa
+    a1, a2 = pa.alpha.algebra, pa.beta.algebra
+    for vp_idx in range(len(pa.v_pairs)):
+        v1, v2 = pa.v_pairs[vp_idx]
+        for oi in range(len(dc.objects)):
+            u = dc.arrow_of[(vp_idx, oi)]
+            # composition with every continuation arrow
+            for w in range(len(dc.arrow_keys)):
+                if dc.category.arr_start[w] != dc.category.arr_end[u]:
+                    continue
+                w1, w2 = pa.v_pairs[dc.arrow_rep[w]]
+                prod = (a1.mul[v1][w1], a2.mul[v2][w2])
+                if dc.arrow_of[(pa.v_index[prod], oi)] != dc.category.comp[(u, w)]:
+                    return False
+            # insertion with every half-arrow
+            for ci, (h1, h2) in enumerate(pa.h_pairs):
+                cand = (a1.ins[v1][h1], a2.ins[v2][h2])
+                if dc.arrow_of[(pa.v_index[cand], oi)] != dc.category.ins[(u, ci)]:
+                    return False
+    return True
+
+
 def test_derived_category_diagonal_identityish():
     rec = syn_rec(samples.contains_a(A))
     pa = pair_closure(rec.morphism, rec.morphism)
@@ -88,6 +114,7 @@ def test_derived_category_diagonal_identityish():
     # alpha = beta: each half-arrow is a diagonal pair
     assert dc.category.harr_size == len(pa.h_pairs)
     assert check_derived_well_defined(dc)
+    assert validate_category(dc.category) is dc.category
 
 
 def test_derived_category_contains_a_beta1_validates():
@@ -95,6 +122,7 @@ def test_derived_category_contains_a_beta1_validates():
     assert dc.category.obj_size == 4
     assert dc.category.harr_size == 4
     assert check_derived_well_defined(dc)
+    assert validate_category(dc.category) is dc.category
 
 
 def test_derived_category_identities_match_language_character():

@@ -50,6 +50,7 @@ from forestalg.derived import (
     pair_closure,
 )
 from forestalg.terms import enumerate_forests, make_alphabet
+from test_kernels import ref_tables
 
 A = make_alphabet("a")
 
@@ -702,7 +703,7 @@ def test_generated_rows_give_the_elementwise_tables_at_every_call_site(site, mon
         gen = generate(ops, letters, h_gens, budget=budget)
         assert_rows_hold_the_products(ops, letters, gen)
         elems = (gen.h_elems, gen.h_index, gen.v_elems, gen.v_index)
-        assert algebra._gen_tables(gen, *elems) == algebra._tables(ops, *elems)
+        assert algebra._gen_tables(gen, *elems) == ref_tables(ops, *elems)
         calls.append(budget)
         return gen
 
@@ -712,14 +713,10 @@ def test_generated_rows_give_the_elementwise_tables_at_every_call_site(site, mon
     assert calls
 
 
-def test_generated_tables_need_no_elementwise_tables(monkeypatch):
+def test_generated_tables_need_no_elementwise_tables():
     # the wreath, depth-k and generated subalgebra tables are read off the
-    # closure's rows alone
-
-    def refuse(*args):
-        raise AssertionError("_tables called")
-
-    monkeypatch.setattr(algebra, "_tables", refuse)
+    # closure's rows alone: there is no elementwise table builder left
+    assert not hasattr(algebra, "_tables")
     built = decide.lt_wreath_recognizer("ab", 1, _even_node_types)
     assert built.pi_ok
     outer, inner, gens = _wreath_letters("ab", 1)
