@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -490,28 +490,44 @@ def recognizer_from_json(data):
 
 class AutomatonOps:
     """A deterministic bottom-up forest automaton in the elementwise protocol:
-    H is a state index and V the tuple of states that a context sends each
-    state to; `add` is the state addition table, `letters` maps each label to
-    its tuple, and `states` optionally names the state of each index."""
+    H is a state index and V the map that a context induces on the states;
+    `add` is the state addition table, `letters` maps each label to its
+    transition tuple, and `states` optionally names the state of each index.
+
+    V elements are maps in the form `encode` gives them, chosen once from
+    the number of states n.  Up to 256 states a map is a 256-byte table whose
+    byte i is the image of state i; the bytes past n map to themselves, so
+    `bytes.translate` composes two maps in C and leaves that tail as it is,
+    and the tables hash and compare in C too.  A byte cannot name a state
+    past 255, so above 256 states a map is the tuple of its images.  `read`
+    turns a batch of V elements into an (m, n) integer array; no other code
+    depends on the form."""
 
     def __init__(self, add, zero, letters, states=None):
         self.add = add
         self.h_zero = zero
-        self.v_one = tuple(range(len(add)))
         self.letters = letters
         self.states = states
+        n = len(add)
+        if n <= 256:
+            tail = bytes(range(n, 256))
+            self.encode = lambda images: bytes(images) + tail
+            self.read = lambda vs: np.frombuffer(b"".join(vs), np.uint8).reshape(-1, 256)[:, :n]
+            rows = [self.encode(row) for row in add]
+            self.v_mul = bytes.translate  # u, then w
+            self.ins_ = lambda v, h: v.translate(rows[h])  # v, then add h
+        else:
+            self.encode = tuple
+            self.read = lambda vs: np.array(vs, dtype=np.int64).reshape(-1, n)
+            self.v_mul = lambda u, w: tuple(map(w.__getitem__, u))
+            self.ins_ = lambda v, h: tuple(map(add[h].__getitem__, v))
+        self.v_one = self.encode(range(n))
 
     def h_add(self, x, y):
         return self.add[x][y]
 
-    def v_mul(self, u, w):
-        return tuple(map(w.__getitem__, u))  # u, then w
-
     def act_(self, h, v):
         return v[h]
-
-    def ins_(self, v, h):
-        return tuple(map(self.add[h].__getitem__, v))  # v, then add h
 
 
 def transformation_algebra(h_add, zero, letter_maps, budget=100000):
@@ -528,10 +544,11 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
     by `_gen_tables`.  A monoid of transformations acts faithfully and
     inserts by addition, so only the inputs are validated.  Raises
     BudgetError once the closed states plus the V elements exceed `budget`.
-    Returns the algebra, the letter map into V and the `Generated` closure,
-    whose V elements are the transformation tuples; `witness_context`
-    replays each unless its derivation inserts an unreachable state (then
-    ValueError)."""
+    Returns the algebra, the letter map into V and the `Generated` closure.
+    The closure runs over `AutomatonOps`'s encoded maps; the returned one
+    holds each V element as the tuple of its images, with `v_index` keyed by
+    those tuples.  `witness_context` replays each element unless its
+    derivation inserts an unreachable state (then ValueError)."""
     n = len(h_add)
     add = _check_monoid(n, h_add, zero, "h", commutative=True)
     letters = {}
@@ -541,13 +558,16 @@ def transformation_algebra(h_add, zero, letter_maps, budget=100000):
             raise ValueError("letter map for %r is not a transformation of the states" % a)
         letters[a] = tau
     ops = AutomatonOps(add.tolist(), zero, letters)
-    gen = generate(ops, letters, budget=budget)
+    coded = {a: ops.encode(tau) for a, tau in letters.items()}
+    gen = generate(ops, coded, budget=budget)
     unreached = [h for h in range(n) if h not in gen.h_index]
     if unreached:
-        gen = generate(ops, letters, h_gens=unreached, budget=budget)
+        gen = generate(ops, coded, h_gens=unreached, budget=budget)
     # H keeps the state numbers (range(n) maps each to itself), V admission order
     add, act, mul, ins = _gen_tables(gen, range(n), range(n), gen.v_elems, gen.v_index)
     alg = _algebra(add, zero, mul, 0, act, ins)
+    v_elems = tuple(map(tuple, ops.read(gen.v_elems).tolist()))
+    gen = replace(gen, v_elems=v_elems, v_index={u: i for i, u in enumerate(v_elems)})
     return alg, {a: gen.v_index[tau] for a, tau in letters.items()}, gen
 
 

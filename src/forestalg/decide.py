@@ -79,12 +79,21 @@ __all__ = [
 # The realizability relations, read off one pair closure per level
 
 
+@dataclass
+class DecideBudgets:
+    max_k: int = 2
+    closure_budget: int = 300000
+    search_bound: int = 3
+    search_cap: int = 200000
+
+
 def _level(syn: SyntacticResult, k, budget):
     """The closure of the realizable (syntactic value, depth-k root-type set)
     pairs against the elementwise root-type ops, with no quotient tables;
     raises BudgetError when the root-type sets or the closure exceed it."""
     ops = _root_type_ops(syn.recognizer.alphabet, k, budget)
-    beta = Morphism(ops, syn.recognizer.alphabet, ops.letters)
+    letters = {a: ops.encode(tau) for a, tau in ops.letters.items()}
+    beta = Morphism(ops, syn.recognizer.alphabet, letters)
     return pair_closure(syn.recognizer.morphism, beta, budget=budget)
 
 
@@ -186,7 +195,7 @@ def _relation_r_saturation(syn: SyntacticResult, k, pa):
     return Relation("R", k, "saturation", frozenset(handles), _Replayed(handles, replay))
 
 
-def relation_r(rec, k, strategy="exact-closure", budget=300000):
+def relation_r(rec, k, strategy="exact-closure", budget=DecideBudgets().closure_budget):
     """The realizability relation for identity (i) at depth k, read off the
     pair closure of depth k ("exact-closure") or saturated from the one of
     depth k-1 ("saturation")."""
@@ -201,8 +210,9 @@ def relation_r(rec, k, strategy="exact-closure", budget=300000):
 
 
 def _relation_s_exact(k, pa):
-    # column hk of the stacked depth-k V tuples: where each V pair sends set hk
-    v1s, vks = (np.array(side, dtype=np.int64) for side in zip(*pa.v_pairs))
+    # column hk of the stacked depth-k V maps: where each V pair sends set hk
+    v1s, vks = zip(*pa.v_pairs)
+    v1s, vks = np.array(v1s, dtype=np.int64), pa.beta.algebra.read(vks)
     keeping = {}  # hk -> (v1, first vi keeping hk with that v1), by vi
     handles = {}
     for hi, (h1, hk) in enumerate(pa.h_pairs):
@@ -216,7 +226,7 @@ def _relation_s_exact(k, pa):
     return Relation("S", k, "exact-closure", frozenset(handles), wit)
 
 
-def relation_s(rec, k, budget=100000):
+def relation_s(rec, k, budget=DecideBudgets().closure_budget):
     """The realizability relation for identity (ii) at depth k."""
     syn = rec if isinstance(rec, SyntacticResult) else syntactic_algebra(rec)
     return _relation_s_exact(k, _level(syn, k, budget))
@@ -349,14 +359,6 @@ def verify_violation_at(syn: SyntacticResult, witness, kstar):
 
 # ---------------------------------------------------------------------------
 # The pipeline
-
-
-@dataclass
-class DecideBudgets:
-    max_k: int = 2
-    closure_budget: int = 300000
-    search_bound: int = 3
-    search_cap: int = 200000
 
 
 @dataclass

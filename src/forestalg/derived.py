@@ -72,6 +72,8 @@ class PairAlgebra:
     alpha: Morphism
     beta: Morphism
     h_pairs: tuple  # (alpha H index, beta H index)
+    # on decide's levels the second components are AutomatonOps maps, byte
+    # tables up to 256 root-type sets
     v_pairs: tuple
     h_index: dict
     v_index: dict

@@ -327,8 +327,9 @@ def _automaton_ops(initial, letter_step, alphabet, budget):
 
 def _root_type_ops(alphabet, k, budget):
     """The depth-k root-type quotient elementwise, with no transformation
-    monoid: H indexes the reachable root-type sets `states`, V is a tuple of
-    them and `add` is the union table.  The 4^T guard runs first."""
+    monoid: H indexes the reachable root-type sets `states`, V is a map of
+    them in `AutomatonOps`'s form and `add` is the union table.  The 4^T
+    guard runs first."""
     _require_root_sets_fit(len(alphabet), k, budget)
     step = lambda a, st: _apply_letter_root(a, st, k)
     return _automaton_ops(frozenset(), step, alphabet, budget)

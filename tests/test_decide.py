@@ -234,6 +234,23 @@ def test_relation_r_exact_matches_eager_reference(index, k):
         assert root_types(r, k) <= root_types(s, k)
 
 
+def test_relations_default_to_the_closure_budget_of_decide_lt(monkeypatch):
+    # a level that decide_lt reads R and S from fits both relations' defaults
+    budgets = []
+
+    def recorded(alpha, beta, budget):
+        budgets.append(budget)
+        return pair_closure(alpha, beta, budget=budget)
+
+    monkeypatch.setattr(decide, "pair_closure", recorded)
+    syn = SYNTACTIC[0]
+    assert decide_lt(syn.recognizer).kind == "LT"
+    relation_r(syn, 1)
+    relation_r(syn, 1, "saturation")
+    relation_s(syn, 1)
+    assert len(budgets) >= 4 and set(budgets) == {DecideBudgets().closure_budget}
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_reference_joint_closure_replays_its_pairs(k):
     # the reference is checked on its own: every derivation replays to a

@@ -8,6 +8,8 @@ numbering of V (and run out of budget exactly when the reference's full
 monoid does) and return the same identity witness.  The syntactic algebra
 read off arrays must equal the elementwise one, and the derived category
 built per start object must equal the one built by scanning all pairs.
+Decide's levels, closed over `AutomatonOps`'s byte tables, must equal the
+closures over the tuple maps of `RefAutomatonOps`.
 
 The constructions validate nothing themselves, so every algebra and
 category they build here is run through the exhaustive validators.
@@ -28,10 +30,11 @@ from automata import (
     leaf_depth,
     one_root_type,
 )
-from forestalg import algebra, decide, ktypes, samples
+from forestalg import algebra, decide, derived, ktypes, samples
 from forestalg.algebra import (
     AlgebraLawError,
     BudgetError,
+    PairOps,
     Recognizer,
     _check_monoid,
     direct_product,
@@ -42,6 +45,7 @@ from forestalg.algebra import (
 )
 from forestalg.category import one_object_category, validate_category
 from forestalg.decide import (
+    DecideBudgets,
     Relation,
     _check_identity_i,
     _check_identity_ii,
@@ -121,6 +125,30 @@ def ref_derive_ins(h_size, add, v_size, act):
             row.append(found[0])
         ins.append(row)
     return ins
+
+
+class RefAutomatonOps:
+    """`algebra.AutomatonOps` with every V element the tuple of states that a
+    context sends each state to, whatever the number of states."""
+
+    def __init__(self, add, zero, letters, states=None):
+        self.add = add
+        self.h_zero = zero
+        self.v_one = tuple(range(len(add)))
+        self.letters = letters
+        self.states = states
+
+    def h_add(self, x, y):
+        return self.add[x][y]
+
+    def v_mul(self, u, w):
+        return tuple(map(w.__getitem__, u))  # u, then w
+
+    def act_(self, h, v):
+        return v[h]
+
+    def ins_(self, v, h):
+        return tuple(map(self.add[h].__getitem__, v))  # v, then add h
 
 
 def ref_transformation_algebra(h_add, zero, letter_maps, budget=100000):
@@ -288,14 +316,23 @@ def _captured_automata():
     return calls
 
 
-AUTOMATA = _captured_automata()
+def _cyclic_automaton(n):
+    """Z_n under addition with one letter that adds 1: n states and n V
+    elements, for the states on either side of what a byte table holds."""
+    h_add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return h_add, 0, {"a": [(i + 1) % n for i in range(n)]}, 100000
+
+
+CAPTURED = _captured_automata()
+# the cyclic automata stay out of VALID: the reference validator is cubic in |V|
+AUTOMATA = CAPTURED + [_cyclic_automaton(256), _cyclic_automaton(257)]
 
 
 def _tables(alg):
     return (alg.add, alg.zero, alg.mul, alg.one, alg.act, alg.ins)
 
 
-VALID = [_tables(transformation_algebra(*args)[0]) for args in AUTOMATA] + [
+VALID = [_tables(transformation_algebra(*args)[0]) for args in CAPTURED] + [
     _tables(samples.flat_z3()),
     _tables(samples.flat_trunc3()),
 ]
@@ -317,7 +354,7 @@ def _lists(table):
 
 
 def test_valid_inputs_pass_both():
-    assert len(AUTOMATA) == 6
+    assert len(CAPTURED) == 6
     for tables in VALID:
         assert _outcome(ref_validate, *tables) is None
         assert _outcome(validate_algebra, *tables) is None
@@ -520,6 +557,38 @@ VIOLATING = {
     },
     "a-above-b-abc": algebra.syntactic_algebra(a_above_b("abc")),
 }
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_levels_match_the_closure_over_tuple_maps(k, monkeypatch):
+    # decide's levels close over AutomatonOps's byte tables; decoded, they
+    # are the closure over the tuple maps, element, derivation and row alike
+    runs = []
+
+    def recorded(ops, letters, h_gens=(), *, budget):
+        runs.append((ops, letters, generate(ops, letters, h_gens, budget=budget)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(derived, "generate", recorded)
+    budget, n = DecideBudgets().closure_budget, 0
+    for syn in SYNTACTIC + list(VIOLATING.values()):
+        runs.clear()
+        try:
+            decide._level(syn, k, budget)
+        except BudgetError:
+            continue
+        [(ops, letters, gen)] = runs
+        auto = ops.second
+        ref_ops = PairOps(ops.first, RefAutomatonOps(auto.add, auto.h_zero, auto.letters))
+        ref_letters = {a: (v, auto.letters[a]) for a, (v, _) in letters.items()}
+        ref = generate(ref_ops, ref_letters, budget=budget)
+        firsts, seconds = zip(*gen.v_elems)
+        decoded = tuple(zip(firsts, map(tuple, auto.read(seconds).tolist())))
+        assert (gen.h_elems, decoded) == (ref.h_elems, ref.v_elems)
+        assert (gen.h_derivs, gen.v_derivs) == (ref.h_derivs, ref.v_derivs)
+        assert (gen.h_rows, gen.v_rows) == (ref.h_rows, ref.v_rows)
+        n += 1
+    assert n == (5 if k == 2 else 14)
 
 
 def _relations(syn, k):

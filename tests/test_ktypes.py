@@ -232,18 +232,19 @@ def test_ktype_morphism_agrees_with_direct_recursion():
     "alphabet, k", [("a", 0), ("a", 1), ("a", 2), ("ab", 0), ("ab", 1), ("abc", 0), ("abc", 1)]
 )
 def test_root_type_ops_agree_with_the_ktype_algebra_tables(alphabet, k):
-    # decide's levels use the elementwise ops; each of their V tuples is the
-    # act column of one element of the validated quotient
+    # decide's levels use the elementwise ops; each of their V maps is the
+    # encoded act column of one element of the validated quotient
     ka = ktype_algebra(alphabet, k)
     alg = ka.algebra
     ops = ktypes._root_type_ops(ka.alphabet, k, 20000)
     assert ops.states == ka.states
     hs, vs = range(alg.h_size), range(alg.v_size)
-    column = [tuple(alg.act[h][v] for h in hs) for v in vs]
+    column = [ops.encode(tuple(alg.act[h][v] for h in hs)) for v in vs]
+    assert ops.read(column).T.tolist() == [list(row) for row in alg.act]
     v_of = {c: v for v, c in enumerate(column)}
     assert len(v_of) == alg.v_size
     assert (ops.h_zero, v_of[ops.v_one]) == (alg.zero, alg.one)
-    assert {a: v_of[g] for a, g in ops.letters.items()} == ka.morphism.letters
+    assert {a: v_of[ops.encode(g)] for a, g in ops.letters.items()} == ka.morphism.letters
     assert [[ops.h_add(x, y) for y in hs] for x in hs] == [list(row) for row in alg.add]
     assert [[ops.act_(x, column[v]) for v in vs] for x in hs] == [list(row) for row in alg.act]
     mul = [[v_of[ops.v_mul(column[u], column[w])] for w in vs] for u in vs]
