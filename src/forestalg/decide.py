@@ -28,6 +28,24 @@ the last level that fit, since S shrinks as k grows.
 Exactness at k* itself is out of reach for nontrivial algebras (the type
 spaces grow non-elementarily), so the pipeline is sound but partial in the
 middle and exact at the extremes.
+
+Lemma.  Call a tree K deep when its longest root-to-leaf path has K nodes.
+Let H be idempotent and every tree of r at most K deep.  Then root_types(r, K)
+<= root_types(s, K) gives r+s the value of s, and root_types(rp, K) =
+root_types(r, K) gives rp the value of r.
+Proof.  A depth-K type holds the atom iff its tree is more than K deep, and
+otherwise fixes the tree up to the order and repetition of siblings, which a
+commutative idempotent H does not count: trees of one such type have one
+value (by induction on depth).  (i) Each tree of r has the type, so the value,
+of a tree of s, and adding that value to s again changes nothing.  (ii) If the
+hole of p lay below a root of p, the root of rp above it would hold a copy of
+every tree of r strictly inside, so it would be deeper than each tree of r;
+yet it has the type of a tree of r, which fixes its depth (and with r empty,
+rp has a root and r none).  So rp = r+f with root_types(f, K) <=
+root_types(r, K), types of trees at most K deep, and (i) applies.  []
+So a violation whose side condition holds at k* needs a tree of r more than
+k* deep: every instance over terms of at most k* nodes holds, and with
+|H| = 1 no identity can fail.
 """
 
 from __future__ import annotations
@@ -60,7 +78,7 @@ from .ktypes import (
     truncate,
     type_render,
 )
-from .terms import apply_context, enumerate_contexts, enumerate_forests
+from .terms import apply_context
 
 __all__ = [
     "Relation",
@@ -81,10 +99,12 @@ __all__ = [
 
 @dataclass
 class DecideBudgets:
+    """`max_k`: the deepest level k whose relations decide_lt checks.
+    `closure_budget`: the bound on each level's pair closure, past which R
+    saturates from the level below and S stands in from the last that fit."""
+
     max_k: int = 2
     closure_budget: int = 300000
-    search_bound: int = 3
-    search_cap: int = 200000
 
 
 def _level(syn: SyntacticResult, k, budget):
@@ -318,13 +338,22 @@ def separating_context(syn: SyntacticResult, h1, h2):
     return None
 
 
+def _separator(syn: SyntacticResult, left, right, h_left, h_right):
+    """The rendered separating context of the values h_left of left and
+    h_right of right, checked to flip acceptance on the two terms."""
+    w = separating_context(syn, h_left, h_right)
+    assert w is not None
+    accepts = syn.recognizer.accepts
+    assert accepts(apply_context(left, w)) != accepts(apply_context(right, w))
+    return w.render()
+
+
 def verify_violation_at(syn: SyntacticResult, witness, kstar):
     """Re-verify an identity violation on its concrete terms at level kstar:
     the side condition is recomputed on the replayed terms, and the
     inequation is re-evaluated; returns the self-contained evidence dict or
     None if the witness does not survive at kstar."""
     m = syn.recognizer.morphism
-    alg = syn.algebra
     kind = witness[0]
     if kind == "i":
         _, r, s, t, u = witness
@@ -334,25 +363,20 @@ def verify_violation_at(syn: SyntacticResult, witness, kstar):
         rhs = apply_context(s, t) + apply_context(r, u)
     else:
         _, r, p, q, q2 = witness
-        if root_types(apply_context(r, p), kstar) != root_types(r, kstar):
-            return None
         rp = apply_context(r, p)
+        if root_types(rp, kstar) != root_types(r, kstar):
+            return None
         lhs = apply_context(rp, q) + apply_context(rp, q2)
         rhs = apply_context(r, q) + apply_context(rp, q2)
     hl, hr = m.eval_forest(lhs), m.eval_forest(rhs)
     if hl == hr:
         return None
-    w = separating_context(syn, hl, hr)
-    assert w is not None
-    assert syn.recognizer.accepts(apply_context(lhs, w)) != syn.recognizer.accepts(
-        apply_context(rhs, w)
-    )
     return {
         "kind": kind,
         "terms": [x.render() for x in witness[1:]],
         "lhs": lhs.render(),
         "rhs": rhs.render(),
-        "separator": w.render(),
+        "separator": _separator(syn, lhs, rhs, hl, hr),
         "kstar": kstar,
     }
 
@@ -384,85 +408,23 @@ class LtVerdict:
 
 
 def _nonidempotent_evidence(syn: SyntacticResult, h):
-    alg = syn.algebra
     r = syn.h_terms[h]
     doubled = r + r
-    w = separating_context(syn, h, alg.add[h][h])
-    assert w is not None
-    assert syn.recognizer.accepts(apply_context(r, w)) != syn.recognizer.accepts(
-        apply_context(doubled, w)
-    )
     return {
         "value": h,
         "term": r.render(),
         "doubled": doubled.render(),
-        "separator": w.render(),
+        "separator": _separator(syn, r, doubled, h, syn.algebra.add[h][h]),
     }
-
-
-def _direct_witness_search(syn: SyntacticResult, kstar, budgets, counters):
-    """Bounded search over enumerated terms for identity violations whose
-    side condition holds at kstar; any hit is conclusive NotLT evidence.
-
-    It runs on syntactic values: each term is evaluated once, root types are
-    computed once per r and per rp, and each (r, s) or (r, p) is tested over
-    all its (t, u) or (q, q') at once on the tables.  Only the first hit is
-    replayed into terms, and re-verified by `verify_violation_at`.
-    `search_steps` counts the candidates of the term-level loops in their
-    order: one per t with (r+s)t = st, else one per (t, u), and one per
-    (q, q'); past `search_cap` the search stops at cap + 1."""
-    m = syn.recognizer.morphism
-    add, act = _add_act(syn.algebra)
-    forests = list(enumerate_forests(syn.recognizer.alphabet, budgets.search_bound))
-    contexts = list(enumerate_contexts(syn.recognizer.alphabet, budgets.search_bound))
-    h_of = [m.eval_forest(s) for s in forests]
-    v_of = np.array([m.eval_context(p) for p in contexts], dtype=np.int64)
-    types = [root_types(s, kstar) for s in forests]
-    n = len(contexts)
-
-    def block(left, right, cols, equal_rows_cost_one):
-        # rows (r+s)t vs st with columns ru, or rows rpq vs rq with columns rpq'
-        left, right = act[left, v_of], act[right, v_of]
-        cost = np.where((left == right) & equal_rows_cost_one, 1, n)
-        hit = _first_violation(add, left, right, act[cols, v_of])
-        if hit is None:
-            return int(cost.sum()), None
-        return int(cost[: hit[0]].sum()) + hit[1] + 1, hit
-
-    def candidates():
-        for i, r in enumerate(forests):
-            for j, s in enumerate(forests):
-                if types[i] <= types[j]:
-                    yield ("i", r, s), (int(add[h_of[i], h_of[j]]), h_of[j], h_of[i], True)
-        for i, r in enumerate(forests):
-            for p, vp in zip(contexts, v_of):
-                if root_types(apply_context(r, p), kstar) == types[i]:
-                    rp = int(act[h_of[i], vp])
-                    yield ("ii", r, p), (rp, h_of[i], rp, False)
-
-    blocks = {}  # a block's steps and first hit depend on its values only
-    steps = 0
-    for head, key in candidates():
-        if key not in blocks:
-            blocks[key] = block(*key)
-        cost, hit = blocks[key]
-        if steps + cost > budgets.search_cap:
-            counters["search_steps"] = max(steps, budgets.search_cap) + 1
-            counters["search_truncated"] = True
-            return None
-        if hit is not None:
-            return verify_violation_at(syn, head + (contexts[hit[0]], contexts[hit[1]]), kstar)
-        steps += cost
-    counters["search_steps"] = steps
-    return None
 
 
 def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdict:
     """The decision pipeline.  LT verdicts carry the level and the identity
-    transcript over exact relations; NotLT verdicts carry either the
-    nonidempotence pair or concrete terms re-verified at k*; budget
-    exhaustion yields Unknown with the full progress report, never a silent
-    truncation."""
+    transcript over exact relations.  NotLT evidence comes from
+    nonidempotence or from a level's witness that verifies at k*; by the
+    lemma of the module docstring, such a witness needs a tree of r more
+    than k* deep.  When no level settles it, the verdict is Unknown with the
+    full progress report, never a silent truncation."""
     budgets = budgets or DecideBudgets()
     syn = syntactic_algebra(rec)
     alg = syn.algebra
@@ -511,9 +473,7 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
             progress.append(entry)
             got = verify_violation_at(syn, witness, kstar)
             if got is not None:
-                return LtVerdict(
-                    "NotLT", None, "identity-witness", kstar, got, progress, counters
-                )
+                return LtVerdict("NotLT", None, "identity-witness", kstar, got, progress, counters)
             entry["witness_failed_at_kstar"] = True
             continue
         if rel_r is not None and rel_s is not None:
@@ -528,15 +488,10 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
                 "s_level": rel_s.k,
                 "s_size": len(rel_s.pairs),
             }
-            return LtVerdict(
-                "LT", k + 1, "identities-hold", kstar, evidence, progress, counters
-            )
+            return LtVerdict("LT", k + 1, "identities-hold", kstar, evidence, progress, counters)
         entry["outcome"] = "inconclusive"
         progress.append(entry)
 
-    got = _direct_witness_search(syn, kstar, budgets, counters)
-    if got is not None:
-        return LtVerdict("NotLT", None, "identity-witness", kstar, got, progress, counters)
     return LtVerdict("Unknown", None, "budgets-exhausted", kstar, {}, progress, counters)
 
 

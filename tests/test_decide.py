@@ -1,4 +1,4 @@
-"""Tests of the decision pipeline's relations, search and budget guards.
+"""Tests of the decision pipeline's relations, identities and budget guards.
 
 The reference for exact R is an independent builder: a closure over joint
 (value, root-type-set mask) pairs on integer-coded depth-k types, followed by
@@ -7,11 +7,10 @@ pairs, and every witness it replays must realize its pair and meet the side
 condition.  The reference for exact S is its eager version, which replays
 witness terms for every pair while the relation is built; the relations must
 have the same pairs and the same keys, and each key must read back the same
-terms, though they are replayed only on read.  The reference search is the
-term-level loop that the value-level `_direct_witness_search` must
-reproduce: same result, same counters.
+terms, though they are replayed only on read.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -31,7 +30,6 @@ from forestalg.decide import (
     DecideBudgets,
     _check_identity_i,
     _check_identity_ii,
-    _direct_witness_search,
     decide_lt,
     relation_r,
     relation_s,
@@ -40,15 +38,6 @@ from forestalg.decide import (
 from forestalg.derived import derived_category, pair_closure, witness_context, witness_forest
 from forestalg.ktypes import root_types
 from forestalg.terms import apply_context, enumerate_contexts, enumerate_forests
-
-
-def test_truncated_search_records_its_steps():
-    # contains-a is locally testable, so no step can end the search early
-    syn = syntactic_algebra(samples.contains_a())
-    counters = {}
-    budgets = DecideBudgets(search_bound=2, search_cap=5)
-    assert _direct_witness_search(syn, 5, budgets, counters) is None
-    assert counters == {"search_steps": 6, "search_truncated": True}
 
 
 # --- reference builders ------------------------------------------------------
@@ -210,6 +199,22 @@ def _recognizers():
 
 SYNTACTIC = [syntactic_algebra(rec) for rec in _recognizers()]
 
+# further inputs, over one to three letters: idempotent LT and not LT, and the
+# nonidempotent parity_a
+MORE_SYN = {
+    name: syntactic_algebra(rec)
+    for name, rec in {
+        "contains_a": samples.contains_a(),
+        "a_has_b_child": samples.a_has_b_child("ab"),
+        "parity_a": samples.parity_a(),
+        "leaf_depth_a_2": leaf_depth("a", 2, 0),
+        "leaf_depth_a_3": leaf_depth("a", 3, 1),
+        "leaf_depth_ab_2": leaf_depth("ab", 2, 1),
+        "a_above_b_ab": a_above_b("ab"),
+        "a_above_b_abc": a_above_b("abc"),
+    }.items()
+}
+
 
 def _assert_matches(rel, ref):
     ref_pairs, ref_wit = ref
@@ -305,149 +310,6 @@ def test_building_relations_replays_no_terms(monkeypatch):
     assert calls and set(calls) == {"witness_forest"}
 
 
-# --- the witness search --------------------------------------------------------
-
-
-def ref_direct_witness_search(syn, kstar, budgets, counters):
-    """The term-level search: every candidate is built as terms and checked
-    by verify_violation_at."""
-    alphabet = syn.recognizer.alphabet
-    m = syn.recognizer.morphism
-    bound = budgets.search_bound
-    forests = list(enumerate_forests(alphabet, bound))
-    contexts = list(enumerate_contexts(alphabet, bound))
-    types = {s: root_types(s, kstar) for s in forests}
-    steps = 0
-    for r in forests:
-        for s in forests:
-            if not (types[r] <= types[s]):
-                continue
-            for t in contexts:
-                lt = m.eval_forest(apply_context(r + s, t))
-                rt = m.eval_forest(apply_context(s, t))
-                if lt == rt:
-                    steps += 1
-                    if steps > budgets.search_cap:
-                        counters["search_steps"] = steps
-                        counters["search_truncated"] = True
-                        return None
-                    continue
-                for u in contexts:
-                    steps += 1
-                    if steps > budgets.search_cap:
-                        counters["search_steps"] = steps
-                        counters["search_truncated"] = True
-                        return None
-                    witness = ("i", r, s, t, u)
-                    got = verify_violation_at(syn, witness, kstar)
-                    if got is not None:
-                        return got
-    for r in forests:
-        for p in contexts:
-            if root_types(apply_context(r, p), kstar) != root_types(r, kstar):
-                continue
-            for q in contexts:
-                for q2 in contexts:
-                    steps += 1
-                    if steps > budgets.search_cap:
-                        counters["search_steps"] = steps
-                        counters["search_truncated"] = True
-                        return None
-                    witness = ("ii", r, p, q, q2)
-                    got = verify_violation_at(syn, witness, kstar)
-                    if got is not None:
-                        return got
-    counters["search_steps"] = steps
-    return None
-
-
-# name -> (recognizer, k* values, search_bound): truncated searches, complete
-# searches without a hit, and hits in identity (i) and in identity (ii)
-SEARCH_CASES = {
-    "contains_a": (samples.contains_a(), (1, 2, 5), 1),
-    "a_has_b_child": (samples.a_has_b_child("ab"), (1, 2, 5), 1),
-    "parity_a": (samples.parity_a(), (1, 2, 5), 2),
-    "leaf_depth_a_2": (leaf_depth("a", 2, 0), (1, 2, 5), 2),
-    "leaf_depth_a_3_bound3": (leaf_depth("a", 3, 1), (1,), 3),
-    "leaf_depth_ab_2": (leaf_depth("ab", 2, 1), (1, 2, 5), 1),
-    "a_above_b_ab": (a_above_b("ab"), (1, 2, 5), 1),
-    "a_above_b_abc": (a_above_b("abc"), (1, 2, 5), 1),
-}
-SEARCH_SYN = {name: syntactic_algebra(rec) for name, (rec, _, _) in SEARCH_CASES.items()}
-# the reference builds terms for every step, so caps stay small
-REFERENCE_CAP = 1000
-
-
-def _search_end(syn, kstar, bound):
-    """Steps to the first hit (the least cap that finds it) and whether there
-    is one, else the steps of the whole search."""
-    counters = {}
-    budgets = DecideBudgets(search_bound=bound, search_cap=1 << 40)
-    if _direct_witness_search(syn, kstar, budgets, counters) is None:
-        return counters["search_steps"], False
-    lo, hi = 0, 1 << 40
-    while lo < hi:
-        mid = (lo + hi) // 2
-        budgets = DecideBudgets(search_bound=bound, search_cap=mid)
-        if _direct_witness_search(syn, kstar, budgets, {}) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo, True
-
-
-@pytest.mark.parametrize(
-    "name,kstar",
-    [(name, kstar) for name, (_, kstars, _) in SEARCH_CASES.items() for kstar in kstars],
-)
-def test_search_matches_term_level_reference(name, kstar):
-    syn = SEARCH_SYN[name]
-    bound = SEARCH_CASES[name][2]
-    end, hit = _search_end(syn, kstar, bound)
-    caps = {0, 1, 7, end - 1, end, end + 1}
-    for cap in sorted(c for c in caps if 0 <= c <= REFERENCE_CAP):
-        budgets = DecideBudgets(search_bound=bound, search_cap=cap)
-        want_counters, got_counters = {}, {}
-        want = ref_direct_witness_search(syn, kstar, budgets, want_counters)
-        got = _direct_witness_search(syn, kstar, budgets, got_counters)
-        assert got == want, (cap, got, want)
-        assert got_counters == want_counters, cap
-        if hit and cap >= end:
-            assert got is not None and got_counters == {}
-
-
-def test_search_cases_reach_both_identities_and_straddle_the_cap():
-    kinds = set()
-    straddled = 0
-    for name, (_, kstars, bound) in SEARCH_CASES.items():
-        for kstar in kstars:
-            end, hit = _search_end(SEARCH_SYN[name], kstar, bound)
-            straddled += end <= REFERENCE_CAP
-            if hit:
-                budgets = DecideBudgets(search_bound=bound, search_cap=end)
-                kinds.add(_direct_witness_search(SEARCH_SYN[name], kstar, budgets, {})["kind"])
-    assert kinds == {"i", "ii"}
-    assert straddled >= 15
-
-
-def test_search_verifies_only_the_hit(monkeypatch):
-    calls = []
-    verify = decide.verify_violation_at
-
-    def counting(*args):
-        calls.append(args[1])
-        return verify(*args)
-
-    monkeypatch.setattr(decide, "verify_violation_at", counting)
-    syn = SEARCH_SYN["leaf_depth_a_2"]
-    got = _direct_witness_search(syn, 1, DecideBudgets(search_bound=2), {})
-    assert got["kind"] == "ii" and len(calls) == 1
-    calls.clear()
-    counters = {}
-    assert _direct_witness_search(syn, 2, DecideBudgets(search_bound=2), counters) is None
-    assert calls == [] and counters == {"search_steps": 648}
-
-
 # --- LT verdicts -----------------------------------------------------------------
 
 
@@ -510,6 +372,107 @@ def test_decide_lt_agrees_with_the_oracle_and_its_separators_flip_acceptance():
             left, right = (terms.parse_forest(ev[side], rec.alphabet) for side in sides)
             assert rec.accepts(apply_context(left, w)) != rec.accepts(apply_context(right, w))
     assert (kinds.count("LT"), kinds.count("NotLT")) == (10, 2)
+
+
+# --- violations at k* and the lemma behind them --------------------------------
+
+# witnesses of the two identities as term texts, with the level at which their
+# side conditions hold and the evidence verify_violation_at gives them there;
+# both have a tree of r deeper than that level, as the lemma requires
+WITNESSES = {
+    "i": (
+        leaf_depth("ab", 2, 1),
+        ("a(a)", "a(a(a))", "[]", "a([])"),
+        1,
+        {"lhs": "a(a)+a(a(a))+a(a(a))", "rhs": "a(a(a))+a(a(a))", "separator": "a([])"},
+    ),
+    "ii": (
+        leaf_depth("a", 2, 0),
+        ("a(a(a))", "a([])", "[]", "[]"),
+        2,
+        {"lhs": "a(a(a(a)))+a(a(a(a)))", "rhs": "a(a(a))+a(a(a(a)))", "separator": "a([])"},
+    ),
+}
+
+
+def _witness(kind):
+    """The witness tuple: r, then s for (i) or p for (ii), then two contexts."""
+    rec, (r, x, t, u), _, _ = WITNESSES[kind]
+    second = terms.parse_forest if kind == "i" else terms.parse_context
+    contexts = (terms.parse_context(t, rec.alphabet), terms.parse_context(u, rec.alphabet))
+    return (kind, terms.parse_forest(r, rec.alphabet), second(x, rec.alphabet), *contexts)
+
+
+@pytest.mark.parametrize("kind", ["i", "ii"])
+def test_verify_violation_at_confirms_a_witness_and_its_separator_flips_acceptance(kind):
+    rec, texts, kstar, sides = WITNESSES[kind]
+    got = verify_violation_at(syntactic_algebra(rec), _witness(kind), kstar)
+    assert got == {"kind": kind, "terms": list(texts), **sides, "kstar": kstar}
+    w = terms.parse_context(got["separator"], rec.alphabet)
+    lhs, rhs = (terms.parse_forest(got[side], rec.alphabet) for side in ("lhs", "rhs"))
+    assert rec.accepts(apply_context(lhs, w)) != rec.accepts(apply_context(rhs, w))
+
+
+@pytest.mark.parametrize("kind", ["i", "ii"])
+def test_verify_violation_at_refuses_a_witness_whose_side_condition_fails(kind):
+    rec, _, kstar, _ = WITNESSES[kind]
+    syn = syntactic_algebra(rec)
+    for deeper in (kstar + 1, kstar + 5):
+        assert verify_violation_at(syn, _witness(kind), deeper) is None
+
+
+def _depth(forest):
+    """The number of nodes on the longest root-to-leaf path of forest."""
+    return max((1 + _depth(t.children) for t in forest.trees), default=0)
+
+
+@functools.cache
+def _side_conditions(alphabet, k, bound):
+    """The instances over terms of at most `bound` nodes whose side condition
+    holds at depth k: (r, s) with the root types of r included in those of s,
+    and (r, rp) for contexts p with the root types of rp equal to those of r."""
+    forests = list(enumerate_forests(alphabet, bound))
+    types = [root_types(f, k) for f in forests]
+    sums = [(r, s) for (r, tr), (s, ts) in itertools.product(zip(forests, types), repeat=2) if tr <= ts]
+    keeps = []
+    for r, tr in zip(forests, types):
+        for p in enumerate_contexts(alphabet, bound):
+            rp = apply_context(r, p)
+            if root_types(rp, k) == tr:
+                keeps.append((r, rp))
+    return sums, keeps
+
+
+def _unequal_sides(syn, k, bound):
+    """The instances of _side_conditions where r+s and s, or rp and r, differ
+    in value: (kind, r) for each."""
+    m = syn.recognizer.morphism
+    sums, keeps = _side_conditions(syn.recognizer.alphabet, k, bound)
+    out = [("i", r) for r, s in sums if m.eval_forest(r + s) != m.eval_forest(s)]
+    return out + [("ii", r) for r, rp in keeps if m.eval_forest(rp) != m.eval_forest(r)]
+
+
+def test_side_conditions_at_depth_k_fix_the_values_of_terms_at_most_k_deep():
+    # the lemma of decide's docstring: with H idempotent and every tree of r
+    # at most k deep, the side conditions give r+s the value of s and rp the
+    # value of r; terms of at most 3 nodes are at most 3 deep
+    inputs = SYNTACTIC + list(MORE_SYN.values())
+    inputs += [syntactic_algebra(rec) for rec in itertools.chain(_decide_inputs(), _differential_inputs())]
+    n = 0
+    for syn in inputs:
+        if syn.algebra.h_idempotent():
+            assert _unequal_sides(syn, 3, 3) == []
+            n += 1
+    assert n >= 39
+    # without the depth bound the lemma fails: on terms of at most 3 nodes,
+    # the side conditions at depth 2 (and at depth 1 for identity (i)) hold
+    # with unequal sides, each time with a tree of r deeper than that
+    kinds = set()
+    for name, k in (("leaf_depth_a_2", 2), ("leaf_depth_ab_2", 1)):
+        unequal = _unequal_sides(MORE_SYN[name], k, 3)
+        assert unequal and all(_depth(r) > k for _, r in unequal)
+        kinds |= {kind for kind, _ in unequal}
+    assert kinds == {"i", "ii"}
 
 
 # --- the derived category's identities -------------------------------------------
@@ -681,7 +644,7 @@ def test_saturation_relation_is_closed_under_sums(k):
     # the fold adds each generator once; sums of any two pairs must be in it,
     # and every pair must replay to terms that realize it
     n = 0
-    for syn in SYNTACTIC + [SEARCH_SYN["leaf_depth_ab_2"], SEARCH_SYN["a_above_b_abc"]]:
+    for syn in SYNTACTIC + [MORE_SYN["leaf_depth_ab_2"], MORE_SYN["a_above_b_abc"]]:
         if not syn.algebra.h_idempotent():
             continue
         add = syn.algebra.add
@@ -700,7 +663,7 @@ def test_saturation_relation_is_closed_under_sums(k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_saturation_r_equals_exact_r_where_both_fit(k):
     n = 0
-    for syn in SYNTACTIC + list(SEARCH_SYN.values()):
+    for syn in SYNTACTIC + list(MORE_SYN.values()):
         if not syn.algebra.h_idempotent():
             continue
         try:
@@ -764,7 +727,7 @@ def ref_witness_context(gen, j):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_replay_renders_the_recursive_replay_on_every_level(k):
     n = 0
-    for syn in SYNTACTIC + list(SEARCH_SYN.values()):
+    for syn in SYNTACTIC + list(MORE_SYN.values()):
         try:
             pa = decide._level(syn, k, DecideBudgets().closure_budget)
         except BudgetError:
