@@ -118,7 +118,7 @@ class ForestAlgebra:
         return self.ins[v][h]
 
     def h_idempotent(self):
-        return all(self.add[h][h] == h for h in range(self.h_size))
+        return self.h_nonidempotent_witness() is None
 
     def h_nonidempotent_witness(self):
         for h in range(self.h_size):
@@ -160,8 +160,10 @@ def _check_monoid(size, table, unit, name, commutative):
         raise AlgebraLawError(name + "-shape", (), "table is not %d x %d" % (size, size))
     t = _index_array(table, (size, size))
     _check_range(t, size, name + "-shape")
+    if not 0 <= unit < size:
+        raise AlgebraLawError(name + "-identity", (unit,), "unit out of range")
     elems = np.arange(size)
-    x = _first((t[unit] != elems) | (t[:, unit] != elems)) if size else None
+    x = _first((t[unit] != elems) | (t[:, unit] != elems))
     if x is not None:
         raise AlgebraLawError(name + "-identity", (x,), "unit law fails")
     # row x: commutativity xy = yx, then associativity (xy)z = x(yz) over all

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import BudgetError, FlatMaskAlgebra, ForestAlgebra
+from .algebra import AlgebraLawError, BudgetError, FlatMaskAlgebra, ForestAlgebra, _check_monoid
 
 __all__ = [
     "CategoryLawError",
@@ -57,11 +57,8 @@ __all__ = [
 ]
 
 
-class CategoryLawError(ValueError):
-    def __init__(self, law, where, message):
-        super().__init__("%s: %s (witness %r)" % (law, message, where))
-        self.law = law
-        self.where = where
+# a category law fails: the same error, law name and witness as for algebras
+CategoryLawError = AlgebraLawError
 
 
 class DiagramError(ValueError):
@@ -121,28 +118,30 @@ class ForestCategory:
         return all(self.obj_add[x][x] == x for x in range(self.obj_size))
 
 
-def _check_comm_monoid(size, table, unit, name):
-    if len(table) != size or any(len(r) != size for r in table):
-        raise CategoryLawError(name + "-shape", (), "not %d x %d" % (size, size))
-    for x in range(size):
-        if table[unit][x] != x or table[x][unit] != x:
-            raise CategoryLawError(name + "-identity", (x,), "unit law fails")
-        for y in range(size):
-            if table[x][y] != table[y][x]:
-                raise CategoryLawError(name + "-commutativity", (x, y), "xy != yx")
-            for z in range(size):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise CategoryLawError(name + "-associativity", (x, y, z), "not associative")
-
-
 def validate_category(cat: ForestCategory) -> ForestCategory:
     """Exhaustively check the forest category axioms, reporting the first
     violation with the element ids that instantiate it."""
-    _check_comm_monoid(cat.obj_size, cat.obj_add, cat.obj_zero, "objects")
-    _check_comm_monoid(cat.harr_size, cat.harr_add, cat.harr_one, "halfarrows")
-    # end is a monoid homomorphism onto the objects
+    _check_monoid(cat.obj_size, cat.obj_add, cat.obj_zero, "objects", commutative=True)
+    _check_monoid(cat.harr_size, cat.harr_add, cat.harr_one, "halfarrows", commutative=True)
     if len(cat.harr_end) != cat.harr_size:
         raise CategoryLawError("end-shape", (), "end array has wrong length")
+    if len(cat.identity) != cat.obj_size:
+        raise CategoryLawError("identity-shape", (), "one identity arrow per object")
+    # so that no law indexes out of range: key i below sizes[i], the value below the last
+    objs, harrs, arrs = cat.obj_size, cat.harr_size, cat.arr_size
+    for law, table, sizes in (
+        ("arrow-endpoints", {(u,): x for u, x in enumerate(cat.arr_start)}, (arrs, objs)),
+        ("arrow-endpoints", {(u,): x for u, x in enumerate(cat.arr_end)}, (arrs, objs)),
+        ("end-shape", {(c,): x for c, x in enumerate(cat.harr_end)}, (harrs, objs)),
+        ("identity-shape", {(x,): e for x, e in enumerate(cat.identity)}, (objs, arrs)),
+        ("composition-shape", cat.comp, (arrs, arrs, arrs)),
+        ("action-shape", cat.act, (harrs, arrs, harrs)),
+        ("insertion-shape", cat.ins, (arrs, harrs, arrs)),
+    ):
+        for key, value in table.items():
+            if not all(0 <= i < n for i, n in zip(key + (value,), sizes)):
+                raise CategoryLawError(law, key, "entry out of range")
+    # end is a monoid homomorphism onto the objects
     if cat.harr_end[cat.harr_one] != cat.obj_zero:
         raise CategoryLawError("end-homomorphism", (cat.harr_one,), "end(identity) != 0")
     for c in range(cat.harr_size):
@@ -153,10 +152,7 @@ def validate_category(cat: ForestCategory) -> ForestCategory:
     for x in range(cat.obj_size):
         if x not in covered:
             raise CategoryLawError("end-onto", (x,), "object has no half-arrow")
-    # arrows: endpoints, composition domain, associativity, identities
-    for u in range(cat.arr_size):
-        if not (0 <= cat.arr_start[u] < cat.obj_size and 0 <= cat.arr_end[u] < cat.obj_size):
-            raise CategoryLawError("arrow-endpoints", (u,), "endpoint out of range")
+    # arrows: composition domain, associativity, identities
     for u in range(cat.arr_size):
         for v in range(cat.arr_size):
             defined = (u, v) in cat.comp
@@ -172,8 +168,6 @@ def validate_category(cat: ForestCategory) -> ForestCategory:
             for w in cat.arrows_from(cat.arr_end[v]):
                 if cat.comp[(cat.comp[(u, v)], w)] != cat.comp[(u, cat.comp[(v, w)])]:
                     raise CategoryLawError("composition-associativity", (u, v, w), "not associative")
-    if len(cat.identity) != cat.obj_size:
-        raise CategoryLawError("identity-shape", (), "one identity arrow per object")
     for x in range(cat.obj_size):
         e = cat.identity[x]
         if cat.arr_start[e] != x or cat.arr_end[e] != x:
@@ -568,55 +562,98 @@ class IdentityReport:
         )
 
 
+def _first_violation(add, left, right, cols):
+    """The first (row, col) in row-major order with add[left][col] !=
+    add[right][col]; the callers know that one exists."""
+    hits = np.flatnonzero(add[left][:, cols] != add[right][:, cols])
+    return divmod(int(hits[0]), len(cols))
+
+
+def _orbit_classes(add, rows):
+    """The orbit classes of each H value x, made on first use: rows[x] holds
+    x's products x.q with the contexts q it meets, and cls(x)[h] = cls(x)[h']
+    iff h + x.q = h' + x.q for every such q.  So y.t + x.u = z.t + x.u for
+    all t and u iff cls(x)[y.t] = cls(x)[z.t] for every t.  decide's rows
+    are an algebra's act table, the derived category's `_act_rows`."""
+
+    @cache
+    def cls(x):
+        orbit = np.bincount(rows[x], minlength=len(add)) > 0
+        keys = {}  # add row on the orbit -> class, numbered by first appearance
+        return np.array([keys.setdefault(row.tobytes(), len(keys)) for row in add[:, orbit]])
+
+    return cls
+
+
+def _absorption_failure(add, rows, groups):
+    """The first (r, s, t, u) with (r+s)t + ru != st + ru, over the groups
+    (r, ss) in order, each s of ss in order, then the columns t and u, or
+    None; the rows of r+s and s must line up."""
+    cls = _orbit_classes(add, rows)
+    for r, ss in groups:
+        ss = np.array(ss, dtype=np.int64)
+        # (r+s)t + ru = st + ru for all t, u iff cls_r[rows[r+s]] = cls_r[rows[s]]
+        bad = (cls(r)[rows[add[r, ss]]] != cls(r)[rows[ss]]).any(1)
+        if bad.any():
+            s = int(ss[bad.argmax()])
+            return (r, s, *_first_violation(add, rows[add[r, s]], rows[s], rows[r]))
+    return None
+
+
+def _loop_failure(add, rows, groups):
+    """The first (r, p, q, q') with rpq + rpq' != rq + rpq', rp = rows[r, p],
+    over the groups (r, ps) in order, each column p of ps in order, then the
+    columns q and q', or None; the rows of rp and r must line up."""
+    cls = _orbit_classes(add, rows)
+    for r, ps in groups:
+        ps = np.array(ps, dtype=np.int64)
+        # rpq + rpq' = rq + rpq' for all q, q' iff cls_rp[rows[rp]] = cls_rp[rows[r]],
+        # so the pairs (r, p) count only through their distinct rp
+        rps, which = np.unique(rows[r, ps], return_inverse=True)
+        table = np.stack([cls(int(rp)) for rp in rps])
+        bad = (table[:, rows[r]] != table[np.arange(len(rps))[:, None], rows[rps]]).any(1)[which]
+        if bad.any():
+            p = int(ps[bad.argmax()])
+            rp = rows[r, p]
+            return (r, p, *_first_violation(add, rows[rp], rows[r], rows[rp]))
+    return None
+
+
+def _act_rows(cat):
+    """Row c: the products c.u with the arrows u out of end(c), in
+    `arrows_from` order, padded by repeating its first product.  Rows with
+    one end line up; padding adds nothing to an orbit and only repeats
+    column 0, so no first failure lies in it."""
+    rows = [[cat.act[(c, u)] for u in cat.arrows_from(y)] for c, y in enumerate(cat.harr_end)]
+    width = max(map(len, rows))
+    return np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
 def check_identities(cat) -> IdentityReport:
     """Exhaustively check loop removal, horizontal absorption and horizontal
     idempotence; each failure carries the instantiating ids.  The identities
     characterize global idempotent-commutativity only when the object monoid
-    is idempotent and commutative, which is reported as a precondition."""
+    is idempotent and commutative, which is reported as a precondition.
+
+    Absorption and loop removal test every s of one r at once on the orbit
+    classes of `_act_rows`; each witness is the first failing instance in
+    the loop order r, s, then the two arrows."""
+    add = np.array(cat.harr_add, dtype=np.int64).reshape(cat.harr_size, cat.harr_size)
+    rows, ends, outs = _act_rows(cat), cat.harr_end, [cat.arrows_from(y) for y in cat.harr_end]
+    # loop removal over the loops s at end(r), each named by its column
+    loops = ((r, [i for i, s in enumerate(outs[r]) if cat.arr_end[s] == y]) for r, y in enumerate(ends))
+    loop = _loop_failure(add, rows, loops)
+    if loop is not None:
+        r, *cols = loop
+        loop = (r, *(outs[r][i] for i in cols))
+    # horizontal absorption over the s whose end absorbs end(r)
+    absorbing = ((r, [s for s, y in enumerate(ends) if cat.obj_add[x][y] == y]) for r, x in enumerate(ends))
+    absorption = _absorption_failure(add, rows, absorbing)
+    if absorption is not None:
+        r, s, t, u = absorption
+        absorption = (r, s, outs[s][t], outs[r][u])
     idempotence = ((r,) for r in range(cat.harr_size) if cat.hsum(r, r) != r)
-    return IdentityReport(
-        objects_ic=cat.objects_idempotent(),
-        loop_removal=_loop_removal(cat),
-        horizontal_absorption=_horizontal_absorption(cat),
-        horizontal_idempotence=next(idempotence, None),
-    )
-
-
-def _loop_removal(cat):
-    for r in range(cat.harr_size):
-        y = cat.harr_end[r]
-        loops = [s for s in cat.arrows_from(y) if cat.arr_end[s] == y]
-        outs = cat.arrows_from(y)
-        for s in loops:
-            rs = cat.act[(r, s)]
-            for t1 in outs:
-                left1 = cat.act[(rs, t1)]
-                right1 = cat.act[(r, t1)]
-                for t2 in outs:
-                    tail = cat.act[(rs, t2)]
-                    if cat.hsum(left1, tail) != cat.hsum(right1, tail):
-                        return (r, s, t1, t2)
-    return None
-
-
-def _horizontal_absorption(cat):
-    for r in range(cat.harr_size):
-        x = cat.harr_end[r]
-        for s in range(cat.harr_size):
-            xs = cat.harr_end[s]
-            if cat.obj_sum(x, xs) != xs:
-                continue  # end(s) must absorb end(r)
-            rs = cat.hsum(r, s)
-            for t in cat.arrows_from(xs):
-                left_t = cat.act[(rs, t)]
-                right_t = cat.act[(s, t)]
-                if left_t == right_t:
-                    continue
-                for u in cat.arrows_from(x):
-                    ru = cat.act[(r, u)]
-                    if cat.hsum(left_t, ru) != cat.hsum(right_t, ru):
-                        return (r, s, t, u)
-    return None
+    return IdentityReport(cat.objects_idempotent(), loop, absorption, next(idempotence, None))
 
 
 @dataclass

@@ -20,11 +20,14 @@ realizable (syntactic value, root-type set) pairs, the half-arrows of the
 derived category, taken against the depth-k root-type quotient elementwise,
 so its transformation monoid is never built.  R pairs the values whose
 root-type sets are included; S pairs a value with a context value that keeps
-its root-type set.  When a level exceeds the budget, R saturates from
-typed-tree value tables over the level of depth k-1 if that level fit (this
-requires idempotence), and is "unavailable" otherwise: only identity (ii) is
-checked there, and the level cannot give LT.  S falls back to the exact S of
-the last level that fit, since S shrinks as k grows.
+its root-type set.  Read over the pair closure's values, (i) is that
+category's horizontal absorption and (ii) its loop removal, and both
+checkers, these and `category.check_identities`, run on one orbit-class
+engine.  When a level exceeds the budget, R saturates from typed-tree value
+tables over the level of depth k-1 if that level fit (this requires
+idempotence), and is "unavailable" otherwise: only identity (ii) is checked
+there, and the level cannot give LT.  S falls back to the exact S of the
+last level that fit, since S shrinks as k grows.
 Exactness at k* itself is out of reach for nontrivial algebras (the type
 spaces grow non-elementarily), so the pipeline is sound but partial in the
 middle and exact at the extremes.
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -68,6 +70,7 @@ from .algebra import (
     syntactic_algebra,
     wreath_generated,
 )
+from .category import _absorption_failure, _loop_failure
 from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
 from .ktypes import (
     _apply_letter_root,
@@ -256,20 +259,6 @@ def relation_s(rec, k, budget=DecideBudgets().closure_budget):
 # The identities
 
 
-def _first_violation(add, left, right, cols):
-    """First (row, col) in row-major order with add[left][col] !=
-    add[right][col], over the rows where left and right differ, or None."""
-    rows = np.flatnonzero(left != right)
-    if not rows.size:
-        return None
-    bad = add[left[rows]][:, cols] != add[right[rows]][:, cols]
-    hits = np.flatnonzero(bad)
-    if not hits.size:
-        return None
-    row, col = divmod(int(hits[0]), len(cols))
-    return int(rows[row]), col
-
-
 def _add_act(alg):
     return (
         np.array(alg.add, dtype=np.int64).reshape(alg.h_size, alg.h_size),
@@ -277,54 +266,25 @@ def _add_act(alg):
     )
 
 
-def _orbit_classes(add, act):
-    """The orbit classes of each H value x, made on first use: cls(x) numbers
-    the H values by their add rows on the orbit {x.q : q in V}, so cls(x)[h] =
-    cls(x)[h'] iff h + x.q = h' + x.q for every context q.  So an identity
-    y.t + x.u = z.t + x.u over all contexts t and u holds iff cls(x)[y.t] =
-    cls(x)[z.t] for every t: |V| lookups, not |V|^2 sums.  The checks test the
-    pairs of rel that share a first component at once, in sorted order, and
-    replay only the first failing pair through _first_violation."""
-
-    @cache
-    def cls(x):
-        orbit = np.bincount(act[x], minlength=len(add)) > 0
-        keys = {}  # add row on the orbit -> class, numbered by first appearance
-        return np.array([keys.setdefault(row.tobytes(), len(keys)) for row in add[:, orbit]])
-
-    return cls
+def _by_first(rel: Relation):
+    """The pairs of rel in sorted order, grouped as (r, [each x of a pair (r, x)])."""
+    return ((r, [x for _, x in group]) for r, group in groupby(sorted(rel.pairs), key=itemgetter(0)))
 
 
 def _check_identity_i(syn, rel: Relation):
-    add, act = _add_act(syn.algebra)
-    cls = _orbit_classes(add, act)
-    for r, group in groupby(sorted(rel.pairs), key=itemgetter(0)):
-        ss = np.array([s for _, s in group])
-        # (r+s)t + ru = st + ru for all t, u iff cls_r[act[r+s]] = cls_r[act[s]]
-        bad = (cls(r)[act[add[r, ss]]] != cls(r)[act[ss]]).any(1)
-        if bad.any():
-            s = int(ss[bad.argmax()])
-            vt, vu = _first_violation(add, act[add[r, s]], act[s], act[r])
-            return ("i", *rel.witnesses[(r, s)], syn.v_terms[vt], syn.v_terms[vu])
-    return None
+    hit = _absorption_failure(*_add_act(syn.algebra), _by_first(rel))
+    if hit is None:
+        return None
+    r, s, vt, vu = hit
+    return ("i", *rel.witnesses[(r, s)], syn.v_terms[vt], syn.v_terms[vu])
 
 
 def _check_identity_ii(syn, rel: Relation):
-    add, act = _add_act(syn.algebra)
-    cls = _orbit_classes(add, act)
-    for r, group in groupby(sorted(rel.pairs), key=itemgetter(0)):
-        ps = np.array([p for _, p in group])
-        # rpq + rpq' = rq + rpq' for all q, q' iff cls_rp[act[rp]] = cls_rp[act[r]],
-        # so the pairs (r, p) count only through their distinct rp
-        rps, which = np.unique(act[r, ps], return_inverse=True)
-        table = np.stack([cls(int(rp)) for rp in rps])
-        bad = (table[:, act[r]] != table[np.arange(len(rps))[:, None], act[rps]]).any(1)[which]
-        if bad.any():
-            p = int(ps[bad.argmax()])
-            rp = act[r, p]
-            vq, vq2 = _first_violation(add, act[rp], act[r], act[rp])
-            return ("ii", *rel.witnesses[(r, p)], syn.v_terms[vq], syn.v_terms[vq2])
-    return None
+    hit = _loop_failure(*_add_act(syn.algebra), _by_first(rel))
+    if hit is None:
+        return None
+    r, p, vq, vq2 = hit
+    return ("ii", *rel.witnesses[(r, p)], syn.v_terms[vq], syn.v_terms[vq2])
 
 
 def separating_context(syn: SyntacticResult, h1, h2):

@@ -121,6 +121,15 @@ def test_broken_associativity_rejected():
     assert scan_laws(t, 0, t, 0, t, t)
 
 
+@pytest.mark.parametrize("unit", [2, -1])
+def test_unit_out_of_range_rejected(unit):
+    # a unit outside the table raised an IndexError, or wrapped around
+    t = samples.flat_or().add
+    with pytest.raises(AlgebraLawError) as e:
+        validate_algebra(t, unit, t, 0, t, t)
+    assert (e.value.law, e.value.where) == ("h-identity", (unit,))
+
+
 def test_ins_derived_when_absent():
     base = samples.flat_or()
     again = validate_algebra(base.add, base.zero, base.mul, base.one, base.act)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from forestalg import derived, ktypes, samples
-from forestalg.algebra import syntactic_algebra
+from forestalg.algebra import AlgebraLawError, syntactic_algebra
 from forestalg.category import (
     CategoryLawError,
     DiagramError,
@@ -73,6 +73,49 @@ def test_json_round_trip():
     for cat in [or_cat(), samples.interval_category(), samples.z2_fiber_category()]:
         again = category_from_json(category_to_json(cat))
         assert again == cat
+
+
+# (path, value, law, witness): the entry of the interval category's JSON at
+# path set to value; every one raised an IndexError, reported a bogus law, or
+# passed, before the range checks
+CORRUPT_JSON = [
+    (("objects", "add", 0, 1), 2, "objects-shape", (2,)),
+    (("objects", "zero"), 2, "objects-identity", (2,)),
+    (("halfarrows", "add", 0, 1), 2, "halfarrows-shape", (2,)),
+    (("halfarrows", "add", 0, 1), -1, "halfarrows-shape", (-1,)),
+    (("halfarrows", "one"), -1, "halfarrows-identity", (-1,)),
+    (("halfarrows", "end", 1), 2, "end-shape", (1,)),
+    (("halfarrows", "end", 1), -1, "end-shape", (1,)),
+    (("identity", 1), 3, "identity-shape", (1,)),
+    (("comp", "0,2"), 3, "composition-shape", (0, 2)),
+    (("comp", "3,1"), 1, "composition-shape", (3, 1)),
+    (("comp", "-1,0"), 0, "composition-shape", (-1, 0)),
+    (("act", "0,2"), 2, "action-shape", (0, 2)),
+    (("act", "2,0"), 0, "action-shape", (2, 0)),
+    (("ins", "2,1"), -1, "insertion-shape", (2, 1)),
+    (("ins", "0,2"), 0, "insertion-shape", (0, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,law,where",
+    CORRUPT_JSON,
+    ids=["/".join(map(str, path)) + "=%d" % value for path, value, *_ in CORRUPT_JSON],
+)
+def test_corrupted_json_raises_the_law(path, value, law, where):
+    data = category_to_json(samples.interval_category())
+    *inner, last = path
+    entry = data
+    for key in inner:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(CategoryLawError) as got:
+        category_from_json(data)
+    assert (got.value.law, got.value.where) == (law, where)
+
+
+def test_category_and_algebra_laws_share_one_error():
+    assert CategoryLawError is AlgebraLawError
 
 
 # --- diagram evaluation ---------------------------------------------------------

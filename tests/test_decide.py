@@ -22,6 +22,7 @@ from automata import (
     even_node_types,
     leaf_depth,
     one_root_type,
+    seeded_accept,
 )
 from forestalg import algebra, decide, ktypes, samples, terms
 from forestalg.algebra import BudgetError, Generated, syntactic_algebra
@@ -477,13 +478,24 @@ def test_side_conditions_at_depth_k_fix_the_values_of_terms_at_most_k_deep():
 
 # --- the derived category's identities -------------------------------------------
 
+# two larger cases, about 2 s each, kept out of DERIVED_CASES because the
+# constructions test validates those exhaustively (over 60 s on these): the
+# |H| = 216 input is the four-letter depth-1 machine with the CI accept set
+LARGE_IDENTITY_CASES = {
+    ("a_has_b_child-abc", 1): lambda: samples.a_has_b_child("abc"),
+    ("lt-abcd-k1-seed3", 0): lambda: seeded_accept("abcd", 1, 3),
+}
+
+
 @pytest.mark.parametrize(
-    "name,k", [(name, k) for name, (_, ks) in DERIVED_CASES.items() for k in ks]
+    "name,k",
+    [(name, k) for name, (_, ks) in DERIVED_CASES.items() for k in ks] + list(LARGE_IDENTITY_CASES),
 )
 def test_derived_category_identities_agree_with_decide_identities(name, k):
     # the category's loop removal, horizontal absorption and horizontal
     # idempotence hold exactly when decide's two identities hold at depth k
-    syn = syntactic_algebra(DERIVED_CASES[name][0]())
+    make = LARGE_IDENTITY_CASES.get((name, k)) or DERIVED_CASES[name][0]
+    syn = syntactic_algebra(make())
     ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k)
     dc = derived_category(pair_closure(syn.recognizer.morphism, ka.morphism))
     both = _check_identity_i(syn, relation_r(syn, k)) is None

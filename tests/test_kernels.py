@@ -15,8 +15,9 @@ The constructions validate nothing themselves, so every algebra and
 category they build here is run through the exhaustive validators.
 """
 
+import dataclasses
+import functools
 import itertools
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -29,13 +30,13 @@ from automata import (
     even_node_types,
     leaf_depth,
     one_root_type,
+    seeded_accept,
 )
 from forestalg import algebra, decide, derived, ktypes, samples
 from forestalg.algebra import (
     AlgebraLawError,
     BudgetError,
     PairOps,
-    Recognizer,
     _check_monoid,
     direct_product,
     generate,
@@ -43,7 +44,12 @@ from forestalg.algebra import (
     validate_algebra,
     wreath,
 )
-from forestalg.category import one_object_category, validate_category
+from forestalg.category import (
+    IdentityReport,
+    check_identities,
+    one_object_category,
+    validate_category,
+)
 from forestalg.decide import (
     DecideBudgets,
     Relation,
@@ -237,6 +243,53 @@ def ref_check_identity_ii(syn, rel):
                     r_term, p_term = rel.witnesses[(hr, vp)]
                     return ("ii", r_term, p_term, syn.v_terms[vq], syn.v_terms[vq2])
     return None
+
+
+def ref_loop_removal(cat):
+    for r in range(cat.harr_size):
+        y = cat.harr_end[r]
+        loops = [s for s in cat.arrows_from(y) if cat.arr_end[s] == y]
+        outs = cat.arrows_from(y)
+        for s in loops:
+            rs = cat.act[(r, s)]
+            for t1 in outs:
+                left1 = cat.act[(rs, t1)]
+                right1 = cat.act[(r, t1)]
+                for t2 in outs:
+                    tail = cat.act[(rs, t2)]
+                    if cat.hsum(left1, tail) != cat.hsum(right1, tail):
+                        return (r, s, t1, t2)
+    return None
+
+
+def ref_horizontal_absorption(cat):
+    for r in range(cat.harr_size):
+        x = cat.harr_end[r]
+        for s in range(cat.harr_size):
+            xs = cat.harr_end[s]
+            if cat.obj_sum(x, xs) != xs:
+                continue  # end(s) must absorb end(r)
+            rs = cat.hsum(r, s)
+            for t in cat.arrows_from(xs):
+                left_t = cat.act[(rs, t)]
+                right_t = cat.act[(s, t)]
+                if left_t == right_t:
+                    continue
+                for u in cat.arrows_from(x):
+                    ru = cat.act[(r, u)]
+                    if cat.hsum(left_t, ru) != cat.hsum(right_t, ru):
+                        return (r, s, t, u)
+    return None
+
+
+def ref_check_identities(cat):
+    idempotence = ((r,) for r in range(cat.harr_size) if cat.hsum(r, r) != r)
+    return IdentityReport(
+        objects_ic=cat.objects_idempotent(),
+        loop_removal=ref_loop_removal(cat),
+        horizontal_absorption=ref_horizontal_absorption(cat),
+        horizontal_idempotence=next(idempotence, None),
+    )
 
 
 def ref_tables(ops, h_elems, h_index, v_elems, v_index):
@@ -676,6 +729,73 @@ def test_identity_checks_match_reference_on_random_union_automata(data):
     )
 
 
+# --- the category's identities ----------------------------------------------
+
+
+def _derived(make, k):
+    syn = algebra.syntactic_algebra(make())
+    ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k)
+    return derived_category(pair_closure(syn.recognizer.morphism, ka.morphism))
+
+
+# name -> maker of every derived-category case and hand-built sample category
+CATEGORIES = {
+    **{
+        "derived-%s-k%d" % (name, k): lambda make=make, k=k: _derived(make, k).category
+        for name, (make, ks) in DERIVED_CASES.items()
+        for k in ks
+    },
+    "sample-interval": samples.interval_category,
+    "sample-z2_fiber": samples.z2_fiber_category,
+    **{
+        "sample-" + name: lambda name=name: one_object_category(getattr(samples, name)())
+        for name in ("flat_or", "flat_z2", "flat_max3", "flat_trunc3", "flat_diamond")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_category_identities_match_the_reference_scans(name):
+    cat = CATEGORIES[name]()
+    assert check_identities(cat) == ref_check_identities(cat)
+
+
+# the perturbed categories come from those of under 500 arrows, each built
+# once; the reference scans then take well under a second on each
+LARGE = {
+    "derived-leaf-depth-a-m3-k2",
+    "derived-leaf-depth-a-m4-k2",
+    "derived-leaf-depth-ab-m3-k1",
+    "derived-a-above-b-abc-k1",
+}
+
+
+@functools.cache
+def _small_category(name):
+    cat = CATEGORIES[name]()
+    assert cat.arr_size < 500
+    return cat
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_category_identities_match_the_reference_on_perturbed_additions(data):
+    # one sum c + d is replaced by another half-arrow with the same end, so
+    # the rows that each check compares still line up, while the addition
+    # may lose commutativity or associativity and the identities their
+    # first witness
+    cat = _small_category(data.draw(st.sampled_from(sorted(set(CATEGORIES) - LARGE))))
+    c = data.draw(st.integers(0, cat.harr_size - 1))
+    d = data.draw(st.integers(0, cat.harr_size - 1))
+    old = cat.harr_add[c][d]
+    others = [e for e in cat.harrs_to(cat.harr_end[old]) if e != old]
+    assume(others)
+    add = [list(row) for row in cat.harr_add]
+    add[c][d] = data.draw(st.sampled_from(others))
+    cat = dataclasses.replace(cat, harr_add=tuple(map(tuple, add)))
+    assert check_identities(cat) == ref_check_identities(cat)
+
+
 # --- constructions obey every law --------------------------------------------
 
 
@@ -685,13 +805,6 @@ def _algebra_tables(alg):
 
 def _assert_valid(alg):
     assert validate_algebra(alg.add, alg.zero, alg.mul, alg.one, alg.act, alg.ins) == alg
-
-
-def _seeded_accept(alphabet, k):
-    machine = ktypes.lt_recognizer(alphabet, k, lambda nodes, roots: False)
-    rng = random.Random("%s:%d" % (alphabet, k))
-    accept = frozenset(i for i in range(len(machine.states)) if rng.random() < 0.5)
-    return Recognizer(machine.recognizer.morphism, accept)
 
 
 def _syntactic_inputs():
@@ -711,7 +824,8 @@ def _syntactic_inputs():
             yield "leaf-depth-%s-m%d" % (alphabet, m), lambda a=alphabet, m=m: leaf_depth(a, m, 1)
     yield "a-above-b-abc", lambda: a_above_b("abc")
     for alphabet, k in (("a", 2), ("ab", 1), ("abc", 1)):
-        yield "lt-%s-k%d-seeded" % (alphabet, k), lambda a=alphabet, k=k: _seeded_accept(a, k)
+        seed = "%s:%d" % (alphabet, k)
+        yield "lt-%s-k%d-seeded" % (alphabet, k), lambda a=alphabet, k=k, s=seed: seeded_accept(a, k, s)
 
 
 def _check_syntactic(make):
@@ -741,9 +855,7 @@ def _check_one_object(alg):
 
 
 def _check_derived(make, k):
-    syn = algebra.syntactic_algebra(make())
-    ka = ktypes.ktype_algebra(syn.recognizer.alphabet, k)
-    dc = derived_category(pair_closure(syn.recognizer.morphism, ka.morphism))
+    dc = _derived(make, k)
     assert validate_category(dc.category) is dc.category
     cat = dc.category
     assert (cat.comp, cat.act, cat.ins) == ref_derived_tables(dc)
