@@ -137,6 +137,22 @@ def _index_array(table, shape):
         return np.array(table, dtype=object).reshape(shape)
 
 
+def _ints(table, law, depth=0, where=()):
+    """A table read from JSON, `depth` levels of lists around ints, as nested
+    tuples; raise AlgebraLawError `law` witnessed by the position of the
+    first entry that is not a list where one is due, or not an int (a bool
+    is not one)."""
+    if depth == 0:
+        if type(table) is not int:
+            raise AlgebraLawError(law, where, "entry %r is not an integer" % (table,))
+        return table
+    if not isinstance(table, (list, tuple)):
+        raise AlgebraLawError(law, where, "entry %r is not a list" % (table,))
+    if depth == 1 and all(type(x) is int for x in table):
+        return tuple(table)
+    return tuple(_ints(x, law, depth - 1, where + (i,)) for i, x in enumerate(table))
+
+
 def _first(mask):
     """Index of the first true entry of a boolean vector, or None."""
     hits = np.flatnonzero(mask)
@@ -464,9 +480,13 @@ def algebra_to_json(alg):
 
 
 def algebra_from_json(data):
-    h = data["h"]
-    v = data["v"]
-    return validate_algebra(h["add"], h["zero"], v["mul"], v["one"], data["act"], data.get("ins"))
+    h, v, ins = data["h"], data["v"], data.get("ins")
+    return validate_algebra(
+        _ints(h["add"], "h-shape", 2), _ints(h["zero"], "h-shape"),
+        _ints(v["mul"], "v-shape", 2), _ints(v["one"], "v-shape"),
+        _ints(data["act"], "action-shape", 2),
+        None if ins is None else _ints(ins, "insertion-shape", 2),
+    )
 
 
 def recognizer_to_json(rec):

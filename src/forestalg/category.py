@@ -26,7 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import AlgebraLawError, BudgetError, FlatMaskAlgebra, ForestAlgebra, _check_monoid
+from .algebra import AlgebraLawError, BudgetError, FlatMaskAlgebra, ForestAlgebra, _check_monoid, _ints
 
 __all__ = [
     "CategoryLawError",
@@ -272,30 +272,34 @@ def category_to_json(cat):
 
 
 def category_from_json(data):
-    def unkey(d):
+    def unkey(d, law):
         out = {}
         for k, v in d.items():
-            i, j = k.split(",")
-            out[(int(i), int(j))] = v
+            try:
+                key = tuple(map(int, k.split(",")))
+            except ValueError:
+                key = ()
+            if len(key) != 2:
+                raise CategoryLawError(law, (k,), "key is not two integers")
+            out[key] = _ints(v, law, 0, key)
         return out
 
-    o, h = data["objects"], data["halfarrows"]
-    arrows = data["arrows"]
+    o, h, arrows = data["objects"], data["halfarrows"], data["arrows"]
     cat = ForestCategory(
-        obj_size=o["size"],
-        obj_add=tuple(tuple(r) for r in o["add"]),
-        obj_zero=o["zero"],
-        harr_size=h["size"],
-        harr_add=tuple(tuple(r) for r in h["add"]),
-        harr_one=h["one"],
-        harr_end=tuple(h["end"]),
+        obj_size=_ints(o["size"], "objects-shape"),
+        obj_add=_ints(o["add"], "objects-shape", 2),
+        obj_zero=_ints(o["zero"], "objects-shape"),
+        harr_size=_ints(h["size"], "halfarrows-shape"),
+        harr_add=_ints(h["add"], "halfarrows-shape", 2),
+        harr_one=_ints(h["one"], "halfarrows-shape"),
+        harr_end=_ints(h["end"], "end-shape", 1),
         arr_size=len(arrows),
-        arr_start=tuple(a["start"] for a in arrows),
-        arr_end=tuple(a["end"] for a in arrows),
-        identity=tuple(data["identity"]),
-        comp=unkey(data["comp"]),
-        act=unkey(data["act"]),
-        ins=unkey(data["ins"]),
+        arr_start=_ints([a["start"] for a in arrows], "arrow-endpoints", 1),
+        arr_end=_ints([a["end"] for a in arrows], "arrow-endpoints", 1),
+        identity=_ints(data["identity"], "identity-shape", 1),
+        comp=unkey(data["comp"], "composition-shape"),
+        act=unkey(data["act"], "action-shape"),
+        ins=unkey(data["ins"], "insertion-shape"),
     )
     return validate_category(cat)
 

@@ -63,15 +63,16 @@ import numpy as np
 from . import terms
 from .algebra import (
     BudgetError,
+    FlatMaskAlgebra,
     Morphism,
     Recognizer,
     SyntacticResult,
-    flat_algebra,
+    WreathOps,
     syntactic_algebra,
     wreath_generated,
 )
 from .category import _absorption_failure, _loop_failure
-from .derived import WreathMorphism, pair_closure, witness_context, witness_forest
+from .derived import pair_closure, witness_context, witness_forest
 from .ktypes import (
     _apply_letter_root,
     _root_type_ops,
@@ -462,7 +463,7 @@ def decide_lt(rec: Recognizer, budgets: DecideBudgets | None = None) -> LtVerdic
 @dataclass
 class WreathRecognizer:
     recognizer: Recognizer
-    delta: WreathMorphism  # the factoring morphism, letterwise
+    delta: Morphism  # the factoring morphism into WreathOps(outer, inner)
     inner: object  # the depth-k quotient handle
     pi_ok: bool
     type_ids: tuple  # outer bit index -> node type id
@@ -482,16 +483,11 @@ def lt_wreath_recognizer(alphabet, k, accept, budget=20000) -> WreathRecognizer:
     if not callable(accept):
         accept = classes_predicate(list(accept), k)
     ka = ktype_algebra(alphabet, k, budget=budget)
-    # realizable node types and the flat subset algebra over them
+    # realizable node types and the flat subset algebra over them, as masks
     type_ids = sorted({t for st in ka.states for t in st}, key=type_render)
     n_types = len(type_ids)
-    if 1 << n_types > budget:
-        raise BudgetError(
-            "flat factor needs 2^%d elements" % n_types, {"types": n_types, "budget": budget}
-        )
     type_bit = {t: i for i, t in enumerate(type_ids)}
-    size = 1 << n_types
-    outer = flat_algebra([[i | j for j in range(size)] for i in range(size)], 0)
+    outer = FlatMaskAlgebra(n_types)
 
     letters = {}
     for a in sorted(alphabet):
@@ -500,7 +496,7 @@ def lt_wreath_recognizer(alphabet, k, accept, budget=20000) -> WreathRecognizer:
             (new_type,) = _apply_letter_root(a, st, k)
             f.append(1 << type_bit[new_type])
         letters[a] = (tuple(f), ka.morphism.letters[a])
-    delta = WreathMorphism(outer, ka.algebra, alphabet, letters)
+    delta = Morphism(WreathOps(outer, ka.algebra), alphabet, letters)
 
     wp = wreath_generated(outer, ka.algebra, [letters[a] for a in sorted(alphabet)], budget=budget)
     morphism = Morphism(

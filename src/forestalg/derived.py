@@ -11,8 +11,10 @@ action vector, which is the key used here.
 The pair algebra is the reachable image of alpha x beta, generated by
 `algebra.generate` with a derivation per element, so every element replays
 into a concrete forest or context witness through `witness_forest` and
-`witness_context`.  The category is read off it and is not validated; the
-tests run `validate_category` on it.
+`witness_context`.  The category's tables are read off that closure's own
+product rows by `algebra._gen_arrays`, as every other construction's are,
+with no product taken again; it is not validated, and the tests run
+`validate_category` on it.
 
 The two theorems connecting the derived category to wreath products are
 implemented constructively: a division of the category by an algebra (H, V)
@@ -24,9 +26,11 @@ of the derived category by (H, V).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .algebra import (
-    ForestAlgebra,
     Morphism,
     PairOps,
     Recognizer,
@@ -34,8 +38,9 @@ from .algebra import (
     WreathOps,
     _as_map,
     _classes,
-    evaluate_context,
-    evaluate_forest,
+    _freeze,
+    _gen_arrays,
+    _row_keys,
     generate,
     verify_tm_division,
     witness_context,
@@ -52,7 +57,6 @@ __all__ = [
     "witness_context",
     "DerivedCategory",
     "derived_category",
-    "WreathMorphism",
     "dct_forward",
     "dct_backward",
     "FactorizationError",
@@ -79,6 +83,8 @@ class PairAlgebra:
     v_index: dict
     h_derivs: tuple  # ("zero",) | ("add", i, j) | ("act", i, j)
     v_derivs: tuple  # ("one",) | ("letter", i, label) | ("ins", i, j)
+    h_rows: tuple  # generate's product rows, which `_gen_arrays` reads
+    v_rows: tuple
 
 
 def _as_morphism(m):
@@ -95,7 +101,8 @@ def pair_closure(alpha, beta, budget=100000) -> PairAlgebra:
     letters = {a: (alpha.letters[a], beta.letters[a]) for a in alpha.alphabet}
     g = generate(PairOps(alpha.algebra, beta.algebra), letters, budget=budget)
     return PairAlgebra(
-        alpha, beta, g.h_elems, g.v_elems, g.h_index, g.v_index, g.h_derivs, g.v_derivs
+        alpha, beta, g.h_elems, g.v_elems, g.h_index, g.v_index, g.h_derivs, g.v_derivs,
+        g.h_rows, g.v_rows,
     )
 
 
@@ -109,110 +116,76 @@ class DerivedCategory:
     pa: PairAlgebra
     objects: tuple  # object index -> beta H value
     obj_index: dict
-    r_sets: tuple  # per object: sorted alpha H values pairing with it
-    arrow_keys: tuple  # arrow id -> (start obj, end obj, action vector)
     arrow_rep: tuple  # arrow id -> representative vpair index
     arrow_of: dict  # (vpair index, object index) -> arrow id
 
 
+def _groups(keys, n):
+    """The indices of each key in range(n), in index order, as arrays."""
+    groups = [[] for _ in range(n)]
+    for i, x in enumerate(keys.tolist()):
+        groups[x].append(i)
+    return [np.array(g, dtype=np.intp) for g in groups]
+
+
 def derived_category(pa: PairAlgebra) -> DerivedCategory:
-    """Materialize the derived category from a complete pair closure.  Each
-    table entry is read off the pair algebra at the arrows and half-arrows
-    of one object, so the category obeys every law by construction and is
-    not validated here; the tests run `validate_category` on it."""
-    a1, a2 = pa.alpha.algebra, pa.beta.algebra
+    """Materialize the derived category from a complete pair closure, with
+    every table read off the closure's product rows by `_gen_arrays`.
+
+    Half-arrow c is pair c, an arrow is a class of V pairs placed at a start
+    object x, and a table entry is the product of representatives.  Two V
+    pairs are one arrow at x when they send each half-arrow at x to the same
+    pair: the pairs carry the alpha values and the end object, so these are
+    the classes of equal action vectors.  Each entry is a product in the pair
+    algebra, so the category obeys every law by construction and is not
+    validated here; the tests run `validate_category` on it."""
+    add, act, mul, ins = _gen_arrays(pa)
     objects = tuple(sorted({h2 for (_, h2) in pa.h_pairs}))
     obj_index = {x: i for i, x in enumerate(objects)}
-    obj_add = tuple(tuple(obj_index.get(a2.add[x][y]) for y in objects) for x in objects)
-    if any(None in row for row in obj_add):
-        raise ValueError("reachable objects are not closed under addition")
-    harr_add = tuple(
-        tuple(pa.h_index[a1.add[h1][g1], a2.add[h2][g2]] for g1, g2 in pa.h_pairs)
-        for h1, h2 in pa.h_pairs
-    )
-    harr_end = tuple(obj_index[h2] for (_, h2) in pa.h_pairs)
-    harr_one = pa.h_index[(a1.zero, a2.zero)]
+    harr_end = np.array([obj_index[h2] for (_, h2) in pa.h_pairs])
+    harrs_to = _groups(harr_end, len(objects))
+    first_to = np.array([c[0] for c in harrs_to])  # one half-arrow ending at each object
 
-    r_sets = tuple(tuple(sorted(h1 for h1, h2 in pa.h_pairs if h2 == x)) for x in objects)
+    # an arrow is a class of vertical pairs placed at a start object, numbered
+    # in order of first placement, V pair by V pair
+    keys = [_row_keys(act[c].T) for c in harrs_to]
+    placed = [(vp, oi) for vp in range(len(pa.v_pairs)) for oi in range(len(objects))]
+    arrow_of, firsts = _classes(placed, lambda at: (at[1], keys[at[1]][at[0]]))
+    arrow_at = np.array([arrow_of[at] for at in placed]).reshape(len(pa.v_pairs), len(objects))
+    rep = np.array([vp for vp, _ in firsts])
+    start = np.array([oi for _, oi in firsts])
+    end = harr_end[act[first_to[start], rep]]
 
-    def key_of(vp_idx, oi):
-        v1, v2 = pa.v_pairs[vp_idx]
-        x = objects[oi]
-        end = obj_index[a2.act[x][v2]]
-        vector = tuple(a1.act[h1][v1] for h1 in r_sets[oi])
-        return (oi, end, vector)
-
-    # an arrow is a class of vertical pairs placed at a start object
-    placed = [(vp_idx, oi) for vp_idx in range(len(pa.v_pairs)) for oi in range(len(objects))]
-    arrow_of, firsts = _classes(placed, lambda at: key_of(*at))
-    arrow_keys = [key_of(*at) for at in firsts]
-    arrow_rep = [vp_idx for vp_idx, _ in firsts]
-
-    arr_size = len(arrow_keys)
-    arr_start = tuple(k[0] for k in arrow_keys)
-    arr_end = tuple(k[1] for k in arrow_keys)
-    one_idx = pa.v_index[(a1.one, a2.one)]
-    identity = tuple(arrow_of[(one_idx, oi)] for oi in range(len(objects)))
-
-    arrows_from = [[] for _ in objects]  # per start object, in index order
-    for u in range(arr_size):
-        arrows_from[arr_start[u]].append(u)
-    reps = [pa.v_pairs[vp_idx] for vp_idx in arrow_rep]
-
-    comp, act, ins = {}, {}, {}
-    for u, (u1, u2) in enumerate(reps):
-        for w in arrows_from[arr_end[u]]:
-            w1, w2 = reps[w]
-            comp[u, w] = arrow_of[pa.v_index[a1.mul[u1][w1], a2.mul[u2][w2]], arr_start[u]]
-        for ci, (h1, h2) in enumerate(pa.h_pairs):
-            ins[u, ci] = arrow_of[pa.v_index[a1.ins[u1][h1], a2.ins[u2][h2]], arr_start[u]]
-    for ci, (h1, h2) in enumerate(pa.h_pairs):
-        for u in arrows_from[harr_end[ci]]:
-            act[ci, u] = pa.h_index[a1.act[h1][reps[u][0]], a2.act[h2][reps[u][1]]]
+    comp, arr_act = {}, {}
+    for harrs, into, out in zip(harrs_to, _groups(end, len(objects)), _groups(start, len(objects))):
+        prods = arrow_at[mul[rep[into, None], rep[out]], start[into, None]]
+        comp.update(zip(product(into.tolist(), out.tolist()), prods.ravel().tolist()))
+        reached = act[harrs[:, None], rep[out]]
+        arr_act.update(zip(product(harrs.tolist(), out.tolist()), reached.ravel().tolist()))
+    inserted = arrow_at[ins[rep], start[:, None]]
+    arr_ins = dict(zip(product(range(len(rep)), range(len(pa.h_pairs))), inserted.ravel().tolist()))
 
     cat = ForestCategory(
         obj_size=len(objects),
-        obj_add=obj_add,
-        obj_zero=obj_index[a2.zero],
+        obj_add=_freeze(harr_end[add[first_to[:, None], first_to]].tolist()),
+        obj_zero=int(harr_end[0]),  # pair 0 is zero, pair 0 of V is one
         harr_size=len(pa.h_pairs),
-        harr_add=harr_add,
-        harr_one=harr_one,
-        harr_end=harr_end,
-        arr_size=arr_size,
-        arr_start=arr_start,
-        arr_end=arr_end,
-        identity=identity,
+        harr_add=_freeze(add.tolist()),
+        harr_one=0,
+        harr_end=tuple(harr_end.tolist()),
+        arr_size=len(rep),
+        arr_start=tuple(start.tolist()),
+        arr_end=tuple(end.tolist()),
+        identity=tuple(arrow_at[0].tolist()),
         comp=comp,
-        act=act,
-        ins=ins,
+        act=arr_act,
+        ins=arr_ins,
     )
-    return DerivedCategory(
-        cat, pa, objects, obj_index, r_sets, tuple(arrow_keys), tuple(arrow_rep), arrow_of
-    )
+    return DerivedCategory(cat, pa, objects, obj_index, tuple(rep.tolist()), arrow_of)
 
 
 # ---------------------------------------------------------------------------
 # The wreath product correspondence, both directions
-
-
-@dataclass
-class WreathMorphism:
-    """A morphism from the free algebra into outer o inner, given letterwise;
-    vertical images are (function table over inner H, inner V) pairs."""
-
-    outer: ForestAlgebra
-    inner: ForestAlgebra
-    alphabet: frozenset
-    letters: dict  # label -> (f tuple, inner V index)
-
-    def ops(self):
-        return WreathOps(self.outer, self.inner)
-
-    def eval_forest(self, s):
-        return evaluate_forest(self.ops(), self.letters.__getitem__, s)
-
-    def eval_context(self, p):
-        return evaluate_context(self.ops(), self.letters.__getitem__, p)
 
 
 def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
@@ -246,9 +219,12 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
             if covered.setdefault(key, h1) != h1:
                 raise ValueError("covering is not injective on half-arrows")
 
+    first_vp = {}  # alpha V value -> its first V pair
+    for j, (v1, _) in enumerate(pa.v_pairs):
+        first_vp.setdefault(v1, j)
     hat = {}
     for v1 in range(a1.v_size):
-        vp_idx = next((j for j, (w1, _) in enumerate(pa.v_pairs) if w1 == v1), None)
+        vp_idx = first_vp.get(v1)
         if vp_idx is None:
             raise ValueError(
                 "vertical element %d is not realized; pass a reachable (e.g. syntactic) alpha"
@@ -279,10 +255,12 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
     return TmDivisionWitness(tuple(sorted(psi)), psi, hat), ops
 
 
-def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> Covering:
+def dct_backward(dc: DerivedCategory, delta: Morphism, budget=200000) -> Covering:
     """From a factorization of alpha through outer o (beta algebra), with the
     inner projection of delta equal to beta letterwise, build the covering of
-    the derived category by the outer algebra.
+    the derived category by the outer algebra.  delta is a Morphism into
+    `WreathOps(outer, beta algebra)`, whose letters are (f tuple, inner V)
+    pairs.
 
     Half-arrow covers collect the outer coordinates of delta on realizing
     forests; arrow covers collect f_q(h) over realizing contexts q.  The
@@ -291,9 +269,10 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
     """
     pa = dc.pa
     alpha, beta = pa.alpha, pa.beta
+    outer, inner = delta.algebra.outer, delta.algebra.inner
     if delta.alphabet != alpha.alphabet:
         raise FactorizationError("delta is over a different alphabet")
-    if delta.inner is not beta.algebra and delta.inner != beta.algebra:
+    if inner is not beta.algebra and inner != beta.algebra:
         raise FactorizationError("the inner factor of delta must be the beta algebra")
     for a in sorted(alpha.alphabet):
         if delta.letters[a][1] != beta.letters[a]:
@@ -302,7 +281,7 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
             )
 
     letters = {a: (delta.letters[a], alpha.letters[a]) for a in alpha.alphabet}
-    gen = generate(PairOps(delta.ops(), alpha.algebra), letters, budget=budget)
+    gen = generate(PairOps(delta.algebra, alpha.algebra), letters, budget=budget)
 
     # gamma must exist: delta values determine alpha values
     for elems, replay, what in (
@@ -324,7 +303,7 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
             raise FactorizationError("delta inner coordinate strays off the pair closure")
         half_cover[ci].add(ho)
 
-    arrow_cover = [set() for _ in range(len(dc.arrow_keys))]
+    arrow_cover = [set() for _ in range(dc.category.arr_size)]
     for (dv, av) in gen.v_elems:
         f, vi = dv
         vp_idx = pa.v_index.get((av, vi))
@@ -335,11 +314,11 @@ def dct_backward(dc: DerivedCategory, delta: WreathMorphism, budget=200000) -> C
             arrow_cover[arrow].add(f[h2])
 
     cov = Covering(
-        delta.outer,
+        outer,
         tuple(frozenset(s) for s in half_cover),
         tuple(frozenset(s) for s in arrow_cover),
     )
-    rep = verify_covering(dc.category, delta.outer, cov)
+    rep = verify_covering(dc.category, outer, cov)
     if not rep.ok:
         raise FactorizationError("constructed covering does not verify: %r" % rep.violations[:3])
     return cov

@@ -116,3 +116,12 @@ DERIVED_CASES = {
     "lt-ab-one-root": (_lt("ab", one_root_type), (0, 1)),
     "lt-ab-one-node": (_lt("ab", at_most_one_node_type), (0, 1)),
 }
+
+# (name, k) -> recognizer maker of two larger cases, about 2 s each, kept out
+# of DERIVED_CASES because the constructions test validates those
+# exhaustively (over 60 s on these): the |H| = 216 input is the four-letter
+# depth-1 machine with the CI accept set
+LARGE_IDENTITY_CASES = {
+    ("a_has_b_child-abc", 1): lambda: samples.a_has_b_child("abc"),
+    ("lt-abcd-k1-seed3", 0): lambda: seeded_accept("abcd", 1, 3),
+}

@@ -144,6 +144,37 @@ def test_wrong_ins_rejected():
     assert e.value.law == "insertion"
 
 
+# (path, value, law, witness): an entry of flat-or's JSON that is not an
+# integer.  Before the reader checked the types, the zeros and the act row
+# raised a TypeError, and the others were read as integers ("1" as 1, 1.5
+# cut to 1, False as 0) and passed
+MALFORMED_JSON = [
+    (("h", "zero"), "0", "h-shape", ()),
+    (("h", "zero"), None, "h-shape", ()),
+    (("v", "mul", 1, 0), "1", "v-shape", (1, 0)),
+    (("act", 1), 1, "action-shape", (1,)),
+    (("h", "add", 0, 1), 1.5, "h-shape", (0, 1)),
+    (("ins", 0, 0), False, "insertion-shape", (0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,law,where",
+    MALFORMED_JSON,
+    ids=["/".join(map(str, path)) + "=%r" % (value,) for path, value, *_ in MALFORMED_JSON],
+)
+def test_malformed_json_raises_the_shape_law(path, value, law, where):
+    data = algebra_to_json(samples.flat_or())
+    *inner, last = path
+    entry = data
+    for key in inner:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(AlgebraLawError) as got:
+        algebra_from_json(data)
+    assert (got.value.law, got.value.where) == (law, where)
+
+
 def test_json_round_trip():
     for alg in [samples.flat_or(), samples.flat_trunc3(), samples.flat_z3()]:
         assert algebra_from_json(algebra_to_json(alg)) == alg

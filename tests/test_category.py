@@ -96,11 +96,24 @@ CORRUPT_JSON = [
     (("ins", "0,2"), 0, "insertion-shape", (0, 2)),
 ]
 
+# entries that are not integers, and a key that is not two integers: before
+# the reader checked the types, each raised a TypeError or a ValueError, but
+# the True, read as 1, passed
+MALFORMED_JSON = [
+    (("halfarrows", "end", 1), "1", "end-shape", (1,)),
+    (("halfarrows", "end", 1), None, "end-shape", (1,)),
+    (("halfarrows", "add", 0, 1), 1.5, "halfarrows-shape", (0, 1)),
+    (("objects", "zero"), "0", "objects-shape", ()),
+    (("arrows", 2, "end"), True, "arrow-endpoints", (2,)),
+    (("comp", "0,0,1"), 0, "composition-shape", ("0,0,1",)),
+    (("act", "0,2"), 1.0, "action-shape", (0, 2)),
+]
+
 
 @pytest.mark.parametrize(
     "path,value,law,where",
-    CORRUPT_JSON,
-    ids=["/".join(map(str, path)) + "=%d" % value for path, value, *_ in CORRUPT_JSON],
+    CORRUPT_JSON + MALFORMED_JSON,
+    ids=["/".join(map(str, path)) + "=%r" % (value,) for path, value, *_ in CORRUPT_JSON + MALFORMED_JSON],
 )
 def test_corrupted_json_raises_the_law(path, value, law, where):
     data = category_to_json(samples.interval_category())

@@ -17,12 +17,12 @@ import pytest
 
 from automata import (
     DERIVED_CASES,
+    LARGE_IDENTITY_CASES,
     a_above_b,
     at_most_one_node_type,
     even_node_types,
     leaf_depth,
     one_root_type,
-    seeded_accept,
 )
 from forestalg import algebra, decide, ktypes, samples, terms
 from forestalg.algebra import BudgetError, Generated, syntactic_algebra
@@ -477,14 +477,6 @@ def test_side_conditions_at_depth_k_fix_the_values_of_terms_at_most_k_deep():
 
 
 # --- the derived category's identities -------------------------------------------
-
-# two larger cases, about 2 s each, kept out of DERIVED_CASES because the
-# constructions test validates those exhaustively (over 60 s on these): the
-# |H| = 216 input is the four-letter depth-1 machine with the CI accept set
-LARGE_IDENTITY_CASES = {
-    ("a_has_b_child-abc", 1): lambda: samples.a_has_b_child("abc"),
-    ("lt-abcd-k1-seed3", 0): lambda: seeded_accept("abcd", 1, 3),
-}
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from forestalg import samples
-from forestalg.algebra import syntactic_algebra, verify_tm_division
+from forestalg.algebra import Morphism, WreathOps, syntactic_algebra, verify_tm_division
 from forestalg.category import (
     brute_force_global_ic,
     canonical_flat_cover,
@@ -13,7 +13,6 @@ from forestalg.category import (
 )
 from forestalg.derived import (
     FactorizationError,
-    WreathMorphism,
     dct_backward,
     dct_forward,
     derived_category,
@@ -92,7 +91,7 @@ def check_derived_well_defined(dc):
         for oi in range(len(dc.objects)):
             u = dc.arrow_of[(vp_idx, oi)]
             # composition with every continuation arrow
-            for w in range(len(dc.arrow_keys)):
+            for w in range(dc.category.arr_size):
                 if dc.category.arr_start[w] != dc.category.arr_end[u]:
                     continue
                 w1, w2 = pa.v_pairs[dc.arrow_rep[w]]
@@ -213,7 +212,7 @@ def or_tracking_wreath_morphism(rec, ka):
         bit = 1 if x == "a" else 0
         f = tuple(bit for _ in range(inner.h_size))
         letters[x] = (f, ka.morphism.letters[x])
-    return WreathMorphism(outer, inner, rec.alphabet, letters)
+    return Morphism(WreathOps(outer, inner), rec.alphabet, letters)
 
 
 def test_dct_backward_contains_a_beta0():
@@ -223,7 +222,7 @@ def test_dct_backward_contains_a_beta0():
     dc = derived_category(pa)
     delta = or_tracking_wreath_morphism(rec, ka)
     cov = dct_backward(dc, delta)
-    assert verify_covering(dc.category, delta.outer, cov).ok
+    assert verify_covering(dc.category, delta.algebra.outer, cov).ok
 
 
 def test_dct_backward_contains_a_beta1_round_trip():
@@ -248,7 +247,7 @@ def test_dct_backward_wrong_projection_rejected():
     bad_letters = dict(delta.letters)
     f, v2 = bad_letters["a"]
     bad_letters["a"] = (f, ka.algebra.one)  # wrong right coordinate
-    bad = WreathMorphism(delta.outer, delta.inner, delta.alphabet, bad_letters)
+    bad = Morphism(delta.algebra, delta.alphabet, bad_letters)
     with pytest.raises(FactorizationError):
         dct_backward(dc, bad)
 
@@ -266,7 +265,7 @@ def test_dct_backward_uninformative_delta_rejected():
         x: (tuple(0 for _ in range(ka.algebra.h_size)), ka.morphism.letters[x])
         for x in sorted(rec.alphabet)
     }
-    bad = WreathMorphism(outer, ka.algebra, rec.alphabet, letters)
+    bad = Morphism(WreathOps(outer, ka.algebra), rec.alphabet, letters)
     with pytest.raises(FactorizationError) as e:
         dct_backward(dc, bad)
     assert e.value.witness is not None
@@ -285,7 +284,7 @@ def test_trivial_factorization_valid_when_beta_determines_alpha():
         x: (tuple(0 for _ in range(ka.algebra.h_size)), ka.morphism.letters[x])
         for x in sorted(rec.alphabet)
     }
-    delta = WreathMorphism(outer, ka.algebra, rec.alphabet, letters)
+    delta = Morphism(WreathOps(outer, ka.algebra), rec.alphabet, letters)
     cov = dct_backward(dc, delta)
     assert verify_covering(dc.category, outer, cov).ok
 

@@ -22,6 +22,7 @@ from forestalg.algebra import (
     DivisionWitness,
     ForestAlgebra,
     Generated,
+    Morphism,
     PairOps,
     WreathOps,
     WreathProduct,
@@ -43,7 +44,6 @@ from forestalg.algebra import (
 from forestalg.category import Covering, canonical_flat_cover
 from forestalg.derived import (
     FactorizationError,
-    WreathMorphism,
     dct_backward,
     dct_forward,
     derived_category,
@@ -189,7 +189,7 @@ def ref_pair_closure(alpha, beta):
 
 
 def ref_dct_closure(delta, alpha):
-    ops = delta.ops()
+    ops = delta.algebra
     a1 = alpha.algebra
     letters = sorted(alpha.alphabet)
     h_elems = [(ops.h_zero, a1.zero)]
@@ -234,13 +234,13 @@ def ref_dct_backward_covering(dc, delta):
     half_cover = [set() for _ in range(len(pa.h_pairs))]
     for (ho, hi), ah in h_elems:
         half_cover[pa.h_index[(ah, hi)]].add(ho)
-    arrow_cover = [set() for _ in range(len(dc.arrow_keys))]
+    arrow_cover = [set() for _ in range(dc.category.arr_size)]
     for (f, vi), av in v_elems:
         vp_idx = pa.v_index[(av, vi)]
         for oi, h2 in enumerate(dc.objects):
             arrow_cover[dc.arrow_of[(vp_idx, oi)]].add(f[h2])
     return Covering(
-        delta.outer,
+        delta.algebra.outer,
         tuple(frozenset(s) for s in half_cover),
         tuple(frozenset(s) for s in arrow_cover),
     )
@@ -523,7 +523,7 @@ SYNTACTIC = [syntactic_algebra(rec) for rec in RECOGNIZERS]
 def _wreath_letters(alphabet, k):
     """The generators `lt_wreath_recognizer` passes to `wreath_generated`."""
     delta = decide.lt_wreath_recognizer(alphabet, k, _even_node_types).delta
-    return delta.outer, delta.inner, [delta.letters[a] for a in sorted(delta.alphabet)]
+    return delta.algebra.outer, delta.algebra.inner, [delta.letters[a] for a in sorted(delta.alphabet)]
 
 
 def _or_tracking_delta(rec, ka):
@@ -532,7 +532,7 @@ def _or_tracking_delta(rec, ka):
         x: (tuple(int(x == "a") for _ in range(ka.algebra.h_size)), ka.morphism.letters[x])
         for x in sorted(rec.alphabet)
     }
-    return WreathMorphism(outer, ka.algebra, rec.alphabet, letters)
+    return Morphism(WreathOps(outer, ka.algebra), rec.alphabet, letters)
 
 
 def _trivial_delta(rec, ka):
@@ -540,7 +540,7 @@ def _trivial_delta(rec, ka):
         x: (tuple(0 for _ in range(ka.algebra.h_size)), ka.morphism.letters[x])
         for x in sorted(rec.alphabet)
     }
-    return WreathMorphism(samples.trivial_algebra(), ka.algebra, rec.alphabet, letters)
+    return Morphism(WreathOps(samples.trivial_algebra(), ka.algebra), rec.alphabet, letters)
 
 
 def _factorizations():
@@ -857,7 +857,7 @@ def test_dct_backward_matches_reference_and_replays(case):
     alpha = dc.pa.alpha
     assert dct_backward(dc, delta) == ref_dct_backward_covering(dc, delta)
     letters = {a: (delta.letters[a], alpha.letters[a]) for a in alpha.alphabet}
-    gen = generate(PairOps(delta.ops(), alpha.algebra), letters, budget=200000)
+    gen = generate(PairOps(delta.algebra, alpha.algebra), letters, budget=200000)
     assert (set(gen.h_elems), set(gen.v_elems)) == ref_dct_closure(delta, alpha)
     for i, pair in enumerate(gen.h_elems):
         s = witness_forest(gen, i)

@@ -7,7 +7,8 @@ same witness indices, build the same transformation algebras up to the
 numbering of V (and run out of budget exactly when the reference's full
 monoid does) and return the same identity witness.  The syntactic algebra
 read off arrays must equal the elementwise one, and the derived category
-built per start object must equal the one built by scanning all pairs.
+read off the pair closure's rows must equal the one that multiplies every
+entry elementwise, and its tables the ones found by scanning all pairs.
 Decide's levels, closed over `AutomatonOps`'s byte tables, must equal the
 closures over the tuple maps of `RefAutomatonOps`.
 
@@ -25,6 +26,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from automata import (
     DERIVED_CASES,
+    LARGE_IDENTITY_CASES,
     a_above_b,
     count_xor_depth,
     even_node_types,
@@ -45,6 +47,7 @@ from forestalg.algebra import (
     wreath,
 )
 from forestalg.category import (
+    ForestCategory,
     IdentityReport,
     check_identities,
     one_object_category,
@@ -58,7 +61,7 @@ from forestalg.decide import (
     relation_r,
     relation_s,
 )
-from forestalg.derived import derived_category, pair_closure
+from forestalg.derived import DerivedCategory, derived_category, pair_closure
 
 # --- reference loops ---------------------------------------------------------
 
@@ -341,6 +344,65 @@ def ref_derived_tables(dc):
             if cat.arr_start[u] == cat.harr_end[ci]:
                 act[ci, u] = pa.h_index[a1.act[h1][u1], a2.act[h2][u2]]
     return comp, act, ins
+
+
+def ref_derived_category(pa):
+    """The derived category with its arrows keyed by the alpha action vector
+    over the sorted alpha values at each object, and each table entry a
+    product of representatives taken elementwise and looked up in the pair
+    closure's indices."""
+    a1, a2 = pa.alpha.algebra, pa.beta.algebra
+    objects = tuple(sorted({h2 for (_, h2) in pa.h_pairs}))
+    obj_index = {x: i for i, x in enumerate(objects)}
+    obj_add = tuple(tuple(obj_index[a2.add[x][y]] for y in objects) for x in objects)
+    harr_add = tuple(
+        tuple(pa.h_index[a1.add[h1][g1], a2.add[h2][g2]] for g1, g2 in pa.h_pairs)
+        for h1, h2 in pa.h_pairs
+    )
+    harr_end = tuple(obj_index[h2] for (_, h2) in pa.h_pairs)
+    r_sets = tuple(tuple(sorted(h1 for h1, h2 in pa.h_pairs if h2 == x)) for x in objects)
+
+    def key_of(vp_idx, oi):
+        v1, v2 = pa.v_pairs[vp_idx]
+        x = objects[oi]
+        return (oi, obj_index[a2.act[x][v2]], tuple(a1.act[h1][v1] for h1 in r_sets[oi]))
+
+    placed = [(vp_idx, oi) for vp_idx in range(len(pa.v_pairs)) for oi in range(len(objects))]
+    arrow_of, firsts = algebra._classes(placed, lambda at: key_of(*at))
+    arrow_keys = [key_of(*at) for at in firsts]
+    arrow_rep = [vp_idx for vp_idx, _ in firsts]
+    arr_start = tuple(k[0] for k in arrow_keys)
+    arr_end = tuple(k[1] for k in arrow_keys)
+    one_idx = pa.v_index[(a1.one, a2.one)]
+    arrows_from = [[u for u in range(len(arrow_keys)) if arr_start[u] == x] for x in range(len(objects))]
+    reps = [pa.v_pairs[vp_idx] for vp_idx in arrow_rep]
+    comp, act, ins = {}, {}, {}
+    for u, (u1, u2) in enumerate(reps):
+        for w in arrows_from[arr_end[u]]:
+            w1, w2 = reps[w]
+            comp[u, w] = arrow_of[pa.v_index[a1.mul[u1][w1], a2.mul[u2][w2]], arr_start[u]]
+        for ci, (h1, h2) in enumerate(pa.h_pairs):
+            ins[u, ci] = arrow_of[pa.v_index[a1.ins[u1][h1], a2.ins[u2][h2]], arr_start[u]]
+    for ci, (h1, h2) in enumerate(pa.h_pairs):
+        for u in arrows_from[harr_end[ci]]:
+            act[ci, u] = pa.h_index[a1.act[h1][reps[u][0]], a2.act[h2][reps[u][1]]]
+    cat = ForestCategory(
+        obj_size=len(objects),
+        obj_add=obj_add,
+        obj_zero=obj_index[a2.zero],
+        harr_size=len(pa.h_pairs),
+        harr_add=harr_add,
+        harr_one=pa.h_index[(a1.zero, a2.zero)],
+        harr_end=harr_end,
+        arr_size=len(arrow_keys),
+        arr_start=arr_start,
+        arr_end=arr_end,
+        identity=tuple(arrow_of[(one_idx, oi)] for oi in range(len(objects))),
+        comp=comp,
+        act=act,
+        ins=ins,
+    )
+    return DerivedCategory(cat, pa, objects, obj_index, tuple(arrow_rep), arrow_of)
 
 
 # --- inputs ------------------------------------------------------------------
@@ -794,6 +856,23 @@ def test_category_identities_match_the_reference_on_perturbed_additions(data):
     add[c][d] = data.draw(st.sampled_from(others))
     cat = dataclasses.replace(cat, harr_add=tuple(map(tuple, add)))
     assert check_identities(cat) == ref_check_identities(cat)
+
+
+# --- the derived category against the elementwise build ----------------------
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [(name, k) for name, (_, ks) in DERIVED_CASES.items() for k in ks] + list(LARGE_IDENTITY_CASES),
+)
+def test_derived_category_matches_the_elementwise_reference(name, k):
+    # the same arrows, numbered alike, and the same tables; the reference
+    # takes about 1.2 s on a_has_b_child over {a,b,c} at k = 1
+    make = LARGE_IDENTITY_CASES.get((name, k)) or DERIVED_CASES[name][0]
+    dc = _derived(make, k)
+    ref = ref_derived_category(dc.pa)
+    for field in ("category", "arrow_of", "arrow_rep", "objects", "obj_index"):
+        assert getattr(dc, field) == getattr(ref, field), field
 
 
 # --- constructions obey every law --------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestalg import decide, ktypes, samples, terms
-from forestalg.algebra import WreathOps, evaluate_forest
+from forestalg.algebra import evaluate_forest
 from forestalg.terms import (
     EMPTY,
     HOLE,
@@ -401,7 +401,7 @@ def _evaluators():
         rec = make("ab")
         yield rec.algebra, rec.morphism.letter
     delta = decide.lt_wreath_recognizer("ab", 1, lambda nodes, roots: len(nodes) % 2).delta
-    yield WreathOps(delta.outer, delta.inner), delta.letters.__getitem__
+    yield delta.algebra, delta.letters.__getitem__
 
 
 @pytest.mark.parametrize("seed", range(2))
