@@ -500,14 +500,14 @@ def recognizer_to_json(rec):
 def recognizer_from_json(data):
     alg = algebra_from_json(data)
     alphabet = terms.make_alphabet(data["alphabet"])
-    letters = dict(data["letters"])
+    letters = {a: _ints(v, "letters-shape", 0, (a,)) for a, v in dict(data["letters"]).items()}
     for a, v in letters.items():
         if a not in alphabet:
             raise ValueError("letter %r not in alphabet" % a)
         if not (0 <= v < alg.v_size):
             raise ValueError("letter %r maps outside V" % a)
     m = Morphism(alg, alphabet, letters)
-    return Recognizer(m, frozenset(data["accept"]))
+    return Recognizer(m, frozenset(_ints(data["accept"], "accept-shape", 1)))
 
 
 class AutomatonOps:

@@ -12,21 +12,36 @@ they evaluate to half-arrows.  Removing one leaf exposes an object and gives
 a context diagram, which evaluates to an arrow.
 
 Everything is table-driven and immutable; checks are exhaustive and report
-the first witness.  `validate_category` checks every law where tables enter
-from outside, in `category_from_json` and the hand-built samples; the
-categories built from algebras are not validated, and the tests validate
-them.
+the first witness.  The tables are positional nested tuples, as a
+`ForestAlgebra`'s are: composition and the action are indexed by the slot of
+the right-hand arrow among the arrows out of its start, so they hold no
+entry outside their domain, and `compose`, `act_on` and `insert` read them.
+`validate_category` checks every law where tables enter from outside, in
+`category_from_json`, which places the keyed entries of the file format and
+reads the hand-built samples too; the categories built from algebras are
+not validated, and the tests validate them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import AlgebraLawError, BudgetError, FlatMaskAlgebra, ForestAlgebra, _check_monoid, _ints
+from .algebra import (
+    AlgebraLawError,
+    BudgetError,
+    FlatMaskAlgebra,
+    ForestAlgebra,
+    _check_faithful,
+    _check_monoid,
+    _first,
+    _freeze,
+    _index_array,
+    _ints,
+)
 
 __all__ = [
     "CategoryLawError",
@@ -67,7 +82,12 @@ class DiagramError(ValueError):
 
 @dataclass(frozen=True)
 class ForestCategory:
-    """The tables of a finite forest category, taken unchecked."""
+    """The tables of a finite forest category, taken unchecked.
+
+    Arrow v sits at slot[v], its place in arrows_from(arr_start[v]), and
+    comp[u][slot[v]] is u.v and act[c][slot[u]] is c.u.  Their rows are
+    padded to the widest arrows_from by repeating column 0, so a gather over
+    whole rows only repeats real instances.  ins[u][c] is total."""
 
     obj_size: int
     obj_add: tuple
@@ -80,9 +100,9 @@ class ForestCategory:
     arr_start: tuple
     arr_end: tuple
     identity: tuple  # per object: its identity arrow
-    comp: dict  # (u, v) -> w, defined iff arr_end[u] == arr_start[v]
-    act: dict  # (c, u) -> d, defined iff harr_end[c] == arr_start[u]
-    ins: dict  # (u, c) -> w, total
+    comp: tuple  # comp[u][slot[v]] = u.v for v out of end(u)
+    act: tuple  # act[c][slot[u]] = c.u for u out of end(c)
+    ins: tuple  # ins[u][c]
 
     def obj_sum(self, x, y):
         return self.obj_add[x][y]
@@ -90,150 +110,216 @@ class ForestCategory:
     def hsum(self, c, d):
         return self.harr_add[c][d]
 
+    def compose(self, u, v):
+        if self.arr_end[u] != self.arr_start[v]:
+            raise DiagramError("arrow %d does not meet arrow %d" % (u, v))
+        return self.comp[u][self.slot[v]]
+
     def act_on(self, c, u):
-        try:
-            return self.act[(c, u)]
-        except KeyError:
-            raise DiagramError("half-arrow %d does not meet arrow %d" % (c, u)) from None
+        if self.harr_end[c] != self.arr_start[u]:
+            raise DiagramError("half-arrow %d does not meet arrow %d" % (c, u))
+        return self.act[c][self.slot[u]]
+
+    def insert(self, u, c):
+        return self.ins[u][c]
 
     def arrows_from(self, x):
-        return self._by_object[0].get(x, ())
+        return self._by_object[0][x]
 
     def arrows_to(self, x):
-        return self._by_object[1].get(x, ())
+        return self._by_object[1][x]
 
     def harrs_to(self, x):
-        return self._by_object[2].get(x, ())
+        return self._by_object[2][x]
 
     @cached_property
     def _by_object(self):
         """Arrows by start and by end object, half-arrows by end object."""
-        out = ({}, {}, {})
-        for by, ends in zip(out, (self.arr_start, self.arr_end, self.harr_end)):
-            for i, x in enumerate(ends):
-                by.setdefault(x, []).append(i)
-        return tuple({x: tuple(items) for x, items in by.items()} for by in out)
+        ends = (self.arr_start, self.arr_end, self.harr_end)
+        return tuple(tuple(map(tuple, _by_end(by, self.obj_size))) for by in ends)
+
+    @cached_property
+    def slot(self):
+        slot = [0] * self.arr_size
+        for outs in self._by_object[0]:
+            for j, v in enumerate(outs):
+                slot[v] = j
+        return tuple(slot)
 
     def objects_idempotent(self):
         return all(self.obj_add[x][x] == x for x in range(self.obj_size))
 
 
-def validate_category(cat: ForestCategory) -> ForestCategory:
-    """Exhaustively check the forest category axioms, reporting the first
-    violation with the element ids that instantiate it."""
-    _check_monoid(cat.obj_size, cat.obj_add, cat.obj_zero, "objects", commutative=True)
-    _check_monoid(cat.harr_size, cat.harr_add, cat.harr_one, "halfarrows", commutative=True)
-    if len(cat.harr_end) != cat.harr_size:
-        raise CategoryLawError("end-shape", (), "end array has wrong length")
-    if len(cat.identity) != cat.obj_size:
-        raise CategoryLawError("identity-shape", (), "one identity arrow per object")
-    # so that no law indexes out of range: key i below sizes[i], the value below the last
+def _by_end(ends, obj_size):
+    """Row x: the indices i with ends[i] == x, in order."""
+    rows = [[] for _ in range(obj_size)]
+    for i, x in enumerate(ends):
+        rows[x].append(i)
+    return rows
+
+
+def _pad(rows):
+    """The rows, each padded to the widest by repeating its first entry: the
+    positional layout of `ForestCategory`."""
+    width = max(map(len, rows))
+    return [list(row) + list(row[:1]) * (width - len(row)) for row in rows]
+
+
+def _check_ends(cat):
+    """Check every law that does not read comp, act or ins.  These give each
+    object a half-arrow and its identity, an arrow out of it and into it,
+    so no row of the positional tables is empty.  Returns the additions."""
+    obj_add = _check_monoid(cat.obj_size, cat.obj_add, cat.obj_zero, "objects", commutative=True)
+    harr_add = _check_monoid(cat.harr_size, cat.harr_add, cat.harr_one, "halfarrows", commutative=True)
     objs, harrs, arrs = cat.obj_size, cat.harr_size, cat.arr_size
-    for law, table, sizes in (
-        ("arrow-endpoints", {(u,): x for u, x in enumerate(cat.arr_start)}, (arrs, objs)),
-        ("arrow-endpoints", {(u,): x for u, x in enumerate(cat.arr_end)}, (arrs, objs)),
-        ("end-shape", {(c,): x for c, x in enumerate(cat.harr_end)}, (harrs, objs)),
-        ("identity-shape", {(x,): e for x, e in enumerate(cat.identity)}, (objs, arrs)),
-        ("composition-shape", cat.comp, (arrs, arrs, arrs)),
-        ("action-shape", cat.act, (harrs, arrs, harrs)),
-        ("insertion-shape", cat.ins, (arrs, harrs, arrs)),
+    for law, ends, sizes in (
+        ("end-shape", cat.harr_end, (harrs, objs)),
+        ("identity-shape", cat.identity, (objs, arrs)),
+        ("arrow-endpoints", cat.arr_start, (arrs, objs)),
+        ("arrow-endpoints", cat.arr_end, (arrs, objs)),
     ):
-        for key, value in table.items():
-            if not all(0 <= i < n for i, n in zip(key + (value,), sizes)):
-                raise CategoryLawError(law, key, "entry out of range")
+        if len(ends) != sizes[0]:
+            raise CategoryLawError(law, (), "not %d entries" % sizes[0])
+        bad = next((i for i, x in enumerate(ends) if not 0 <= x < sizes[1]), None)
+        if bad is not None:
+            raise CategoryLawError(law, (bad,), "entry out of range")
     # end is a monoid homomorphism onto the objects
-    if cat.harr_end[cat.harr_one] != cat.obj_zero:
+    end = np.array(cat.harr_end, dtype=np.int64)
+    if end[cat.harr_one] != cat.obj_zero:
         raise CategoryLawError("end-homomorphism", (cat.harr_one,), "end(identity) != 0")
-    for c in range(cat.harr_size):
-        for d in range(cat.harr_size):
-            if cat.harr_end[cat.harr_add[c][d]] != cat.obj_add[cat.harr_end[c]][cat.harr_end[d]]:
-                raise CategoryLawError("end-homomorphism", (c, d), "end(c+d) != end(c)+end(d)")
-    covered = set(cat.harr_end)
-    for x in range(cat.obj_size):
-        if x not in covered:
-            raise CategoryLawError("end-onto", (x,), "object has no half-arrow")
-    # arrows: composition domain, associativity, identities
-    for u in range(cat.arr_size):
-        for v in range(cat.arr_size):
-            defined = (u, v) in cat.comp
-            matches = cat.arr_end[u] == cat.arr_start[v]
-            if defined != matches:
-                raise CategoryLawError("composition-domain", (u, v), "domain mismatch")
-            if defined:
-                w = cat.comp[(u, v)]
-                if cat.arr_start[w] != cat.arr_start[u] or cat.arr_end[w] != cat.arr_end[v]:
-                    raise CategoryLawError("composition-endpoints", (u, v), "bad endpoints")
-    for u in range(cat.arr_size):
-        for v in cat.arrows_from(cat.arr_end[u]):
-            for w in cat.arrows_from(cat.arr_end[v]):
-                if cat.comp[(cat.comp[(u, v)], w)] != cat.comp[(u, cat.comp[(v, w)])]:
-                    raise CategoryLawError("composition-associativity", (u, v, w), "not associative")
-    for x in range(cat.obj_size):
-        e = cat.identity[x]
+    bad = _first((end[harr_add] != obj_add[end[:, None], end]).ravel())
+    if bad is not None:
+        raise CategoryLawError("end-homomorphism", divmod(bad, harrs), "end(c+d) != end(c)+end(d)")
+    x = _first(np.bincount(end, minlength=objs) == 0)
+    if x is not None:
+        raise CategoryLawError("end-onto", (x,), "object has no half-arrow")
+    for x, e in enumerate(cat.identity):
         if cat.arr_start[e] != x or cat.arr_end[e] != x:
             raise CategoryLawError("identity-endpoints", (x,), "identity not an endo-arrow")
-        for u in range(cat.arr_size):
-            if cat.arr_end[u] == x and cat.comp[(u, e)] != u:
-                raise CategoryLawError("identity-right", (u, x), "u . id != u")
-            if cat.arr_start[u] == x and cat.comp[(e, u)] != u:
-                raise CategoryLawError("identity-left", (u, x), "id . u != u")
-    # action on half-arrows
-    for c in range(cat.harr_size):
-        for u in range(cat.arr_size):
-            defined = (c, u) in cat.act
-            matches = cat.harr_end[c] == cat.arr_start[u]
-            if defined != matches:
-                raise CategoryLawError("action-domain", (c, u), "domain mismatch")
-            if defined and cat.harr_end[cat.act[(c, u)]] != cat.arr_end[u]:
-                raise CategoryLawError("action-endpoints", (c, u), "bad end")
-    for c in range(cat.harr_size):
-        x = cat.harr_end[c]
-        if cat.act[(c, cat.identity[x])] != c:
-            raise CategoryLawError("action-identity", (c,), "c . id != c")
-        for u in cat.arrows_from(x):
-            for w in cat.arrows_from(cat.arr_end[u]):
-                if cat.act[(cat.act[(c, u)], w)] != cat.act[(c, cat.comp[(u, w)])]:
-                    raise CategoryLawError("action-associativity", (c, u, w), "not associative")
-    # faithfulness: coterminal arrows acting identically must be equal
-    for u in range(cat.arr_size):
-        for v in range(u + 1, cat.arr_size):
-            if cat.arr_start[u] == cat.arr_start[v] and cat.arr_end[u] == cat.arr_end[v]:
-                incoming = cat.harrs_to(cat.arr_start[u])
-                if all(cat.act[(c, u)] == cat.act[(c, v)] for c in incoming):
-                    raise CategoryLawError("action-faithfulness", (u, v), "arrows indistinguishable")
-    # insertion: totality, endpoints, pre-composition and nesting laws
-    for u in range(cat.arr_size):
-        for c in range(cat.harr_size):
-            if (u, c) not in cat.ins:
-                raise CategoryLawError("insertion-total", (u, c), "missing insertion")
-            w = cat.ins[(u, c)]
-            if cat.arr_start[w] != cat.arr_start[u] or cat.arr_end[w] != cat.obj_add[
-                cat.arr_end[u]
-            ][cat.harr_end[c]]:
-                raise CategoryLawError("insertion-endpoints", (u, c), "bad endpoints")
-    for u in range(cat.arr_size):
-        for c in range(cat.harr_size):
-            w = cat.ins[(u, c)]
-            for f in cat.arrows_to(cat.arr_start[u]):
-                if cat.comp[(f, w)] != cat.ins[(cat.comp[(f, u)], c)]:
-                    raise CategoryLawError(
-                        "insertion-precomposition", (f, u, c), "f.ins(u,c) != ins(f.u,c)"
-                    )
-            for d in range(cat.harr_size):
-                if cat.ins[(w, d)] != cat.ins[(u, cat.harr_add[c][d])]:
-                    raise CategoryLawError(
-                        "insertion-nesting", (u, c, d), "ins(ins(u,c),d) != ins(u,c+d)"
-                    )
+    return obj_add, harr_add
+
+
+def _check_table(table, cols, size, law):
+    """`table` as an int32 array, which must be shaped like `cols`, the arrows
+    (or half-arrows) of its columns, with entries in range(size) and each
+    padding column repeating column 0; a witness is a row and an arrow."""
+    if len(table) != len(cols) or any(len(row) != cols.shape[1] for row in table):
+        raise CategoryLawError(law, (), "table is not %d x %d" % cols.shape)
+    t = _index_array(table, cols.shape)
+    bad = _first(((t < 0) | (t >= size) | (cols == cols[:, :1]) & (t != t[:, :1])).ravel())
+    if bad is not None:
+        i, j = divmod(bad, cols.shape[1])
+        raise CategoryLawError(law, (i, int(cols[i, j])), "entry out of range or padding not column 0")
+    return t.astype(np.int32)
+
+
+def _check_law(groups, per_row, bad_rows, where):
+    """Raise the law and witness where(row, ...) of the least index at which
+    bad_rows(x, rows) is true, over the groups (x, rows) of ascending rows;
+    within a group that is its first in row-major order.  A group goes in
+    blocks of about 2^20 entries, at most `per_row` a row."""
+    hits = []
+    for x, rows in groups:
+        step = max(1, (1 << 20) // per_row)
+        for lo in range(0, len(rows), step):
+            bad = bad_rows(x, rows[lo : lo + step])
+            hit = _first(bad.ravel())
+            if hit is not None:
+                i, *rest = np.unravel_index(hit, bad.shape)
+                hits.append((int(rows[lo + i]), *map(int, rest)))
+                break
+    if hits:
+        law, witness = where(*min(hits))
+        raise CategoryLawError(law, tuple(map(int, witness)), "does not hold")
+
+
+def validate_category(cat: ForestCategory) -> ForestCategory:
+    """Exhaustively check the forest category axioms, reporting the first
+    violation with the element ids that instantiate it.
+
+    Each law is a gather over whole rows, object by object and in blocks of
+    rows; padding only repeats column 0, so the first failure in row-major
+    order is the first in the loop order over the arrows."""
+    obj_add, harr_add = _check_ends(cat)
+    objs, harrs, arrs = cat.obj_size, cat.harr_size, cat.arr_size
+    arrays = (cat.arr_start, cat.arr_end, cat.harr_end, cat.identity, cat.slot)
+    start, end, hend, e, slot = (np.array(t, dtype=np.int32) for t in arrays)
+    # the arrows by start and by end, the half-arrows by end, and padded
+    by_object = (cat.arrows_from, cat.arrows_to, cat.harrs_to)
+    outs, into, onto = ([np.array(by(x), dtype=np.int32) for x in range(objs)] for by in by_object)
+    outs_pad, onto_pad = (np.array(_pad(rows), dtype=np.int32) for rows in (outs, onto))
+    after, acts, width = outs_pad[end], outs_pad[hend], outs_pad.shape[1]  # the arrows after u, c
+    comp = _check_table(cat.comp, after, arrs, "composition-shape")
+    act = _check_table(cat.act, acts, harrs, "action-shape")
+    ins = _check_table(cat.ins, np.broadcast_to(np.arange(harrs), (arrs, harrs)), arrs, "insertion-shape")
+    over = slot[comp]  # over[v, k]: the slot of v.after[v, k]
+    halves, arrows = np.arange(harrs, dtype=np.int32), np.arange(arrs, dtype=np.int32)
+    every = [(None, arrows)]
+
+    def composed(x, u):  # (u.v).w = u.(v.w) for the v out of x = end(u)
+        return comp[comp[u][:, : len(outs[x])]] != np.take(comp[u], over[outs[x]], axis=1)
+
+    right, left = comp[arrows, slot[e[end]]] != arrows, comp[e[start], slot] != arrows
+
+    def unit(_, x):  # u . id(x) = u for the u into x, then id(x) . u = u for the u out of x
+        return np.stack([right & (end == x[:, None]), left & (start == x[:, None])], 2)
+
+    def acted(x, c):  # c . id(x) = c, then (c.u).w = c.(u.w) for the u out of x = end(c)
+        assoc = act[act[c][:, : len(outs[x])]] != np.take(act[c], over[outs[x]], axis=1)
+        return np.concatenate([act[c, slot[e[x]], None] != c[:, None], assoc.reshape(len(c), -1)], 1)
+
+    def act_witness(c, i):
+        if i == 0:
+            return "action-identity", (c,)
+        v = acts[c, (i - 1) // width]
+        return "action-associativity", (c, v, after[v, (i - 1) % width])
+
+    def inserted(x, u):  # f.ins(u, c) = ins(f.u, c) for the f into x = start(u), then nesting
+        f = comp[into[x]]
+        pre = f.T[slot[ins[u]]] != ins[f[:, slot[u]]].transpose(1, 2, 0)
+        return np.concatenate([pre, ins[ins[u]] != np.take(ins[u], harr_add, axis=1)], 2)
+
+    def ins_witness(u, c, i):
+        f = into[start[u]]
+        if i < len(f):
+            return "insertion-precomposition", (f[i], u, c)
+        return "insertion-nesting", (u, c, i - len(f))  # ins(ins(u, c), d) = ins(u, c+d)
+
+    _check_law(
+        every, width, lambda _, u: (start[comp[u]] != start[u, None]) | (end[comp[u]] != end[after[u]]),
+        lambda u, j: ("composition-endpoints", (u, after[u, j])),
+    )
+    _check_law(
+        enumerate(into), width**2, composed,
+        lambda u, j, k: ("composition-associativity", (u, after[u, j], after[after[u, j], k])),
+    )
+    _check_law(
+        [(None, np.arange(objs))], 2 * arrs, unit,
+        lambda x, u, side: (("identity-right", "identity-left")[side], (u, x)),
+    )
+    _check_law(
+        [(None, halves)], width, lambda _, c: hend[act[c]] != end[acts[c]],
+        lambda c, j: ("action-endpoints", (c, acts[c, j])),
+    )
+    _check_law(enumerate(onto), 1 + width**2, acted, act_witness)
+    try:  # coterminal arrows acting alike on the half-arrows into their start are equal
+        _check_faithful(np.vstack([start, end, act[onto_pad[start], slot[:, None]].T]))
+    except AlgebraLawError as error:
+        raise CategoryLawError("action-faithfulness", error.where, "arrows indistinguishable") from None
+    _check_law(
+        every, harrs,
+        lambda _, u: (start[ins[u]] != start[u, None]) | (end[ins[u]] != obj_add[end[u, None], hend]),
+        lambda u, c: ("insertion-endpoints", (u, c)),
+    )
+    _check_law(enumerate(outs), harrs * (max(map(len, into)) + harrs), inserted, ins_witness)
     return cat
 
 
 def one_object_category(alg: ForestAlgebra) -> ForestCategory:
     """A forest category with one object is a forest algebra; this is that
-    correspondence, pointed the other way.  It obeys every law that `alg`
-    does, so it is not validated here."""
-    comp = {(u, v): alg.mul[u][v] for u in range(alg.v_size) for v in range(alg.v_size)}
-    act = {(c, u): alg.act[c][u] for c in range(alg.h_size) for u in range(alg.v_size)}
-    ins = {(u, c): alg.ins[u][c] for u in range(alg.v_size) for c in range(alg.h_size)}
+    correspondence, pointed the other way.  Each arrow's slot is its index,
+    so the tables are the algebra's.  It obeys every law that `alg` does, so
+    it is not validated here."""
     return ForestCategory(
         obj_size=1,
         obj_add=((0,),),
@@ -246,13 +332,16 @@ def one_object_category(alg: ForestAlgebra) -> ForestCategory:
         arr_start=tuple(0 for _ in range(alg.v_size)),
         arr_end=tuple(0 for _ in range(alg.v_size)),
         identity=(alg.one,),
-        comp=comp,
-        act=act,
-        ins=ins,
+        comp=alg.mul,
+        act=alg.act,
+        ins=alg.ins,
     )
 
 
 def category_to_json(cat):
+    def keyed(table, rows, cols):  # the keys (i, j) of row i run over cols(rows[i])
+        return {"%d,%d" % (i, j): k for i, x in enumerate(rows) for j, k in zip(cols(x), table[i])}
+
     return {
         "objects": {"size": cat.obj_size, "add": [list(r) for r in cat.obj_add], "zero": cat.obj_zero},
         "halfarrows": {
@@ -265,13 +354,20 @@ def category_to_json(cat):
             {"start": cat.arr_start[u], "end": cat.arr_end[u]} for u in range(cat.arr_size)
         ],
         "identity": list(cat.identity),
-        "comp": {"%d,%d" % k: v for k, v in sorted(cat.comp.items())},
-        "act": {"%d,%d" % k: v for k, v in sorted(cat.act.items())},
-        "ins": {"%d,%d" % k: v for k, v in sorted(cat.ins.items())},
+        "comp": keyed(cat.comp, cat.arr_end, cat.arrows_from),
+        "act": keyed(cat.act, cat.harr_end, cat.arrows_from),
+        "ins": keyed(cat.ins, range(cat.arr_size), lambda _: range(cat.harr_size)),
     }
 
 
 def category_from_json(data):
+    """The validated category of a `category_to_json` document, which the
+    hand-built samples are too.  Its comp, act and ins are keyed by "i,j";
+    a key that is not two integers in range raises the table's shape law,
+    and a key outside the domain, or one missing, composition-domain,
+    action-domain or insertion-total, at the first such key in row-major
+    order.  The entries are then placed in the positional layout."""
+
     def unkey(d, law):
         out = {}
         for k, v in d.items():
@@ -297,11 +393,29 @@ def category_from_json(data):
         arr_start=_ints([a["start"] for a in arrows], "arrow-endpoints", 1),
         arr_end=_ints([a["end"] for a in arrows], "arrow-endpoints", 1),
         identity=_ints(data["identity"], "identity-shape", 1),
-        comp=unkey(data["comp"], "composition-shape"),
-        act=unkey(data["act"], "action-shape"),
-        ins=unkey(data["ins"], "insertion-shape"),
+        comp=(),
+        act=(),
+        ins=(),
     )
-    return validate_category(cat)
+    shape = {"comp": "composition-shape", "act": "action-shape", "ins": "insertion-shape"}
+    keyed = {name: unkey(data[name], law) for name, law in shape.items()}
+    _check_ends(cat)
+    for name, domain, row_ends, col_ends in (
+        ("comp", "composition-domain", cat.arr_end, cat.arr_start),
+        ("act", "action-domain", cat.harr_end, cat.arr_start),
+        ("ins", "insertion-total", (0,) * cat.arr_size, (0,) * cat.harr_size),
+    ):
+        table = keyed[name]
+        bad = [key for key in table if not (0 <= key[0] < len(row_ends) and 0 <= key[1] < len(col_ends))]
+        if bad:
+            raise CategoryLawError(shape[name], bad[0], "key out of range")
+        cols = _by_end(col_ends, cat.obj_size)  # key (i, j) is due iff col_ends[j] == row_ends[i]
+        bad = [key for key in table if row_ends[key[0]] != col_ends[key[1]]]
+        bad += [(i, j) for i, x in enumerate(row_ends) for j in cols[x] if (i, j) not in table]
+        if bad:
+            raise CategoryLawError(domain, min(bad), "key missing or outside the domain")
+        keyed[name] = _freeze(_pad([[table[i, j] for j in cols[x]] for i, x in enumerate(row_ends)]))
+    return validate_category(replace(cat, **keyed))
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +477,7 @@ def _eval_tree(cat, tree):
     if tree[0] == "o":
         raise DiagramError("exposed object in a forest diagram")
     _, u, children = tree
-    c = eval_forest_diagram(cat, children)
-    if cat.harr_end[c] != cat.arr_start[u]:
-        raise DiagramError("children of arrow %d end at the wrong object" % u)
-    return cat.act[(c, u)]
+    return cat.act_on(eval_forest_diagram(cat, children), u)
 
 
 def eval_forest_diagram(cat, diagram):
@@ -396,7 +507,7 @@ def eval_forest_diagram_alt(cat, diagram):
     if first[0] == "n":
         _, u, kids = first
         inner = eval_forest_diagram_alt(cat, kids)
-        w = u if rest_val is None else cat.ins[(u, rest_val)]
+        w = u if rest_val is None else cat.insert(u, rest_val)
         return cat.act_on(inner, w)
     v = first[1] if first[0] == "h" else None
     if v is None:
@@ -415,7 +526,7 @@ def eval_context_diagram(cat, diagram):
     arrow, start = _eval_ctx_tree(cat, diagram[i])
     if rest:
         c = eval_forest_diagram(cat, rest)
-        arrow = cat.ins[(arrow, c)]
+        arrow = cat.insert(arrow, c)
     return arrow, start
 
 
@@ -435,9 +546,7 @@ def _eval_ctx_tree(cat, tree):
         raise DiagramError("hole path runs through a leaf")
     _, u, children = tree
     arrow, start = eval_context_diagram(cat, children)
-    if cat.arr_end[arrow] != cat.arr_start[u]:
-        raise DiagramError("context children end at the wrong object")
-    return cat.comp[(arrow, u)], start
+    return cat.compose(arrow, u), start
 
 
 def render_diagram(diagram):
@@ -577,8 +686,8 @@ def _orbit_classes(add, rows):
     """The orbit classes of each H value x, made on first use: rows[x] holds
     x's products x.q with the contexts q it meets, and cls(x)[h] = cls(x)[h']
     iff h + x.q = h' + x.q for every such q.  So y.t + x.u = z.t + x.u for
-    all t and u iff cls(x)[y.t] = cls(x)[z.t] for every t.  decide's rows
-    are an algebra's act table, the derived category's `_act_rows`."""
+    all t and u iff cls(x)[y.t] = cls(x)[z.t] for every t.  The rows are an
+    algebra's act table or a category's, whose padding adds nothing."""
 
     @cache
     def cls(x):
@@ -623,16 +732,6 @@ def _loop_failure(add, rows, groups):
     return None
 
 
-def _act_rows(cat):
-    """Row c: the products c.u with the arrows u out of end(c), in
-    `arrows_from` order, padded by repeating its first product.  Rows with
-    one end line up; padding adds nothing to an orbit and only repeats
-    column 0, so no first failure lies in it."""
-    rows = [[cat.act[(c, u)] for u in cat.arrows_from(y)] for c, y in enumerate(cat.harr_end)]
-    width = max(map(len, rows))
-    return np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.int64)
-
-
 def check_identities(cat) -> IdentityReport:
     """Exhaustively check loop removal, horizontal absorption and horizontal
     idempotence; each failure carries the instantiating ids.  The identities
@@ -640,10 +739,13 @@ def check_identities(cat) -> IdentityReport:
     is idempotent and commutative, which is reported as a precondition.
 
     Absorption and loop removal test every s of one r at once on the orbit
-    classes of `_act_rows`; each witness is the first failing instance in
-    the loop order r, s, then the two arrows."""
+    classes of the rows of `act`, whose columns are the arrows out of end(r)
+    and whose padding only repeats column 0, so no first failure lies in
+    it; each witness is the first failing instance in the loop order r, s,
+    then the two arrows."""
     add = np.array(cat.harr_add, dtype=np.int64).reshape(cat.harr_size, cat.harr_size)
-    rows, ends, outs = _act_rows(cat), cat.harr_end, [cat.arrows_from(y) for y in cat.harr_end]
+    rows = np.array(cat.act, dtype=np.int64)
+    ends, outs = cat.harr_end, [cat.arrows_from(y) for y in cat.harr_end]
     # loop removal over the loops s at end(r), each named by its column
     loops = ((r, [i for i, s in enumerate(outs[r]) if cat.arr_end[s] == y]) for r, y in enumerate(ends))
     loop = _loop_failure(add, rows, loops)
@@ -685,7 +787,7 @@ def check_derived_identities(cat, transfer_bound=4) -> DerivedIdentityReport:
     pass.  There is no precondition; the report is informational."""
     # vertical idempotence: endo-arrows are idempotent
     endo = (u for u in range(cat.arr_size) if cat.arr_start[u] == cat.arr_end[u])
-    vertical = ((u,) for u in endo if cat.comp[(u, u)] != u)
+    vertical = ((u,) for u in endo if cat.compose(u, u) != u)
     return DerivedIdentityReport(
         vertical_idempotence=next(vertical, None),
         horizontal_swap=_horizontal_swap(cat),
@@ -700,9 +802,9 @@ def _horizontal_swap(cat):
         x = cat.harr_end[r]
         for s in cat.harrs_to(x):
             for t in cat.arrows_from(x):
-                rt, st = cat.act[(r, t)], cat.act[(s, t)]
+                rt, st = cat.act_on(r, t), cat.act_on(s, t)
                 for u in cat.arrows_from(x):
-                    ru, su = cat.act[(r, u)], cat.act[(s, u)]
+                    ru, su = cat.act_on(r, u), cat.act_on(s, u)
                     if cat.hsum(rt, su) != cat.hsum(st, ru):
                         return (r, s, t, u)
     return None
@@ -718,14 +820,14 @@ def _nested_insertion_variant(cat):
             for u in cat.arrows_from(x):
                 if cat.arr_end[u] != xy:
                     continue
-                ru = cat.act[(r, u)]
+                ru = cat.act_on(r, u)
                 lhs_head = cat.hsum(r, t)
                 rhs_head = cat.hsum(ru, t)
                 if cat.harr_end[rhs_head] != xy:
                     continue  # without idempotent objects this may not typecheck
                 for sarr in cat.arrows_from(xy):
-                    lhs = cat.hsum(cat.act[(lhs_head, sarr)], ru)
-                    rhs = cat.hsum(cat.act[(rhs_head, sarr)], ru)
+                    lhs = cat.hsum(cat.act_on(lhs_head, sarr), ru)
+                    rhs = cat.hsum(cat.act_on(rhs_head, sarr), ru)
                     if lhs != rhs:
                         return (r, t, u, sarr)
     return None
@@ -810,12 +912,10 @@ def _clauses(cat):
     clause builds a diagram of the target from diagrams of its operands."""
     out = []
     for u in range(cat.arr_size):
-        for v in cat.arrows_from(cat.arr_end[u]):
-            w = cat.comp[(u, v)]
+        for v, w in zip(cat.arrows_from(cat.arr_end[u]), cat.comp[u]):
             out.append(("preserve-composition", (u, v), "v_mul", ("a", u), ("a", v), ("a", w)))
     for c in range(cat.harr_size):
-        for u in cat.arrows_from(cat.harr_end[c]):
-            d = cat.act[(c, u)]
+        for u, d in zip(cat.arrows_from(cat.harr_end[c]), cat.act[c]):
             out.append(("preserve-action", (c, u), "act_", ("h", c), ("a", u), ("h", d)))
     for c in range(cat.harr_size):
         for d in range(cat.harr_size):
@@ -823,7 +923,7 @@ def _clauses(cat):
             out.append(("preserve-addition", (c, d), "h_add", ("h", c), ("h", d), ("h", e)))
     for u in range(cat.arr_size):
         for c in range(cat.harr_size):
-            w = cat.ins[(u, c)]
+            w = cat.ins[u][c]
             out.append(("preserve-insertion", (u, c), "ins_", ("a", u), ("h", c), ("a", w)))
     return out
 

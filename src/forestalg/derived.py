@@ -13,7 +13,8 @@ The pair algebra is the reachable image of alpha x beta, generated by
 into a concrete forest or context witness through `witness_forest` and
 `witness_context`.  The category's tables are read off that closure's own
 product rows by `algebra._gen_arrays`, as every other construction's are,
-with no product taken again; it is not validated, and the tests run
+with no product taken again, and written in the category's positional
+layout by whole-row gathers; it is not validated, and the tests run
 `validate_category` on it.
 
 The two theorems connecting the derived category to wreath products are
@@ -25,8 +26,7 @@ of the derived category by (H, V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .algebra import (
 )
 # validate_category is unused here but stays bound: the benchmark's tracer wraps
 # `derived.validate_category`, and tests/test_exports.py checks its bindings
-from .category import Covering, ForestCategory, validate_category, verify_covering  # noqa: F401
+from .category import Covering, ForestCategory, _by_end, _pad, validate_category, verify_covering  # noqa: F401
 
 __all__ = [
     "PairAlgebra",
@@ -117,15 +117,9 @@ class DerivedCategory:
     objects: tuple  # object index -> beta H value
     obj_index: dict
     arrow_rep: tuple  # arrow id -> representative vpair index
-    arrow_of: dict  # (vpair index, object index) -> arrow id
-
-
-def _groups(keys, n):
-    """The indices of each key in range(n), in index order, as arrays."""
-    groups = [[] for _ in range(n)]
-    for i, x in enumerate(keys.tolist()):
-        groups[x].append(i)
-    return [np.array(g, dtype=np.intp) for g in groups]
+    # [vpair index, object index] -> arrow id; it follows from pa, and an
+    # array cannot take part in the dataclass's ==
+    arrow_at: np.ndarray = field(compare=False)
 
 
 def derived_category(pa: PairAlgebra) -> DerivedCategory:
@@ -138,13 +132,17 @@ def derived_category(pa: PairAlgebra) -> DerivedCategory:
     pair: the pairs carry the alpha values and the end object, so these are
     the classes of equal action vectors.  Each entry is a product in the pair
     algebra, so the category obeys every law by construction and is not
-    validated here; the tests run `validate_category` on it."""
+    validated here; the tests run `validate_category` on it.
+
+    Each table is one gather: row u of comp is the arrow of rep[u] times the
+    representatives of the arrows out of end(u), padded by `_pad`, so the
+    rows are already in the category's positional layout."""
     add, act, mul, ins = _gen_arrays(pa)
     objects = tuple(sorted({h2 for (_, h2) in pa.h_pairs}))
     obj_index = {x: i for i, x in enumerate(objects)}
     harr_end = np.array([obj_index[h2] for (_, h2) in pa.h_pairs])
-    harrs_to = _groups(harr_end, len(objects))
-    first_to = np.array([c[0] for c in harrs_to])  # one half-arrow ending at each object
+    harrs_to = np.array(_pad(_by_end(harr_end.tolist(), len(objects))))
+    first_to = harrs_to[:, 0]  # one half-arrow ending at each object
 
     # an arrow is a class of vertical pairs placed at a start object, numbered
     # in order of first placement, V pair by V pair
@@ -155,15 +153,8 @@ def derived_category(pa: PairAlgebra) -> DerivedCategory:
     rep = np.array([vp for vp, _ in firsts])
     start = np.array([oi for _, oi in firsts])
     end = harr_end[act[first_to[start], rep]]
-
-    comp, arr_act = {}, {}
-    for harrs, into, out in zip(harrs_to, _groups(end, len(objects)), _groups(start, len(objects))):
-        prods = arrow_at[mul[rep[into, None], rep[out]], start[into, None]]
-        comp.update(zip(product(into.tolist(), out.tolist()), prods.ravel().tolist()))
-        reached = act[harrs[:, None], rep[out]]
-        arr_act.update(zip(product(harrs.tolist(), out.tolist()), reached.ravel().tolist()))
-    inserted = arrow_at[ins[rep], start[:, None]]
-    arr_ins = dict(zip(product(range(len(rep)), range(len(pa.h_pairs))), inserted.ravel().tolist()))
+    # the representatives of the arrows out of each object, padded
+    outs = rep[np.array(_pad(_by_end(start.tolist(), len(objects))))]
 
     cat = ForestCategory(
         obj_size=len(objects),
@@ -177,11 +168,11 @@ def derived_category(pa: PairAlgebra) -> DerivedCategory:
         arr_start=tuple(start.tolist()),
         arr_end=tuple(end.tolist()),
         identity=tuple(arrow_at[0].tolist()),
-        comp=comp,
-        act=arr_act,
-        ins=arr_ins,
+        comp=_freeze(arrow_at[mul[rep[:, None], outs[end]], start[:, None]].tolist()),
+        act=_freeze(act[np.arange(len(pa.h_pairs))[:, None], outs[harr_end]].tolist()),
+        ins=_freeze(arrow_at[ins[rep], start[:, None]].tolist()),
     )
-    return DerivedCategory(cat, pa, objects, obj_index, tuple(rep.tolist()), arrow_of)
+    return DerivedCategory(cat, pa, objects, obj_index, tuple(rep.tolist()), arrow_at)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +228,7 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
             if oi is None:
                 f.append(cov.algebra.v_one)  # unreachable object, never touched from K
                 continue
-            arrow = dc.arrow_of[(vp_idx, oi)]
-            f.append(min(cov.arrow_cover[arrow]))
+            f.append(min(cov.arrow_cover[dc.arrow_at[vp_idx, oi]]))
         hat[v1] = (tuple(f), v2)
 
     # K is generated from one covered element per half-arrow, jointly with
@@ -309,8 +299,7 @@ def dct_backward(dc: DerivedCategory, delta: Morphism, budget=200000) -> Coverin
         vp_idx = pa.v_index.get((av, vi))
         if vp_idx is None:
             raise FactorizationError("delta vertical coordinate strays off the pair closure")
-        for oi, h2 in enumerate(dc.objects):
-            arrow = dc.arrow_of[(vp_idx, oi)]
+        for arrow, h2 in zip(dc.arrow_at[vp_idx].tolist(), dc.objects):
             arrow_cover[arrow].add(f[h2])
 
     cov = Covering(

@@ -4,7 +4,7 @@ test suite."""
 from __future__ import annotations
 
 from .algebra import Morphism, Recognizer, flat_algebra, transformation_algebra
-from .category import ForestCategory, validate_category
+from .category import category_from_json
 from .terms import make_alphabet
 
 __all__ = [
@@ -139,28 +139,15 @@ def interval_category():
     non-identity arrow 0 -> 1; globally idempotent and commutative."""
     # half-arrows: 0 = e0 (to object 0, the identity), 1 = e1 (to object 1)
     # arrows: 0 = id0, 1 = id1, 2 = u: 0 -> 1
-    return validate_category(
-        ForestCategory(
-            obj_size=2,
-            obj_add=((0, 1), (1, 1)),
-            obj_zero=0,
-            harr_size=2,
-            harr_add=((0, 1), (1, 1)),
-            harr_one=0,
-            harr_end=(0, 1),
-            arr_size=3,
-            arr_start=(0, 1, 0),
-            arr_end=(0, 1, 1),
-            identity=(0, 1),
-            comp={(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 1): 2},
-            act={(0, 0): 0, (0, 2): 1, (1, 1): 1},
-            ins={
-                (0, 0): 0, (0, 1): 2,
-                (1, 0): 1, (1, 1): 1,
-                (2, 0): 2, (2, 1): 2,
-            },
-        )
-    )
+    return category_from_json({
+        "objects": {"size": 2, "add": [[0, 1], [1, 1]], "zero": 0},
+        "halfarrows": {"size": 2, "add": [[0, 1], [1, 1]], "one": 0, "end": [0, 1]},
+        "arrows": [{"start": x, "end": y} for x, y in ((0, 0), (1, 1), (0, 1))],
+        "identity": [0, 1],
+        "comp": {"0,0": 0, "0,2": 2, "1,1": 1, "2,1": 2},
+        "act": {"0,0": 0, "0,2": 1, "1,1": 1},
+        "ins": {"0,0": 0, "0,1": 2, "1,0": 1, "1,1": 1, "2,0": 2, "2,1": 2},
+    })
 
 
 def z2_fiber_category():
@@ -170,37 +157,24 @@ def z2_fiber_category():
     idempotent and commutative."""
     # half-arrows: 0 = e0 (identity, to 0), 1 = c1 (to 1), 2 = d1 (to 1)
     # arrows: 0 = id0, 1 = id1, 2 = w: 1 -> 1 (adds c1), 3 = uc, 4 = ud: 0 -> 1
-    return validate_category(
-        ForestCategory(
-            obj_size=2,
-            obj_add=((0, 1), (1, 1)),
-            obj_zero=0,
-            harr_size=3,
-            harr_add=((0, 1, 2), (1, 2, 1), (2, 1, 2)),
-            harr_one=0,
-            harr_end=(0, 1, 1),
-            arr_size=5,
-            arr_start=(0, 1, 1, 0, 0),
-            arr_end=(0, 1, 1, 1, 1),
-            identity=(0, 1),
-            comp={
-                (0, 0): 0, (0, 3): 3, (0, 4): 4,
-                (1, 1): 1, (1, 2): 2,
-                (2, 1): 2, (2, 2): 1,
-                (3, 1): 3, (3, 2): 4,
-                (4, 1): 4, (4, 2): 3,
-            },
-            act={
-                (0, 0): 0, (0, 3): 1, (0, 4): 2,
-                (1, 1): 1, (1, 2): 2,
-                (2, 1): 2, (2, 2): 1,
-            },
-            ins={
-                (0, 0): 0, (0, 1): 3, (0, 2): 4,
-                (1, 0): 1, (1, 1): 2, (1, 2): 1,
-                (2, 0): 2, (2, 1): 1, (2, 2): 2,
-                (3, 0): 3, (3, 1): 4, (3, 2): 3,
-                (4, 0): 4, (4, 1): 3, (4, 2): 4,
-            },
-        )
-    )
+    return category_from_json({
+        "objects": {"size": 2, "add": [[0, 1], [1, 1]], "zero": 0},
+        "halfarrows": {"size": 3, "add": [[0, 1, 2], [1, 2, 1], [2, 1, 2]], "one": 0, "end": [0, 1, 1]},
+        "arrows": [{"start": x, "end": y} for x, y in ((0, 0), (1, 1), (1, 1), (0, 1), (0, 1))],
+        "identity": [0, 1],
+        "comp": {
+            "0,0": 0, "0,3": 3, "0,4": 4,
+            "1,1": 1, "1,2": 2,
+            "2,1": 2, "2,2": 1,
+            "3,1": 3, "3,2": 4,
+            "4,1": 4, "4,2": 3,
+        },
+        "act": {"0,0": 0, "0,3": 1, "0,4": 2, "1,1": 1, "1,2": 2, "2,1": 2, "2,2": 1},
+        "ins": {
+            "0,0": 0, "0,1": 3, "0,2": 4,
+            "1,0": 1, "1,1": 2, "1,2": 1,
+            "2,0": 2, "2,1": 1, "2,2": 2,
+            "3,0": 3, "3,1": 4, "3,2": 3,
+            "4,0": 4, "4,1": 3, "4,2": 4,
+        },
+    })

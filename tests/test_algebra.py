@@ -175,6 +175,31 @@ def test_malformed_json_raises_the_shape_law(path, value, law, where):
     assert (got.value.law, got.value.where) == (law, where)
 
 
+# a recognizer's own entries that are not integers: a "1" raised a TypeError,
+# and a letter of 1.0 or True passed as V element 1
+MALFORMED_RECOGNIZER_JSON = [
+    (("letters", "a"), "1", "letters-shape", ("a",)),
+    (("letters", "a"), 1.0, "letters-shape", ("a",)),
+    (("letters", "a"), True, "letters-shape", ("a",)),
+    (("accept", 0), "1", "accept-shape", (0,)),
+    (("accept", 0), 1.0, "accept-shape", (0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,law,where",
+    MALFORMED_RECOGNIZER_JSON,
+    ids=["/".join(map(str, path)) + "=%r" % (value,) for path, value, *_ in MALFORMED_RECOGNIZER_JSON],
+)
+def test_malformed_recognizer_json_raises_the_shape_law(path, value, law, where):
+    data = recognizer_to_json(samples.contains_a())
+    key, index = path
+    data[key][index] = value
+    with pytest.raises(AlgebraLawError) as got:
+        recognizer_from_json(data)
+    assert (got.value.law, got.value.where) == (law, where)
+
+
 def test_json_round_trip():
     for alg in [samples.flat_or(), samples.flat_trunc3(), samples.flat_z3()]:
         assert algebra_from_json(algebra_to_json(alg)) == alg

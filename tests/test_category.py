@@ -52,8 +52,8 @@ def test_one_object_category_matches_algebra_tables():
     cat = one_object_category(alg)
     for h in range(alg.h_size):
         for v in range(alg.v_size):
-            assert cat.act[(h, v)] == alg.act[h][v]
-            assert cat.ins[(v, h)] == alg.ins[v][h]
+            assert cat.act_on(h, v) == alg.act[h][v]
+            assert cat.insert(v, h) == alg.ins[v][h]
 
 
 def test_hand_built_categories_validate():
@@ -63,10 +63,10 @@ def test_hand_built_categories_validate():
 
 def test_broken_composition_rejected():
     cat = samples.interval_category()
-    bad = dict(cat.comp)
-    bad[(0, 2)] = 0  # id0 . u = id0 breaks endpoints
+    bad = [list(row) for row in cat.comp]
+    bad[0][cat.slot[2]] = 0  # id0 . u = id0 breaks endpoints
     with pytest.raises(CategoryLawError):
-        validate_category(dataclasses.replace(cat, comp=bad))
+        validate_category(dataclasses.replace(cat, comp=tuple(map(tuple, bad))))
 
 
 def test_json_round_trip():
@@ -75,9 +75,17 @@ def test_json_round_trip():
         assert again == cat
 
 
+class _Deleted:
+    def __repr__(self):
+        return "deleted"
+
+
+DELETED = _Deleted()
+
 # (path, value, law, witness): the entry of the interval category's JSON at
-# path set to value; every one raised an IndexError, reported a bogus law, or
-# passed, before the range checks
+# path set to value, or deleted; the range rows each raised an IndexError,
+# reported a bogus law, or passed, before the range checks, and the last
+# three pin the domain laws, which only the keyed reader can see
 CORRUPT_JSON = [
     (("objects", "add", 0, 1), 2, "objects-shape", (2,)),
     (("objects", "zero"), 2, "objects-identity", (2,)),
@@ -94,6 +102,9 @@ CORRUPT_JSON = [
     (("act", "2,0"), 0, "action-shape", (2, 0)),
     (("ins", "2,1"), -1, "insertion-shape", (2, 1)),
     (("ins", "0,2"), 0, "insertion-shape", (0, 2)),
+    (("comp", "1,0"), 0, "composition-domain", (1, 0)),
+    (("act", "0,2"), DELETED, "action-domain", (0, 2)),
+    (("ins", "1,0"), DELETED, "insertion-total", (1, 0)),
 ]
 
 # entries that are not integers, and a key that is not two integers: before
@@ -121,7 +132,10 @@ def test_corrupted_json_raises_the_law(path, value, law, where):
     entry = data
     for key in inner:
         entry = entry[key]
-    entry[last] = value
+    if value is DELETED:
+        del entry[last]
+    else:
+        entry[last] = value
     with pytest.raises(CategoryLawError) as got:
         category_from_json(data)
     assert (got.value.law, got.value.where) == (law, where)
@@ -186,7 +200,7 @@ def test_context_diagram_evaluation():
     assert cat.arr_start[arrow] == 0 and cat.arr_end[arrow] == 1
     # plugging e0 into the hole must equal evaluating the plugged diagram
     plugged = (dnode(2, (hleaf(0),)), hleaf(1))
-    assert cat.act[(0, arrow)] == eval_forest_diagram(cat, plugged)
+    assert cat.act_on(0, arrow) == eval_forest_diagram(cat, plugged)
 
 
 def test_context_diagram_identity():

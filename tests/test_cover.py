@@ -182,14 +182,14 @@ def ref_canonical_flat_cover(cat):
         for c in range(nh):
             for u in arrows_from[cat.harr_end[c]]:
                 if fp[c].any():
-                    changed |= grow(fp, cat.act[(c, u)], _ref_or_with_bit(fp[c], nh + u, nsym))
+                    changed |= grow(fp, cat.act_on(c, u), _ref_or_with_bit(fp[c], nh + u, nsym))
         for v in range(cat.arr_size):
             for u in arrows_from[cat.arr_end[v]]:
                 if cp[v].any():
-                    changed |= grow(cp, cat.comp[(v, u)], _ref_or_with_bit(cp[v], nh + u, nsym))
+                    changed |= grow(cp, cat.compose(v, u), _ref_or_with_bit(cp[v], nh + u, nsym))
             for c in range(nh):
                 if cp[v].any() and fp[c].any():
-                    changed |= grow(cp, cat.ins[(v, c)], _ref_or_convolve(cp[v], fp[c], nsym))
+                    changed |= grow(cp, cat.insert(v, c), _ref_or_convolve(cp[v], fp[c], nsym))
 
     half_cover = tuple(frozenset(int(m) for m in np.nonzero(f)[0]) for f in fp)
     arrow_cover = tuple(frozenset(int(m) for m in np.nonzero(f)[0]) for f in cp)

@@ -89,19 +89,19 @@ def check_derived_well_defined(dc):
     for vp_idx in range(len(pa.v_pairs)):
         v1, v2 = pa.v_pairs[vp_idx]
         for oi in range(len(dc.objects)):
-            u = dc.arrow_of[(vp_idx, oi)]
+            u = dc.arrow_at[vp_idx, oi]
             # composition with every continuation arrow
             for w in range(dc.category.arr_size):
                 if dc.category.arr_start[w] != dc.category.arr_end[u]:
                     continue
                 w1, w2 = pa.v_pairs[dc.arrow_rep[w]]
                 prod = (a1.mul[v1][w1], a2.mul[v2][w2])
-                if dc.arrow_of[(pa.v_index[prod], oi)] != dc.category.comp[(u, w)]:
+                if dc.arrow_at[pa.v_index[prod], oi] != dc.category.compose(u, w):
                     return False
             # insertion with every half-arrow
             for ci, (h1, h2) in enumerate(pa.h_pairs):
                 cand = (a1.ins[v1][h1], a2.ins[v2][h2])
-                if dc.arrow_of[(pa.v_index[cand], oi)] != dc.category.ins[(u, ci)]:
+                if dc.arrow_at[pa.v_index[cand], oi] != dc.category.insert(u, ci):
                     return False
     return True
 
@@ -155,10 +155,9 @@ def test_derived_tables_do_not_depend_on_the_arrow_representative(sample, alphab
     cat = dc.category
     assert cat.arr_size > 1
     for table in ("comp", "ins"):
-        entries = dict(getattr(cat, table))
-        key = min(entries)
-        entries[key] = (entries[key] + 1) % cat.arr_size
-        bad = dataclasses.replace(dc, category=dataclasses.replace(cat, **{table: entries}))
+        rows = [list(row) for row in getattr(cat, table)]
+        rows[0][0] = (rows[0][0] + 1) % cat.arr_size  # the entry of the first key
+        bad = dataclasses.replace(dc, category=dataclasses.replace(cat, **{table: tuple(map(tuple, rows))}))
         assert not check_derived_well_defined(bad)
 
 

@@ -238,7 +238,7 @@ def ref_dct_backward_covering(dc, delta):
     for (f, vi), av in v_elems:
         vp_idx = pa.v_index[(av, vi)]
         for oi, h2 in enumerate(dc.objects):
-            arrow_cover[dc.arrow_of[(vp_idx, oi)]].add(f[h2])
+            arrow_cover[dc.arrow_at[vp_idx, oi]].add(f[h2])
     return Covering(
         delta.algebra.outer,
         tuple(frozenset(s) for s in half_cover),
@@ -463,7 +463,7 @@ def ref_dct_forward(dc, cov):
             if oi is None:
                 f.append(cov.algebra.v_one)
                 continue
-            f.append(min(cov.arrow_cover[dc.arrow_of[(vp_idx, oi)]]))
+            f.append(min(cov.arrow_cover[dc.arrow_at[vp_idx, oi]]))
         hat[v1] = (tuple(f), v2)
 
     psi = {ops.h_zero: a1.zero}
