@@ -235,12 +235,15 @@ def _check_law(groups, per_row, bad_rows, where):
 
 def validate_category(cat: ForestCategory) -> ForestCategory:
     """Exhaustively check the forest category axioms, reporting the first
-    violation with the element ids that instantiate it.
+    violation with the element ids that instantiate it."""
+    return _check_tables(cat, *_check_ends(cat))
 
-    Each law is a gather over whole rows, object by object and in blocks of
-    rows; padding only repeats column 0, so the first failure in row-major
-    order is the first in the loop order over the arrows."""
-    obj_add, harr_add = _check_ends(cat)
+
+def _check_tables(cat, obj_add, harr_add):
+    """Check every law that reads comp, act or ins, given the additions that
+    `_check_ends` checked.  Each law is a gather over whole rows, object by
+    object and in blocks of rows; padding only repeats column 0, so the first
+    failure in row-major order is the first in the loop order over the arrows."""
     objs, harrs, arrs = cat.obj_size, cat.harr_size, cat.arr_size
     arrays = (cat.arr_start, cat.arr_end, cat.harr_end, cat.identity, cat.slot)
     start, end, hend, e, slot = (np.array(t, dtype=np.int32) for t in arrays)
@@ -399,23 +402,22 @@ def category_from_json(data):
     )
     shape = {"comp": "composition-shape", "act": "action-shape", "ins": "insertion-shape"}
     keyed = {name: unkey(data[name], law) for name, law in shape.items()}
-    _check_ends(cat)
-    for name, domain, row_ends, col_ends in (
-        ("comp", "composition-domain", cat.arr_end, cat.arr_start),
-        ("act", "action-domain", cat.harr_end, cat.arr_start),
-        ("ins", "insertion-total", (0,) * cat.arr_size, (0,) * cat.harr_size),
+    ends = _check_ends(cat)
+    for name, domain, rows, cols, col_ends in (
+        ("comp", "composition-domain", cat.arr_end, cat.arrows_from, cat.arr_start),
+        ("act", "action-domain", cat.harr_end, cat.arrows_from, cat.arr_start),
+        ("ins", "insertion-total", (0,) * cat.arr_size, lambda _: range(cat.harr_size), (0,) * cat.harr_size),
     ):
-        table = keyed[name]
-        bad = [key for key in table if not (0 <= key[0] < len(row_ends) and 0 <= key[1] < len(col_ends))]
+        table = keyed[name]  # key (i, j) is due iff j is in cols(rows[i]), iff col_ends[j] == rows[i]
+        bad = [key for key in table if not (0 <= key[0] < len(rows) and 0 <= key[1] < len(col_ends))]
         if bad:
             raise CategoryLawError(shape[name], bad[0], "key out of range")
-        cols = _by_end(col_ends, cat.obj_size)  # key (i, j) is due iff col_ends[j] == row_ends[i]
-        bad = [key for key in table if row_ends[key[0]] != col_ends[key[1]]]
-        bad += [(i, j) for i, x in enumerate(row_ends) for j in cols[x] if (i, j) not in table]
+        bad = [key for key in table if rows[key[0]] != col_ends[key[1]]]
+        bad += [(i, j) for i, x in enumerate(rows) for j in cols(x) if (i, j) not in table]
         if bad:
             raise CategoryLawError(domain, min(bad), "key missing or outside the domain")
-        keyed[name] = _freeze(_pad([[table[i, j] for j in cols[x]] for i, x in enumerate(row_ends)]))
-    return validate_category(replace(cat, **keyed))
+        keyed[name] = _freeze(_pad([[table[i, j] for j in cols(x)] for i, x in enumerate(rows)]))
+    return _check_tables(replace(cat, **keyed), *ends)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,8 @@ def derived_category(pa: PairAlgebra) -> DerivedCategory:
     objects = tuple(sorted({h2 for (_, h2) in pa.h_pairs}))
     obj_index = {x: i for i, x in enumerate(objects)}
     harr_end = np.array([obj_index[h2] for (_, h2) in pa.h_pairs])
-    harrs_to = np.array(_pad(_by_end(harr_end.tolist(), len(objects))))
-    first_to = harrs_to[:, 0]  # one half-arrow ending at each object
+    harrs_to = _by_end(harr_end.tolist(), len(objects))
+    first_to = np.array([c[0] for c in harrs_to])  # one half-arrow ending at each object
 
     # an arrow is a class of vertical pairs placed at a start object, numbered
     # in order of first placement, V pair by V pair
