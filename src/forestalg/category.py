@@ -4,7 +4,9 @@ A forest category has a commutative monoid of objects, a commutative monoid
 of half-arrows with an end map onto the objects, and arrows between objects
 with composition, a faithful action on half-arrows, and an insertion
 operation pairing an arrow with a half-arrow.  A category with one object is
-exactly a forest algebra.
+exactly a forest algebra, and insertion has the algebra's one defining law,
+c.ins(u, d) = c.u + d for every half-arrow c at the start of u and every d;
+its laws under composition and nesting follow (`ForestCategory`).
 
 Diagrams are forests whose leaves are half-arrows and whose internal nodes
 are arrows, the start of each node matching the sum of its children's ends;
@@ -55,15 +57,12 @@ __all__ = [
     "dnode",
     "oleaf",
     "eval_forest_diagram",
-    "eval_forest_diagram_alt",
     "eval_context_diagram",
     "diagram_support",
     "diagram_rootsum",
     "render_diagram",
     "IdentityReport",
     "check_identities",
-    "DerivedIdentityReport",
-    "check_derived_identities",
     "brute_force_global_ic",
     "Covering",
     "canonical_flat_cover",
@@ -87,7 +86,16 @@ class ForestCategory:
     Arrow v sits at slot[v], its place in arrows_from(arr_start[v]), and
     comp[u][slot[v]] is u.v and act[c][slot[u]] is c.u.  Their rows are
     padded to the widest arrows_from by repeating column 0, so a gather over
-    whole rows only repeats real instances.  ins[u][c] is total."""
+    whole rows only repeats real instances.
+
+    ins[u][d] is total, and the insertion law c.ins(u, d) = c.u + d, for
+    every c at start(u), defines it.  With faithfulness it gives
+    f.ins(u, d) = ins(f.u, d) and ins(ins(u, c), d) = ins(u, c + d): each
+    pair of sides is coterminal, and every e at their start acts alike on
+    them,
+
+        e.(f.ins(u, d)) = (e.f).u + d = e.ins(f.u, d)
+        e.ins(ins(u, c), d) = e.u + c + d = e.ins(u, c + d)."""
 
     obj_size: int
     obj_add: tuple
@@ -277,16 +285,10 @@ def _check_tables(cat, obj_add, harr_add):
         v = acts[c, (i - 1) // width]
         return "action-associativity", (c, v, after[v, (i - 1) % width])
 
-    def inserted(x, u):  # f.ins(u, c) = ins(f.u, c) for the f into x = start(u), then nesting
-        f = comp[into[x]]
-        pre = f.T[slot[ins[u]]] != ins[f[:, slot[u]]].transpose(1, 2, 0)
-        return np.concatenate([pre, ins[ins[u]] != np.take(ins[u], harr_add, axis=1)], 2)
-
-    def ins_witness(u, c, i):
-        f = into[start[u]]
-        if i < len(f):
-            return "insertion-precomposition", (f[i], u, c)
-        return "insertion-nesting", (u, c, i - len(f))  # ins(ins(u, c), d) = ins(u, c+d)
+    def inserted(x, u):  # c.ins(u, d) = c.u + d for every d and the c into x = start(u)
+        cols = act[onto[x]].T  # cols[slot[w], i] = c.w for the i-th c into x
+        # the right side gathers d + c.u, which is c.u + d as + commutes
+        return cols[slot[ins[u]]] != np.take(harr_add, cols[slot[u]], axis=1).transpose(1, 0, 2)
 
     _check_law(
         every, width, lambda _, u: (start[comp[u]] != start[u, None]) | (end[comp[u]] != end[after[u]]),
@@ -314,7 +316,10 @@ def _check_tables(cat, obj_add, harr_add):
         lambda _, u: (start[ins[u]] != start[u, None]) | (end[ins[u]] != obj_add[end[u, None], hend]),
         lambda u, c: ("insertion-endpoints", (u, c)),
     )
-    _check_law(enumerate(outs), harrs * (max(map(len, into)) + harrs), inserted, ins_witness)
+    _check_law(
+        enumerate(outs), harrs * onto_pad.shape[1], inserted,
+        lambda u, d, i: ("insertion", (u, d, onto[start[u]][i])),
+    )
     return cat
 
 
@@ -491,32 +496,6 @@ def eval_forest_diagram(cat, diagram):
     return c
 
 
-def eval_forest_diagram_alt(cat, diagram):
-    """Alternative parse: when the first tree is an arrow over children, its
-    siblings are absorbed into that arrow by insertion instead of being summed
-    afterwards, and sums fold to the right.  Agreement with the canonical
-    evaluation is a tested property of a category, not an assumption."""
-    if not diagram:
-        return cat.harr_one
-    first, rest = diagram[0], diagram[1:]
-    if rest:
-        rest_vals = [eval_forest_diagram_alt(cat, (t,)) for t in rest]
-        rest_val = rest_vals[-1]
-        for v in reversed(rest_vals[:-1]):
-            rest_val = cat.hsum(v, rest_val)
-    else:
-        rest_val = None
-    if first[0] == "n":
-        _, u, kids = first
-        inner = eval_forest_diagram_alt(cat, kids)
-        w = u if rest_val is None else cat.insert(u, rest_val)
-        return cat.act_on(inner, w)
-    v = first[1] if first[0] == "h" else None
-    if v is None:
-        raise DiagramError("exposed object in a forest diagram")
-    return v if rest_val is None else cat.hsum(v, rest_val)
-
-
 def eval_context_diagram(cat, diagram):
     """Evaluate a diagram with exactly one exposed object to an arrow; returns
     (arrow id, exposed object)."""
@@ -658,7 +637,8 @@ def brute_force_global_ic(cat, max_nodes):
 
 # ---------------------------------------------------------------------------
 # The three identities equivalent to global idempotent-commutativity (for
-# idempotent commutative objects), and their derived consequences
+# idempotent commutative objects); the tests check their derived
+# consequences against them (tests/derived_identities.py)
 
 
 @dataclass
@@ -762,121 +742,6 @@ def check_identities(cat) -> IdentityReport:
         absorption = (r, s, outs[s][t], outs[r][u])
     idempotence = ((r,) for r in range(cat.harr_size) if cat.hsum(r, r) != r)
     return IdentityReport(cat.objects_idempotent(), loop, absorption, next(idempotence, None))
-
-
-@dataclass
-class DerivedIdentityReport:
-    vertical_idempotence: tuple | None = None
-    horizontal_swap: tuple | None = None
-    nested_insertion_variant: tuple | None = None
-    horizontal_transfer: tuple | None = None
-
-    def all_hold(self):
-        return all(
-            v is None
-            for v in (
-                self.vertical_idempotence,
-                self.horizontal_swap,
-                self.nested_insertion_variant,
-                self.horizontal_transfer,
-            )
-        )
-
-
-def check_derived_identities(cat, transfer_bound=4) -> DerivedIdentityReport:
-    """Check the four consequences of the three identities: whenever
-    check_identities passes on idempotent-commutative objects these must also
-    pass.  There is no precondition; the report is informational."""
-    # vertical idempotence: endo-arrows are idempotent
-    endo = (u for u in range(cat.arr_size) if cat.arr_start[u] == cat.arr_end[u])
-    vertical = ((u,) for u in endo if cat.compose(u, u) != u)
-    return DerivedIdentityReport(
-        vertical_idempotence=next(vertical, None),
-        horizontal_swap=_horizontal_swap(cat),
-        nested_insertion_variant=_nested_insertion_variant(cat),
-        horizontal_transfer=_check_horizontal_transfer(cat, transfer_bound),
-    )
-
-
-def _horizontal_swap(cat):
-    """rt + su = st + ru for r,s ending at the same object."""
-    for r in range(cat.harr_size):
-        x = cat.harr_end[r]
-        for s in cat.harrs_to(x):
-            for t in cat.arrows_from(x):
-                rt, st = cat.act_on(r, t), cat.act_on(s, t)
-                for u in cat.arrows_from(x):
-                    ru, su = cat.act_on(r, u), cat.act_on(s, u)
-                    if cat.hsum(rt, su) != cat.hsum(st, ru):
-                        return (r, s, t, u)
-    return None
-
-
-def _nested_insertion_variant(cat):
-    """(r+t)s + ru = (ru+t)s + ru, for u: x -> x+y with y = end(t)."""
-    for r in range(cat.harr_size):
-        x = cat.harr_end[r]
-        for t in range(cat.harr_size):
-            y = cat.harr_end[t]
-            xy = cat.obj_sum(x, y)
-            for u in cat.arrows_from(x):
-                if cat.arr_end[u] != xy:
-                    continue
-                ru = cat.act_on(r, u)
-                lhs_head = cat.hsum(r, t)
-                rhs_head = cat.hsum(ru, t)
-                if cat.harr_end[rhs_head] != xy:
-                    continue  # without idempotent objects this may not typecheck
-                for sarr in cat.arrows_from(xy):
-                    lhs = cat.hsum(cat.act_on(lhs_head, sarr), ru)
-                    rhs = cat.hsum(cat.act_on(rhs_head, sarr), ru)
-                    if lhs != rhs:
-                        return (r, t, u, sarr)
-    return None
-
-
-def _check_horizontal_transfer(cat, bound):
-    """Multicontext identity D(v+w, v, u) = D(u+w, v, u) where end(v)=x,
-    end(w)=y, end(u)=x+y and the three slots expose x+y, x, x+y; checked over
-    all multicontext diagrams with at most `bound` nodes."""
-    combos = {}
-    for v in range(cat.harr_size):
-        x = cat.harr_end[v]
-        for w in range(cat.harr_size):
-            y = cat.harr_end[w]
-            xy = cat.obj_sum(x, y)
-            for u in cat.harrs_to(xy):
-                vw = cat.hsum(v, w)
-                uw = cat.hsum(u, w)
-                if cat.harr_end[vw] != xy or cat.harr_end[uw] != xy:
-                    continue
-                combos.setdefault((x, xy), []).append((v, w, u, vw, uw))
-    full = (1 << 3) - 1
-    for (x, xy), triples in sorted(combos.items()):
-        enum = _Enumerator(cat, extra_leaves=(xy, x, xy))
-        for n in range(3, bound + 1):
-            for forest, _, slots in enum.forests_exact(n):
-                if slots != full:
-                    continue
-                for (v, w, u, vw, uw) in triples:
-                    lhs = eval_forest_diagram(cat, _fill(forest, (vw, v, u)))
-                    rhs = eval_forest_diagram(cat, _fill(forest, (uw, v, u)))
-                    if lhs != rhs:
-                        return (v, w, u, render_diagram(forest))
-    return None
-
-
-def _fill(diagram, values):
-    """Substitute half-arrows for the indexed slots of a multicontext."""
-
-    def tree(t):
-        if t[0] == "s":
-            return ("h", values[t[1]])
-        if t[0] == "n":
-            return ("n", t[1], tuple(tree(k) for k in t[2]))
-        return t
-
-    return tuple(tree(t) for t in diagram)
 
 
 # ---------------------------------------------------------------------------

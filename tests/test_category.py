@@ -3,8 +3,9 @@ import time
 
 import pytest
 
+from derived_identities import check_derived_identities, eval_forest_diagram_alt
 from forestalg import derived, ktypes, samples
-from forestalg.algebra import AlgebraLawError, syntactic_algebra
+from forestalg.algebra import AlgebraLawError, syntactic_algebra, validate_algebra
 from forestalg.category import (
     CategoryLawError,
     DiagramError,
@@ -13,14 +14,12 @@ from forestalg.category import (
     canonical_flat_cover,
     category_from_json,
     category_to_json,
-    check_derived_identities,
     check_identities,
     diagram_rootsum,
     diagram_support,
     dnode,
     eval_context_diagram,
     eval_forest_diagram,
-    eval_forest_diagram_alt,
     hleaf,
     oleaf,
     one_object_category,
@@ -67,6 +66,22 @@ def test_broken_composition_rejected():
     bad[0][cat.slot[2]] = 0  # id0 . u = id0 breaks endpoints
     with pytest.raises(CategoryLawError):
         validate_category(dataclasses.replace(cat, comp=tuple(map(tuple, bad))))
+
+
+def test_insertion_law_rejects_an_insertion_that_adds_nothing():
+    # ins(u, d) = u keeps the endpoints of flat_or's one object and obeys
+    # f.ins(u, d) = ins(f.u, d) and ins(ins(u, c), d) = ins(u, c + d), but
+    # 0.ins(0, 1) = 0.0 = 0 while 0.0 + 1 = 1, as validate_algebra reports too
+    cat = or_cat()
+    bad = dataclasses.replace(cat, ins=tuple((u,) * cat.harr_size for u in range(cat.arr_size)))
+    alg = samples.flat_or()
+    with pytest.raises(AlgebraLawError) as got:
+        validate_algebra(alg.add, alg.zero, alg.mul, alg.one, alg.act, bad.ins)
+    assert (got.value.law, got.value.where) == ("insertion", (0, 1, 0))
+    for read in (validate_category, lambda c: category_from_json(category_to_json(c))):
+        with pytest.raises(CategoryLawError) as got:
+            read(bad)
+        assert (got.value.law, got.value.where) == ("insertion", (0, 1, 0))
 
 
 def test_json_round_trip():

@@ -8,7 +8,8 @@ numbering of V (and run out of budget exactly when the reference's full
 monoid does) and return the same identity witness.  The syntactic algebra
 read off arrays must equal the elementwise one, and the derived category
 read off the pair closure's rows must equal the one that multiplies every
-entry elementwise, and its tables the ones found by scanning all pairs.
+entry elementwise, and its tables the ones multiplied out from the
+representative pairs.
 Decide's levels, closed over `AutomatonOps`'s byte tables, must equal the
 closures over the tuple maps of `RefAutomatonOps`.
 
@@ -121,10 +122,11 @@ def ref_validate(h_add, zero, v_mul, one, act, ins):
 
 
 def ref_validate_category(cat):
-    """The loops of `validate_category` before its tables were positional, on
-    the entries read through the accessors.  The laws on the objects and on
-    the ends of the arrows are left out, as the corruptions below keep them,
-    and so are the domain laws, which positional tables cannot break."""
+    """The loops of `validate_category` before its tables were positional,
+    with its one insertion law, on the entries read through the accessors.
+    The laws on the objects and on the ends of the arrows are left out, as
+    the corruptions below keep them, and so are the domain laws, which
+    positional tables cannot break."""
     arrs, harrs = cat.arr_size, cat.harr_size
     ref_check_monoid(harrs, cat.harr_add, cat.harr_one, "halfarrows", commutative=True)
     comp = {(u, v): cat.compose(u, v) for u in range(arrs) for v in cat.arrows_from(cat.arr_end[u])}
@@ -176,13 +178,24 @@ def ref_validate_category(cat):
     for (u, c), w in ins.items():
         if cat.arr_start[w] != cat.arr_start[u] or cat.arr_end[w] != cat.obj_add[cat.arr_end[u]][cat.harr_end[c]]:
             raise AlgebraLawError("insertion-endpoints", (u, c), "bad endpoints")
-    for (u, c), w in ins.items():
-        for f in cat.arrows_to(cat.arr_start[u]):
-            if comp[(f, w)] != ins[(comp[(f, u)], c)]:
-                raise AlgebraLawError("insertion-precomposition", (f, u, c), "f.ins(u,c) != ins(f.u,c)")
-        for d in range(harrs):
-            if ins[(w, d)] != ins[(u, cat.harr_add[c][d])]:
-                raise AlgebraLawError("insertion-nesting", (u, c, d), "ins(ins(u,c),d) != ins(u,c+d)")
+    for (u, d), w in ins.items():
+        for c in cat.harrs_to(cat.arr_start[u]):
+            if act[(c, w)] != cat.harr_add[act[(c, u)]][d]:
+                raise AlgebraLawError("insertion", (u, d, c), "c.ins(u,d) != c.u + d")
+
+
+def ref_insertion_consequences(cat):
+    """The two insertion laws that `validate_category` checked before the
+    insertion law itself, which with faithfulness implies them."""
+    for u in range(cat.arr_size):
+        for c in range(cat.harr_size):
+            w = cat.insert(u, c)
+            for f in cat.arrows_to(cat.arr_start[u]):
+                if cat.compose(f, w) != cat.insert(cat.compose(f, u), c):
+                    raise AlgebraLawError("insertion-precomposition", (f, u, c), "f.ins(u,c) != ins(f.u,c)")
+            for d in range(cat.harr_size):
+                if cat.insert(w, d) != cat.insert(u, cat.harr_add[c][d]):
+                    raise AlgebraLawError("insertion-nesting", (u, c, d), "ins(ins(u,c),d) != ins(u,c+d)")
 
 
 def ref_derive_ins(h_size, add, v_size, act):
@@ -391,18 +404,19 @@ def ref_syntactic_algebra(rec):
 
 
 def ref_derived_tables(dc):
-    """comp, act and ins of a derived category, each entry found by scanning
-    all pairs of arrows, and of half-arrows and arrows, for those that
-    meet."""
+    """comp, act and ins of a derived category, each entry multiplied out
+    from its operands' representative pairs: comp over the arrows out of
+    each arrow's end, act over the half-arrows and arrows that meet, and ins
+    over every arrow and half-arrow."""
     pa, cat = dc.pa, dc.category
     a1, a2 = pa.alpha.algebra, pa.beta.algebra
     reps = [pa.v_pairs[i] for i in dc.arrow_rep]
     comp, act, ins = {}, {}, {}
     for u, (u1, u2) in enumerate(reps):
-        for w, (w1, w2) in enumerate(reps):
-            if cat.arr_start[w] == cat.arr_end[u]:
-                prod = pa.v_index[a1.mul[u1][w1], a2.mul[u2][w2]]
-                comp[u, w] = int(dc.arrow_at[prod, cat.arr_start[u]])
+        for w in cat.arrows_from(cat.arr_end[u]):
+            w1, w2 = reps[w]
+            prod = pa.v_index[a1.mul[u1][w1], a2.mul[u2][w2]]
+            comp[u, w] = int(dc.arrow_at[prod, cat.arr_start[u]])
         for ci, (h1, h2) in enumerate(pa.h_pairs):
             ins[u, ci] = int(dc.arrow_at[pa.v_index[a1.ins[u1][h1], a2.ins[u2][h2]], cat.arr_start[u]])
     for ci, (h1, h2) in enumerate(pa.h_pairs):
@@ -625,6 +639,23 @@ def test_faithfulness_reports_the_first_pair(data):
     # as a one-object category, with the category's law name
     cat = one_object_category(algebra._algebra(*inflated))
     assert _outcome(validate_category, cat) == _outcome(ref_validate_category, cat) == ("action-faithfulness", want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_object_insertion_reports_the_algebra_violation(data):
+    # one ins entry changes; the one-object category has the algebra's
+    # tables, so both validators must name the same law and witness
+    add, zero, mul, one, act, ins = data.draw(st.sampled_from(VALID))
+    ins = _lists(ins)
+    v = data.draw(st.integers(0, len(mul) - 1))
+    h = data.draw(st.integers(0, len(add) - 1))
+    values = st.one_of(st.integers(-1, len(mul)), st.just(2**70))
+    ins[v][h] = data.draw(values.filter(lambda x: x != ins[v][h]))
+    want = _outcome(validate_algebra, add, zero, mul, one, act, ins)
+    assert want[0] in ("insertion-shape", "insertion") and want[1][:2] == (v, h)
+    cat = one_object_category(algebra._algebra(add, zero, mul, one, act, ins))
+    assert _outcome(validate_category, cat) == _outcome(ref_validate_category, cat) == want
 
 
 # --- transformation algebra --------------------------------------------------
@@ -941,6 +972,8 @@ def test_single_corrupted_category_entry_reports_the_reference_violation(data):
     # arrows keep the reference loops quick
     cat = _small_category(data.draw(st.sampled_from(sorted(set(CATEGORIES) - LARGE))))
     assume(cat.arr_size <= 80)
+    # the insertion law and faithfulness imply the two laws checked before
+    assert _outcome(ref_insertion_consequences, cat) is None
     name = data.draw(st.sampled_from(("harr_add", "comp", "act", "ins")))
     rows = [list(row) for row in getattr(cat, name)]
     i = data.draw(st.integers(0, len(rows) - 1))
@@ -951,7 +984,10 @@ def test_single_corrupted_category_entry_reports_the_reference_violation(data):
     value = data.draw(st.one_of(st.integers(-1, bound), st.just(2**70)).filter(lambda x: x != rows[i][j]))
     rows[i] = [value if k == j or (j == 0 and k >= real) else x for k, x in enumerate(rows[i])]
     cat = dataclasses.replace(cat, **{name: tuple(map(tuple, rows))})
-    assert _outcome(validate_category, cat) == _outcome(ref_validate_category, cat)
+    got = _outcome(validate_category, cat)
+    assert got == _outcome(ref_validate_category, cat)
+    if got is None:
+        assert _outcome(ref_insertion_consequences, cat) is None
 
 
 # --- the derived category against the elementwise build ----------------------
