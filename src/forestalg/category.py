@@ -807,25 +807,28 @@ def _subset_sums(a, n, sign):
     """Over the last axis, indexed by n-bit masks: the zeta transform (sign 1,
     each entry becomes the sum over its submasks) or its inverse, the Möbius
     transform (sign -1).  The union-convolution of two indicators is the
-    Möbius transform of the product of their zeta transforms."""
-    v = np.array(a, dtype=np.int64)
+    Möbius transform of the product of their zeta transforms.  A bool input
+    is summed in int32 (no sum exceeds 2^n, exact for n < 31), all else in
+    int64.  Below bit 3 the runs of 2^b are short: each column is one add."""
+    v = np.array(a, dtype=np.int32 if np.asarray(a).dtype == bool else np.int64)
     step = np.add if sign > 0 else np.subtract
     for b in range(n):
-        w = v.reshape(-1, 2, 1 << b)
-        step(w[:, 1, :], w[:, 0, :], out=w[:, 1, :])
+        h, w = 1 << b, v.reshape(-1, 2 << b)
+        for lo, hi in [(j, h + j) for j in range(h)] if b < 3 else [(slice(h), slice(h, None))]:
+            step(w[:, hi], w[:, lo], out=w[:, hi])
     return v
 
 
-def _escapes(zeta, inside, n, clauses):
-    """The masks that some clause reaches outside its target's cover, shaped
-    like the cover indicators `inside`, given their zeta transforms.  Each
-    clause is (left, right, target) rows.  The products aimed at each target
-    are summed and each sum is inverted once: the inverse of each product
-    counts pairs and is never negative, so a sum is positive exactly where
-    some clause reaches."""
-    reach = np.zeros_like(zeta)
-    for left, right, target in clauses:
-        reach[target] += zeta[left] * zeta[right]
+def _target_escapes(zeta, inside, n, clauses, target):
+    """The masks that the clauses aimed at `target` reach outside its cover
+    indicator `inside`, given the zeta transforms of all covers; each clause
+    is (left, right, target) rows.  Their int64 products are summed and the
+    sum is inverted once: the inverse of each product counts pairs and is
+    never negative, so the sum is positive exactly where some clause
+    reaches."""
+    reach = np.zeros(inside.shape, dtype=np.int64)
+    for left, right, _ in (c for c in clauses if c[2] == target):
+        reach += np.multiply(zeta[left], zeta[right], dtype=np.int64)
     return (_subset_sums(reach, n, -1) > 0) & ~inside
 
 
@@ -857,17 +860,15 @@ def verify_covering(cat, alg, cov: Covering) -> CoverReport:
         n = alg.n_symbols
         inside = np.zeros((len(covers), 1 << n), dtype=bool)
         for i, members in enumerate(covers):
-            inside[i, list(members)] = True
+            inside[i, np.fromiter(members, np.intp, len(members))] = True
         zeta = _subset_sums(inside, n, 1)
         clauses = _clauses(cat)
         clause_rows = [(row[left], row[right], row[target]) for *_, left, right, target in clauses]
-        failing = _escapes(zeta, inside, n, clause_rows).any(axis=1)
+        failing = [_target_escapes(zeta, inside[t], n, clause_rows, t).any() for t in range(len(covers))]
         # a target fails exactly when one of the clauses aimed at it does
-        for name, where, _, left, right, target in clauses:
-            if failing[row[target]]:
-                got = _subset_sums(zeta[row[left]] * zeta[row[right]], n, -1)
-                if (got[~inside[row[target]]] > 0).any():
-                    rep.fail(name, where)
+        for (name, where, *_), (left, right, t) in zip(clauses, clause_rows):
+            if failing[t] and _target_escapes(zeta, inside[t], n, [(left, right, t)], t).any():
+                rep.fail(name, where)
     else:
         for name, where, op, left, right, target in _clauses(cat):
             f, allowed = getattr(alg, op), covers[row[target]]
@@ -896,10 +897,12 @@ def canonical_flat_cover(cat, max_symbols=18):
     checks, seeded with {c} at each half-arrow c, {u} at each arrow u and the
     empty support at `harr_one` and at each identity arrow.  Each clause
     builds a diagram from two diagrams, and every diagram is built by clause
-    instances, so the fixpoint is exactly the set of diagram supports.  Each
-    round zeta-transforms every cover once and adds what `_escapes` finds.
-    The subset monoid has 2^(half-arrows + arrows) elements, so the symbol
-    count is capped.
+    instances, so the fixpoint is exactly the set of diagram supports.  It
+    does not depend on the order of evaluation, so after one zeta transform
+    of every cover a worklist pops a target and adds what `_target_escapes`
+    finds; a cover that grew is re-transformed alone and queues the targets
+    of the clauses that read it.  The subset monoid has 2^(half-arrows +
+    arrows) elements, so the symbol count is capped.
 
     Returns (Covering over a FlatMaskAlgebra, stats).
     """
@@ -918,12 +921,16 @@ def canonical_flat_cover(cat, max_symbols=18):
     for e in cat.identity:
         inside[row[("a", e)], 0] = True
     clauses = [(row[left], row[right], row[target]) for *_, left, right, target in _clauses(cat)]
-
-    while True:
-        new = _escapes(_subset_sums(inside, nsym, 1), inside, nsym, clauses)
-        if not new.any():
-            break
-        inside |= new
+    readers = [{t for left, right, t in clauses if i in (left, right)} for i in range(nsym)]
+    zeta = _subset_sums(inside, nsym, 1)
+    queue = list(range(nsym))
+    while queue:
+        t = queue.pop(0)
+        new = _target_escapes(zeta, inside[t], nsym, clauses, t)
+        if new.any():
+            inside[t] |= new
+            zeta[t] = _subset_sums(inside[t], nsym, 1)
+            queue.extend(s for s in readers[t] if s not in queue)
 
     alg = FlatMaskAlgebra(nsym)
     covers = [frozenset(np.flatnonzero(r).tolist()) for r in inside]

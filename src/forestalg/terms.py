@@ -315,8 +315,9 @@ def _parse(text, alphabet, allow_hole):
     frame [label, token index, trees, holes] above the top level's frame,
     where `holes` has a (spine, token index) entry per summand that is or
     contains the hole; a level that ends is reduced into a summand of the
-    frame below.  Each distinct tree is built once: `shared` maps it to its
-    first instance, so equal subtrees are one object."""
+    frame below.  Each distinct tree is built once, on a miss: `shared` maps
+    (label, *sorted ids of its children) to it; equal children are already
+    one object, so that key names the tree, and `a(0)` is the leaf (a,)."""
     bad = _BAD_RE.search(text)  # the whole text is read before any syntax
     if bad is not None:
         if bad.group() == "[":
@@ -325,7 +326,7 @@ def _parse(text, alphabet, allow_hole):
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")
     leaves = {a: Tree(a, EMPTY) for a in alphabet}
-    shared = {t: t for t in leaves.values()}
+    shared = {(a,): t for a, t in leaves.items()}
     frames = [[None, 0, [], []]]
     i, at_start = 0, True  # at_start: the next summand is a level's first
     while True:
@@ -358,25 +359,23 @@ def _parse(text, alphabet, allow_hole):
         else:
             trees.append(leaves[tok])
         while value is not None or tokens[i] != "+":
-            if value is None:
-                if len(holes) > 1:
-                    raise ParseError("more than one hole", _position(text, holes[1][1]))
-                value = Context(Forest(trees), holes[0][0]) if holes else Forest(trees)
-            label, label_at, _, _ = frames.pop()
+            if len(holes) > 1:
+                raise ParseError("more than one hole", _position(text, holes[1][1]))
+            label, label_at, kids, kid_holes = frames.pop()
             tok = tokens[i]
             if not frames:
                 if tok:
                     raise ParseError("trailing input", _position(text, i))
-                return value
+                return value or (Context(Forest(kids), kid_holes[0][0]) if kid_holes else Forest(kids))
             if tok != ")":
                 raise ParseError("expected ')'", _position(text, i))
             i += 1
             _, _, trees, holes = frames[-1]
-            if isinstance(value, Forest):
-                tree = Tree(label, value)
-                trees.append(shared.setdefault(tree, tree))
+            if kid_holes:
+                holes.append(((label, Context(Forest(kids), kid_holes[0][0])), label_at))
             else:
-                holes.append(((label, value), label_at))
+                key = (label, *sorted(map(id, kids)))
+                trees.append(shared.get(key) or shared.setdefault(key, Tree(label, Forest(kids))))
             value = None
         i, at_start = i + 1, False
 

@@ -20,6 +20,7 @@ from forestalg import samples
 from forestalg.algebra import FlatMaskAlgebra, Recognizer, syntactic_algebra
 from forestalg.category import (
     Covering,
+    _subset_sums,
     canonical_flat_cover,
     one_object_category,
     verify_covering,
@@ -109,6 +110,38 @@ def test_mask_and_table_paths_agree(case):
         assert got == mask.violations[: len(got)]
     else:
         assert got == mask.violations
+
+
+# --- the subset-sum transforms -------------------------------------------------
+
+
+def _naive_subset_sums(a, n, sign):
+    """Each entry m of the last axis replaced by the sum over the submasks s
+    of m of a[s], each signed by (-1)^|m - s| when sign is -1."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.zeros_like(a)
+    for m in range(1 << n):
+        for s in range(1 << n):
+            if s & m == s:
+                out[..., m] += a[..., s] * (sign ** bin(m ^ s).count("1"))
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", [bool, np.int64], ids=["bool", "int64"])
+def test_subset_sums_match_the_naive_submask_sums(n, shape, kind):
+    rng = np.random.default_rng(n)
+    if kind is bool:
+        a = rng.random(shape + (1 << n,)) < 0.4
+    else:
+        a = rng.integers(-5, 6, size=shape + (1 << n,))
+    for sign in (1, -1):
+        got = _subset_sums(a, n, sign)
+        assert got.shape == a.shape
+        assert (got == _naive_subset_sums(a, n, sign)).all()
+    assert (_subset_sums(_subset_sums(a, n, 1), n, -1) == a).all()
+    assert (_subset_sums(_subset_sums(a, n, -1), n, 1) == a).all()
 
 
 # --- the reference fixpoint ----------------------------------------------------
@@ -204,7 +237,9 @@ def ref_canonical_flat_cover(cat):
 def _derived_categories():
     """The derived categories the construct benchmark covers: the syntactic
     algebras of the depth-1 recognizer over {a}, under every accepting set,
-    at depth 1, and a-has-b-child at depth 0."""
+    at depth 1, and a-has-b-child at depth 0.  Every accepting set gives
+    the same 15-symbol category, so it is the one both `cover-lt-a-k1`
+    ops cover, at any seed."""
     machine = lt_recognizer("a", 1, lambda nodes, roots: False)
     beta = ktype_algebra("a", 1).morphism
     cats = []
@@ -234,3 +269,11 @@ def test_canonical_flat_cover_matches_reference(case):
     assert set(stats) == {"forest_pairs", "context_pairs", "symbols"}
     assert stats == ref_stats
     assert cov.algebra == FlatMaskAlgebra(stats["symbols"])
+
+
+def test_the_construct_cover_categories_are_references():
+    # the depth-1 machine over {a} gives one category under all eight
+    # accepting sets, so the benchmark's two cover ops at any seed cover the
+    # 15-symbol reference; a-has-b-child gives the 13-symbol one
+    sizes = [cat.harr_size + cat.arr_size for name, cat in REFERENCE if name.startswith("derived-")]
+    assert sizes == [15, 13]

@@ -347,6 +347,15 @@ def test_a_parse_shares_equal_subtrees():
     assert len({id(t) for t in nodes}) == len({t.key for t in nodes}) == 4
 
 
+@pytest.mark.parametrize("text", ["a(b+c)+a(c+b)", "a(0)+a", "a(a(0)+a)+a(a+a)"])
+def test_sibling_order_and_an_empty_child_forest_give_one_object(text):
+    # the parser keys a tree by its label and its children's ids, so the
+    # order of the children and a "0" in place of no children make no
+    # second object
+    first, second = f(text, "abc").trees
+    assert first is second
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_a_wide_forest_has_one_object_per_distinct_subtree(seed):
     s = f(_wide_text(random.Random(seed), 20_000))
