@@ -780,26 +780,21 @@ _STEPS = {
 
 
 def _replay(gen, kind, i, done=None):
-    """Replay derivation i of kind "h" or "v" of a `Generated` into a term,
-    operands first from an explicit stack, each at most once per memo `done`."""
+    """Replay derivation i of kind "h" or "v" of a `Generated` into a term, a
+    `terms._fold` over (kind, index) operands, each once per memo `done`."""
     derivs = {"h": gen.h_derivs, "v": gen.v_derivs}
-    done, stack = {} if done is None else done, [(kind, i)]
-    while stack:
-        at = stack[-1]
+
+    def operands(at):
         d = derivs[at[0]][at[1]]
         if d[0] == "gen":
-            raise ValueError(
-                "H element %d is h_gens[%d] and has no term to replay" % (at[1], d[1])
-            )
-        kinds, build = _STEPS[d[0]]
-        operands = list(zip(kinds, d[1:]))
-        todo = [o for o in operands if o not in done]
-        stack.extend(todo)
-        if not todo:
-            stack.pop()
-            if at not in done:  # it was on the stack twice
-                done[at] = build(d, *map(done.get, operands))
-    return done[kind, i]
+            raise ValueError("H element %d is h_gens[%d] and has no term to replay" % (at[1], d[1]))
+        return list(zip(_STEPS[d[0]][0], d[1:]))
+
+    def build(at, values):
+        d = derivs[at[0]][at[1]]
+        return _STEPS[d[0]][1](d, *values)
+
+    return terms._fold((kind, i), operands, build, {} if done is None else done)
 
 
 def witness_forest(gen, i) -> Forest:

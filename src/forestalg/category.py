@@ -11,7 +11,8 @@ its laws under composition and nesting follow (`ForestCategory`).
 Diagrams are forests whose leaves are half-arrows and whose internal nodes
 are arrows, the start of each node matching the sum of its children's ends;
 they evaluate to half-arrows.  Removing one leaf exposes an object and gives
-a context diagram, which evaluates to an arrow.
+a context diagram, which evaluates to an arrow.  Diagrams of any depth
+evaluate, render and give their support, by `terms._fold` and `_render`.
 
 Everything is table-driven and immutable; checks are exhaustive and report
 the first witness.  The tables are positional nested tuples, as a
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .algebra import (
     _index_array,
     _ints,
 )
+from .terms import _fold, _render
 
 __all__ = [
     "CategoryLawError",
@@ -455,95 +457,86 @@ def _tree_end(cat, tree):
 
 
 def diagram_rootsum(cat, diagram):
-    x = cat.obj_zero
-    for t in diagram:
-        x = cat.obj_sum(x, _tree_end(cat, t))
-    return x
+    return reduce(cat.obj_sum, [_tree_end(cat, t) for t in diagram], cat.obj_zero)
 
 
 def diagram_support(cat, diagram):
     """The set of half-arrows and arrows occurring, as ('h', id) / ('a', id)."""
-    out = set()
-
-    def walk(tree):
+    out, stack = set(), list(diagram)
+    while stack:
+        tree = stack.pop()
         if tree[0] == "h":
             out.add(("h", tree[1]))
         elif tree[0] == "n":
             out.add(("a", tree[1]))
-            for t in tree[2]:
-                walk(t)
-
-    for t in diagram:
-        walk(t)
+            stack.extend(tree[2])
     return frozenset(out)
 
 
-def _eval_tree(cat, tree):
-    if tree[0] == "h":
-        return tree[1]
-    if tree[0] == "o":
-        raise DiagramError("exposed object in a forest diagram")
-    _, u, children = tree
-    return cat.act_on(eval_forest_diagram(cat, children), u)
+def _kids(tree):
+    return tree[2] if tree[0] == "n" else ()
+
+
+def _forest_value(cat, diagram, done):
+    """The value of a forest diagram, its trees' values folded into the memo
+    `done` by id."""
+
+    def combine(tree, values):
+        if tree[0] == "h":
+            return tree[1]
+        if tree[0] == "o":
+            raise DiagramError("exposed object in a forest diagram")
+        return cat.act_on(reduce(cat.hsum, values, cat.harr_one), tree[1])
+
+    return reduce(cat.hsum, [_fold(t, _kids, combine, done, id) for t in diagram], cat.harr_one)
 
 
 def eval_forest_diagram(cat, diagram):
     """Canonical evaluation: children are summed in the half-arrow monoid,
     then acted on by the node's arrow."""
-    c = cat.harr_one
-    for t in diagram:
-        c = cat.hsum(c, _eval_tree(cat, t))
-    return c
+    return _forest_value(cat, diagram, {})
 
 
 def eval_context_diagram(cat, diagram):
     """Evaluate a diagram with exactly one exposed object to an arrow; returns
-    (arrow id, exposed object)."""
-    holes = [i for i, t in enumerate(diagram) if _contains_hole(t)]
-    if len(holes) != 1:
-        raise DiagramError("context diagram needs exactly one exposed object")
-    i = holes[0]
-    rest = diagram[:i] + diagram[i + 1 :]
-    arrow, start = _eval_ctx_tree(cat, diagram[i])
-    if rest:
-        c = eval_forest_diagram(cat, rest)
-        arrow = cat.insert(arrow, c)
-    return arrow, start
+    (arrow id, exposed object).  The hole path is walked down, each level
+    holding one tree with the hole, and the arrow is built back up: from the
+    identity at the hole, each level inserts the value of its other trees
+    and composes with the arrow of the node above it."""
+    holed, done = {}, {}  # holed: id of a tree -> whether it holds the hole
+    levels, tree = [], ("n", None, diagram)
+    while tree[0] == "n":
+        _, u, forest = tree
+        holes = [i for i, t in enumerate(forest) if _fold(t, _kids, _holds, holed, id)]
+        if len(holes) != 1:
+            raise DiagramError("context diagram needs exactly one exposed object")
+        i = holes[0]
+        levels.append((u, forest[:i] + forest[i + 1 :]))
+        tree = forest[i]
+    arrow = cat.identity[tree[1]]
+    for u, rest in reversed(levels):
+        if rest:
+            arrow = cat.insert(arrow, _forest_value(cat, rest, done))
+        if u is not None:
+            arrow = cat.compose(arrow, u)
+    return arrow, tree[1]
 
 
-def _contains_hole(tree):
-    if tree[0] == "o":
-        return True
+def _holds(tree, flags):
+    return tree[0] == "o" or any(flags)
+
+
+_LEAF_TEXT = {"h": "h%d", "o": "<%d>", "s": "<slot%d:%d>"}
+
+
+def _diagram_head(tree):
     if tree[0] == "n":
-        return any(_contains_hole(t) for t in tree[2])
-    return False
-
-
-def _eval_ctx_tree(cat, tree):
-    if tree[0] == "o":
-        x = tree[1]
-        return cat.identity[x], x
-    if tree[0] != "n":
-        raise DiagramError("hole path runs through a leaf")
-    _, u, children = tree
-    arrow, start = eval_context_diagram(cat, children)
-    return cat.compose(arrow, u), start
+        return ("a%d" % tree[1], tree[2]) if tree[2] else ("a%d()" % tree[1], ())
+    return _LEAF_TEXT[tree[0]] % tree[1:], ()
 
 
 def render_diagram(diagram):
-    def tree(t):
-        if t[0] == "h":
-            return "h%d" % t[1]
-        if t[0] == "o":
-            return "<%d>" % t[1]
-        if t[0] == "s":
-            return "<slot%d:%d>" % (t[1], t[2])
-        _, u, kids = t
-        if not kids:
-            return "a%d()" % u
-        return "a%d(%s)" % (u, render_diagram(kids))
-
-    return "+".join(tree(t) for t in diagram) if diagram else "()"
+    return _render(diagram, _diagram_head) if diagram else "()"
 
 
 # ---------------------------------------------------------------------------
@@ -772,35 +765,26 @@ class CoverReport:
 def _clauses(cat):
     """The division clauses: one per defined instance of the four operations,
     as (name, where, op, left, right, target).  `op` names the elementwise
-    operation of the covering algebra; the operands and the target are
-    ("h", half-arrow) or ("a", arrow), the symbols of `diagram_support`.  A
-    cover is closed under a clause when op maps every member pair of the left
-    and right covers into the target's cover; in the other direction, each
-    clause builds a diagram of the target from diagrams of its operands."""
-    out = []
+    operation of the covering algebra; the operands and the target are rows,
+    half-arrow c at row c and arrow u at row harr_size + u, and row i is also
+    bit i of a support mask.  A cover is closed under a clause when op maps
+    every member pair of the left and right covers into the target's cover;
+    in the other direction, each clause builds a diagram of the target from
+    diagrams of its operands."""
+    out, a = [], cat.harr_size  # arrow u is row a + u
     for u in range(cat.arr_size):
         for v, w in zip(cat.arrows_from(cat.arr_end[u]), cat.comp[u]):
-            out.append(("preserve-composition", (u, v), "v_mul", ("a", u), ("a", v), ("a", w)))
+            out.append(("preserve-composition", (u, v), "v_mul", a + u, a + v, a + w))
     for c in range(cat.harr_size):
         for u, d in zip(cat.arrows_from(cat.harr_end[c]), cat.act[c]):
-            out.append(("preserve-action", (c, u), "act_", ("h", c), ("a", u), ("h", d)))
+            out.append(("preserve-action", (c, u), "act_", c, a + u, d))
     for c in range(cat.harr_size):
         for d in range(cat.harr_size):
-            e = cat.harr_add[c][d]
-            out.append(("preserve-addition", (c, d), "h_add", ("h", c), ("h", d), ("h", e)))
+            out.append(("preserve-addition", (c, d), "h_add", c, d, cat.harr_add[c][d]))
     for u in range(cat.arr_size):
         for c in range(cat.harr_size):
-            w = cat.ins[u][c]
-            out.append(("preserve-insertion", (u, c), "ins_", ("a", u), ("h", c), ("a", w)))
+            out.append(("preserve-insertion", (u, c), "ins_", a + u, c, a + cat.ins[u][c]))
     return out
-
-
-def _rows(cat):
-    """Each symbol's row: half-arrows, then arrows.  Row i is also bit i of
-    a support mask."""
-    rows = {("h", c): c for c in range(cat.harr_size)}
-    rows.update((("a", u), cat.harr_size + u) for u in range(cat.arr_size))
-    return rows
 
 
 def _subset_sums(a, n, sign):
@@ -834,11 +818,13 @@ def _target_escapes(zeta, inside, n, clauses, target):
 
 def verify_covering(cat, alg, cov: Covering) -> CoverReport:
     """Exhaustive check of the division clauses: every cover is nonempty,
-    closed under each clause of `_clauses`, and disjoint from the covers of
-    the coterminal elements.
+    holds only elements of the algebra, is closed under each clause of
+    `_clauses`, and is disjoint from the covers of the coterminal elements.
+    Covers that are empty or hold a member out of range are reported alone.
 
     The algebra only needs the elementwise protocol; cover members are its
-    elements (indices for table algebras, masks for FlatMaskAlgebra).  A
+    elements (indices below h_size or v_size for table algebras, masks below
+    2^n_symbols for FlatMaskAlgebra).  A
     table algebra is checked member pair by member pair, and a failure names
     the clause with the pair appended.  Over a FlatMaskAlgebra the covers are
     zeta-transformed once, one sum of union-convolutions per target finds the
@@ -846,34 +832,41 @@ def verify_covering(cat, alg, cov: Covering) -> CoverReport:
     by one; a failure names the clause.
     """
     rep = CoverReport(True)
-    for c in range(cat.harr_size):
-        if not cov.half_cover[c]:
-            rep.fail("half-cover-nonempty", (c,))
-    for u in range(cat.arr_size):
-        if not cov.arrow_cover[u]:
-            rep.fail("arrow-cover-nonempty", (u,))
-    if not rep.ok:
-        return rep
-    row = _rows(cat)
-    covers = tuple(cov.half_cover) + tuple(cov.arrow_cover)
-    if isinstance(alg, FlatMaskAlgebra):
+    covers, nh = tuple(cov.half_cover) + tuple(cov.arrow_cover), cat.harr_size
+    mask = isinstance(alg, FlatMaskAlgebra)
+    if mask:
         n = alg.n_symbols
         inside = np.zeros((len(covers), 1 << n), dtype=bool)
-        for i, members in enumerate(covers):
-            inside[i, np.fromiter(members, np.intp, len(members))] = True
+    for i, members in enumerate(covers):
+        if mask:
+            try:
+                m = np.fromiter(members, np.int64, len(members))
+                fits = not (m >> n).any()  # no bit from bit n up, as a negative mask has
+            except OverflowError:  # beyond int64
+                fits = False
+            if fits:
+                inside[i, m] = True
+        else:
+            fits = all(0 <= m < (alg.h_size if i < nh else alg.v_size) for m in members)
+        if not members or not fits:
+            kind, at = ("half", i) if i < nh else ("arrow", i - nh)
+            rep.fail("%s-cover-%s" % (kind, "range" if members else "nonempty"), (at,))
+    if not rep.ok:
+        return rep
+    if mask:
         zeta = _subset_sums(inside, n, 1)
         clauses = _clauses(cat)
-        clause_rows = [(row[left], row[right], row[target]) for *_, left, right, target in clauses]
-        failing = [_target_escapes(zeta, inside[t], n, clause_rows, t).any() for t in range(len(covers))]
+        rows = [c[3:] for c in clauses]
+        failing = [_target_escapes(zeta, inside[t], n, rows, t).any() for t in range(len(covers))]
         # a target fails exactly when one of the clauses aimed at it does
-        for (name, where, *_), (left, right, t) in zip(clauses, clause_rows):
+        for name, where, _, left, right, t in clauses:
             if failing[t] and _target_escapes(zeta, inside[t], n, [(left, right, t)], t).any():
                 rep.fail(name, where)
     else:
         for name, where, op, left, right, target in _clauses(cat):
-            f, allowed = getattr(alg, op), covers[row[target]]
-            for p in covers[row[left]]:
-                for q in covers[row[right]]:
+            f, allowed = getattr(alg, op), covers[target]
+            for p in covers[left]:
+                for q in covers[right]:
                     if f(p, q) not in allowed:
                         rep.fail(name, where + (p, q))
     # injectivity on coterminal elements
@@ -913,14 +906,13 @@ def canonical_flat_cover(cat, max_symbols=18):
             "canonical cover needs 2^%d supports (cap 2^%d)" % (nsym, max_symbols),
             {"symbols": nsym, "cap": max_symbols},
         )
-    row = _rows(cat)
     inside = np.zeros((nsym, 1 << nsym), dtype=bool)
     for i in range(nsym):
         inside[i, 1 << i] = True
-    inside[row[("h", cat.harr_one)], 0] = True
+    inside[cat.harr_one, 0] = True
     for e in cat.identity:
-        inside[row[("a", e)], 0] = True
-    clauses = [(row[left], row[right], row[target]) for *_, left, right, target in _clauses(cat)]
+        inside[nh + e, 0] = True
+    clauses = [c[3:] for c in _clauses(cat)]
     readers = [{t for left, right, t in clauses if i in (left, right)} for i in range(nsym)]
     zeta = _subset_sums(inside, nsym, 1)
     queue = list(range(nsym))

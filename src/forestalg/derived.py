@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    Generated,
     Morphism,
     PairOps,
     Recognizer,
@@ -71,20 +72,21 @@ class FactorizationError(ValueError):
         self.witness = witness
 
 
-@dataclass
-class PairAlgebra:
+@dataclass(kw_only=True)
+class PairAlgebra(Generated):
+    """The closure of `pair_closure` over (alpha, beta) value pairs; on
+    decide's levels the V pairs' seconds are AutomatonOps maps."""
+
     alpha: Morphism
     beta: Morphism
-    h_pairs: tuple  # (alpha H index, beta H index)
-    # on decide's levels the second components are AutomatonOps maps, byte
-    # tables up to 256 root-type sets
-    v_pairs: tuple
-    h_index: dict
-    v_index: dict
-    h_derivs: tuple  # ("zero",) | ("add", i, j) | ("act", i, j)
-    v_derivs: tuple  # ("one",) | ("letter", i, label) | ("ins", i, j)
-    h_rows: tuple  # generate's product rows, which `_gen_arrays` reads
-    v_rows: tuple
+
+    @property
+    def h_pairs(self):
+        return self.h_elems
+
+    @property
+    def v_pairs(self):
+        return self.v_elems
 
 
 def _as_morphism(m):
@@ -100,10 +102,7 @@ def pair_closure(alpha, beta, budget=100000) -> PairAlgebra:
         raise ValueError("the two morphisms must share an alphabet")
     letters = {a: (alpha.letters[a], beta.letters[a]) for a in alpha.alphabet}
     g = generate(PairOps(alpha.algebra, beta.algebra), letters, budget=budget)
-    return PairAlgebra(
-        alpha, beta, g.h_elems, g.v_elems, g.h_index, g.v_index, g.h_derivs, g.v_derivs,
-        g.h_rows, g.v_rows,
-    )
+    return PairAlgebra(**vars(g), alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

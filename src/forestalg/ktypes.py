@@ -52,7 +52,9 @@ __all__ = [
 
 class _Universe:
     """Append-only interner for depth-k types; concurrent reads are safe and
-    interning is serialized through a lock."""
+    interning is serialized through a lock.  Truncations and renders are
+    memoized in `_trunc` and `_render` by `terms._fold`, children first, so
+    types of any depth truncate and render."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -77,49 +79,36 @@ class _Universe:
     def entry(self, tid):
         return self._entries[tid]
 
-    def _truncated(self, tid, j):
-        """The depth-j truncation of a type when it needs no work, else None."""
-        if j == self._entries[tid][0]:
-            return tid
-        if j == 0:
-            return ATOM
-        return self._trunc.get((tid, j))
-
     def truncate(self, tid, j):
         depth = self._entries[tid][0]
         if j > depth:
             raise ValueError("cannot truncate a depth-%d type to depth %d" % (depth, j))
-        out = self._truncated(tid, j)
-        if out is not None:
-            return out
-        # children first, from an explicit stack, so any depth truncates
-        stack = [(tid, j)]
-        while stack:
-            t, i = stack[-1]
-            _, label, children = self._entries[t]
-            todo = [(c, i - 1) for c in children if self._truncated(c, i - 1) is None]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            kids = frozenset(self._truncated(c, i - 1) for c in children)
-            self._trunc[t, i] = self.intern(i, label, kids)
-        return self._trunc[tid, j]
+        if j == depth:
+            return tid
+        if j == 0:
+            return ATOM
+        entries = self._entries  # below the root 0 < i < depth(t), and (t, 1) has atoms below
+
+        def children(at):
+            t, i = at
+            return [(c, i - 1) for c in entries[t][2]] if i > 1 else ()
+
+        def combine(at, kids):
+            t, i = at
+            _, label, types = entries[t]
+            kids = frozenset(kids) if i > 1 else _ATOMS if types else _NO_TYPES
+            return self.intern(i, label, kids)
+
+        return terms._fold((tid, j), children, combine, self._trunc)
 
     def render(self, tid):
-        # children first, from an explicit stack, so any depth renders
-        stack = [tid]
-        while tid not in self._render:
-            t = stack[-1]
-            _, label, children = self._entries[t]
-            todo = [c for c in children if c not in self._render]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            inner = ",".join(sorted(self._render[c] for c in children))
-            self._render[t] = "%s{%s}" % (label, inner)
-        return self._render[tid]
+        return self._render.get(tid) or terms._fold(tid, self._kids, self._text, self._render)
+
+    def _kids(self, tid):
+        return self._entries[tid][2]
+
+    def _text(self, tid, kids):
+        return "%s{%s}" % (self._entries[tid][1], ",".join(sorted(kids)))
 
 
 _UNIVERSE = _Universe()

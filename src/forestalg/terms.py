@@ -17,11 +17,13 @@ The token "0" is reserved for the empty forest and cannot be a label.
 Rendering lists siblings in canonical order, "+"-separated, with no spaces;
 in a context the hole spine is rendered first.
 
-Parsing (one tokenizer and one shift-reduce loop), rendering (from an
-explicit stack), hashing (each node combines its size and label with its
-children's cached hashes), comparison (the built-in tuple comparison of keys
-for small terms, an explicit stack for large ones), `apply_context` and
-`compose` (loops along the hole spine) work at any depth.
+Parsing (one tokenizer and one shift-reduce loop), rendering (one token
+writer, `_render`, which diagrams share), hashing (each node combines its
+size and label with its children's cached hashes), comparison (the built-in
+tuple comparison of keys for small terms, an explicit stack for large ones),
+`apply_context` and `compose` (loops along the hole spine) work at any
+depth, and so does `_fold`, the explicit-stack fold by which derivations
+replay into terms, depth-k types truncate and render, and diagrams evaluate.
 
 A parse builds one object per distinct subtree of its text, so equal
 subtrees are the same object; a forest of 10^5 nodes with few distinct
@@ -191,28 +193,49 @@ class Forest(_Term):
 EMPTY = Forest()
 
 
-def _render(trees):
-    """The "+"-separated text of a sum of trees, written from an explicit
-    stack of pending tokens and subtrees, so any depth renders."""
-    out, stack = [], []
-
-    def push_sum(ts):
-        for i, t in enumerate(reversed(ts)):
-            if i:
-                stack.append("+")
-            stack.append(t)
-
-    push_sum(trees)
+def _fold(root, children, combine, done, key=lambda node: node):
+    """The value of `root` in the memo `done`, which maps key(node) to
+    combine(node, values of the collection children(node), in its order).
+    Filled bottom-up from an explicit stack, so any depth folds: a node's
+    children not yet in `done` are pushed in order, the last is folded
+    first, and a node pushed twice is folded once."""
+    stack = [] if key(root) in done else [root]
     while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif t.children.trees:
-            out.append(t.label + "(")
-            stack.append(")")
-            push_sum(t.children.trees)
+        node = stack[-1]
+        kids = children(node)
+        todo = [c for c in kids if key(c) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        at = key(node)
+        if at not in done:
+            done[at] = combine(node, [done[key(c)] for c in kids])
+    return done[key(root)]
+
+
+def _render(items, head=attrgetter("label", "children.trees")):
+    """The "+"-separated text of a nonempty sum of items, where head(item)
+    is its text and its children: nonempty children are written in
+    parentheses after the text.  One loop over a stack of the sums being
+    written, so any depth renders: each item is followed by "+", and a sum
+    that ends turns its last "+" into ")", which the top level drops."""
+    out, stack = [], [iter(items)]
+    append = out.append
+    while stack:
+        for item in stack[-1]:
+            text, kids = head(item)
+            if kids:
+                append(text + "(")
+                stack.append(iter(kids))
+                break
+            append(text)
+            append("+")
         else:
-            out.append(t.label)
+            stack.pop()
+            out[-1] = ")"
+            append("+")
+    del out[-2:]
     return "".join(out)
 
 

@@ -147,7 +147,8 @@ def test_wrong_ins_rejected():
 # (path, value, law, witness): an entry of flat-or's JSON that is not an
 # integer.  Before the reader checked the types, the zeros and the act row
 # raised a TypeError, and the others were read as integers ("1" as 1, 1.5
-# cut to 1, False as 0) and passed
+# cut to 1, False as 0) and passed.  The last five give a table that is not
+# square or not |H| x |V|, and an action by one that moves h0
 MALFORMED_JSON = [
     (("h", "zero"), "0", "h-shape", ()),
     (("h", "zero"), None, "h-shape", ()),
@@ -155,6 +156,11 @@ MALFORMED_JSON = [
     (("act", 1), 1, "action-shape", (1,)),
     (("h", "add", 0, 1), 1.5, "h-shape", (0, 1)),
     (("ins", 0, 0), False, "insertion-shape", (0, 0)),
+    (("h", "add", 1), [1], "h-shape", ()),
+    (("v", "mul", 0), [0, 1, 1], "v-shape", ()),
+    (("act", 1), [1], "action-shape", ()),
+    (("ins", 0), [0, 1, 1], "insertion-shape", ()),
+    (("act", 0, 0), 1, "action-identity", (0,)),
 ]
 
 
@@ -443,6 +449,25 @@ def test_invalid_psi_rejected():
     bad = TmDivisionWitness((0, 1), {0: 1, 1: 0}, {0: 0, 1: 1})  # psi not a homomorphism
     rep = verify_tm_division(a, a, bad)
     assert not rep.ok
+
+
+# (target, ambient, K, psi, hat, the first violation): z2 divides itself by
+# the identity witness, and each row breaks one clause of verify_tm_division
+TM_BROKEN = [
+    ("flat_z2", "flat_z2", (1,), {1: 0}, {0: 0, 1: 1}, ("k-zero", ())),
+    ("flat_z2", "flat_z3", (0, 1), {0: 0, 1: 1}, {0: 0, 1: 1}, ("k-add-closed", (1, 1))),
+    ("flat_z2", "flat_z2", (0, 1), {0: 0}, {0: 0, 1: 1}, ("psi-domain", ())),
+    ("flat_z2", "flat_z2", (0, 1), {0: 0, 1: 0}, {0: 0, 1: 1}, ("psi-surjective", ())),
+    ("flat_z2", "flat_z2", (0, 1), {0: 0, 1: 1}, {0: 0}, ("hat-domain", ())),
+    ("trivial_algebra", "flat_z3", (0,), {0: 0}, {0: 1}, ("k-hat-closed", (0, 0))),
+    ("flat_z2", "flat_z2", (0, 1), {0: 0, 1: 1}, {0: 1, 1: 0}, ("psi-equivariance", (0, 0))),
+]
+
+
+@pytest.mark.parametrize("target, ambient, k, psi, hat, first", TM_BROKEN, ids=[r[-1][0] for r in TM_BROKEN])
+def test_broken_tm_division_reports_its_clause(target, ambient, k, psi, hat, first):
+    target, ambient = getattr(samples, target)(), getattr(samples, ambient)()
+    assert verify_tm_division(target, ambient, TmDivisionWitness(k, psi, hat)).violations[0] == first
 
 
 def test_tm_round_trip():

@@ -23,6 +23,7 @@ from forestalg.category import (
     hleaf,
     oleaf,
     one_object_category,
+    render_diagram,
     validate_category,
     verify_covering,
 )
@@ -99,8 +100,11 @@ DELETED = _Deleted()
 
 # (path, value, law, witness): the entry of the interval category's JSON at
 # path set to value, or deleted; the range rows each raised an IndexError,
-# reported a bogus law, or passed, before the range checks, and the last
-# three pin the domain laws, which only the keyed reader can see
+# reported a bogus law, or passed, before the range checks, the next four
+# pin the laws of the end map and the identities (a half-arrow end missing,
+# end(identity) = 1, an object no half-arrow ends at and an identity that
+# leaves its object), and the last three pin the domain laws, which only the
+# keyed reader can see
 CORRUPT_JSON = [
     (("objects", "add", 0, 1), 2, "objects-shape", (2,)),
     (("objects", "zero"), 2, "objects-identity", (2,)),
@@ -110,6 +114,10 @@ CORRUPT_JSON = [
     (("halfarrows", "end", 1), 2, "end-shape", (1,)),
     (("halfarrows", "end", 1), -1, "end-shape", (1,)),
     (("identity", 1), 3, "identity-shape", (1,)),
+    (("halfarrows", "end", 1), DELETED, "end-shape", ()),
+    (("halfarrows", "end", 0), 1, "end-homomorphism", (0,)),
+    (("halfarrows", "end", 1), 0, "end-onto", (1,)),
+    (("identity", 1), 2, "identity-endpoints", (1,)),
     (("comp", "0,2"), 3, "composition-shape", (0, 2)),
     (("comp", "3,1"), 1, "composition-shape", (3, 1)),
     (("comp", "-1,0"), 0, "composition-shape", (-1, 0)),
@@ -132,6 +140,7 @@ MALFORMED_JSON = [
     (("objects", "zero"), "0", "objects-shape", ()),
     (("arrows", 2, "end"), True, "arrow-endpoints", (2,)),
     (("comp", "0,0,1"), 0, "composition-shape", ("0,0,1",)),
+    (("comp", "a,b"), 0, "composition-shape", ("a,b",)),
     (("act", "0,2"), 1.0, "action-shape", (0, 2)),
 ]
 
@@ -222,6 +231,31 @@ def test_context_diagram_identity():
     cat = or_cat()
     arrow, start = eval_context_diagram(cat, (oleaf(0),))
     assert arrow == cat.identity[0] and start == 0
+
+
+def _spine(bottom, depth):
+    """A diagram of `depth` nested nodes of arrow 1 over `bottom`, each with
+    the leaf h0 beside the spine."""
+    tree = bottom
+    for _ in range(depth):
+        tree = dnode(1, (tree, hleaf(0)))
+    return (tree,)
+
+
+def test_diagrams_of_any_depth_evaluate_support_and_render():
+    # over z2 a node adds 1 to the sum of its children, so the forest over h1
+    # is worth 1 + depth mod 2; the context arrow is the identity 0, composed
+    # with 1 and inserted with h0 = 0 at each level, so depth mod 2
+    cat = z2_cat()
+    forest, context = _spine(hleaf(1), 10**5), _spine(oleaf(0), 10**5 + 1)
+    assert eval_forest_diagram(cat, forest) == 1
+    assert eval_context_diagram(cat, context) == (1, 0)
+    assert diagram_support(cat, forest) == {("h", 0), ("h", 1), ("a", 1)}
+    assert diagram_support(cat, context) == {("h", 0), ("a", 1)}
+    assert render_diagram(forest) == "a1(" * 10**5 + "h1" + "+h0)" * 10**5
+    assert render_diagram(context) == "a1(" * (10**5 + 1) + "<0>" + "+h0)" * (10**5 + 1)
+    with pytest.raises(DiagramError, match="exposed object in a forest diagram"):
+        eval_forest_diagram(cat, context)
 
 
 # --- identities -------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from forestalg import samples
-from forestalg.algebra import FlatMaskAlgebra, Recognizer, syntactic_algebra
+from forestalg.algebra import BudgetError, FlatMaskAlgebra, Recognizer, syntactic_algebra
 from forestalg.category import (
     Covering,
     _subset_sums,
@@ -110,6 +110,40 @@ def test_mask_and_table_paths_agree(case):
         assert got == mask.violations[: len(got)]
     else:
         assert got == mask.violations
+
+
+def _with_member(cov, kind, i, member):
+    """The covering with `member` added to half cover i or arrow cover i."""
+    covers = {"half": list(cov.half_cover), "arrow": list(cov.arrow_cover)}
+    covers[kind][i] = covers[kind][i] | {member}
+    return Covering(cov.algebra, tuple(covers["half"]), tuple(covers["arrow"]))
+
+
+# a member outside the algebra raised an IndexError, or an OverflowError
+# beyond int64, and a negative mask was read from the end of the mask rows
+OUT_OF_RANGE = [("half", 0, -1), ("arrow", 1, 1 << 20), ("half", 1, 1 << 63), ("arrow", 0, 1 << 70)]
+
+
+@pytest.mark.parametrize("kind, i, member", OUT_OF_RANGE, ids=["%s%d=%d" % r for r in OUT_OF_RANGE])
+def test_a_mask_outside_the_subset_monoid_is_reported(kind, i, member):
+    # flat-or's category has four symbols, so the masks run below 2^4
+    cat = one_object_category(samples.flat_or())
+    cov, _ = canonical_flat_cover(cat)
+    rep = verify_covering(cat, cov.algebra, _with_member(cov, kind, i, member))
+    assert rep.violations == [(kind + "-cover-range", (i,))]
+
+
+def test_a_member_outside_a_table_algebra_is_reported():
+    alg = samples.flat_or()
+    cov = Covering(alg, (frozenset({0}), frozenset({7})), (frozenset({0}), frozenset({1})))
+    rep = verify_covering(one_object_category(alg), alg, cov)
+    assert rep.violations == [("half-cover-range", (1,))]
+
+
+def test_canonical_flat_cover_refuses_more_symbols_than_its_cap():
+    with pytest.raises(BudgetError) as got:
+        canonical_flat_cover(one_object_category(samples.flat_or()), max_symbols=3)
+    assert got.value.stats == {"symbols": 4, "cap": 3}
 
 
 # --- the subset-sum transforms -------------------------------------------------

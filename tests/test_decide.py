@@ -12,6 +12,7 @@ terms, though they are replayed only on read.
 
 import functools
 import itertools
+import json
 
 import pytest
 
@@ -341,6 +342,23 @@ def test_lt_verdicts_pass_both_identity_checks():
         assert _check_identity_i(syn, rel_r) is None
         assert _check_identity_ii(syn, rel_s) is None
     assert n_lt >= 8
+
+
+@pytest.mark.parametrize(
+    "rec, kind, reason",
+    [
+        (samples.contains_a(), "LT", "identities-hold"),
+        (samples.parity_a(), "NotLT", "nonidempotent"),
+        (samples.a_has_b_child("abcde"), "Unknown", "budgets-exhausted"),
+    ],
+    ids=["LT", "NotLT-nonidempotent", "Unknown"],
+)
+def test_verdict_as_json_is_a_json_document_of_seven_keys(rec, kind, reason):
+    verdict = decide_lt(rec)
+    doc = verdict.as_json()
+    assert list(doc) == ["verdict", "level", "reason", "kstar", "evidence", "progress", "counters"]
+    assert (doc["verdict"], doc["reason"]) == (kind, reason)
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def _differential_inputs():
