@@ -287,6 +287,7 @@ class FlatMaskAlgebra:
 
     def __init__(self, n_symbols):
         self.n_symbols = n_symbols
+        self.h_size = self.v_size = 1 << n_symbols  # the masks, in H and in V
 
     @property
     def h_zero(self):
@@ -432,11 +433,8 @@ def evaluate_forest(ops, letter, s: Forest):
 def evaluate_context(ops, letter, p: Context):
     """The value of context p, as `evaluate_forest`: the spine is walked down
     to the hole, then folded back up with one letter and one rest per step."""
-    steps = [p]
-    while steps[-1].spine is not None:
-        steps.append(steps[-1].spine[1])
     v = ops.v_one
-    for q in reversed(steps):
+    for q in reversed(terms._spine(p)):
         if q.spine is not None:
             v = ops.v_mul(v, letter(q.spine[0]))
         if q.rest.trees:
@@ -481,9 +479,13 @@ def algebra_to_json(alg):
 
 def algebra_from_json(data):
     h, v, ins = data["h"], data["v"], data.get("ins")
+    add, mul = _ints(h["add"], "h-shape", 2), _ints(v["mul"], "v-shape", 2)
+    for part, table, law in ((h, add, "h-shape"), (v, mul, "v-shape")):
+        if _ints(part["size"], law) != len(table):
+            raise AlgebraLawError(law, (), "size %d but %d rows" % (part["size"], len(table)))
     return validate_algebra(
-        _ints(h["add"], "h-shape", 2), _ints(h["zero"], "h-shape"),
-        _ints(v["mul"], "v-shape", 2), _ints(v["one"], "v-shape"),
+        add, _ints(h["zero"], "h-shape"),
+        mul, _ints(v["one"], "v-shape"),
         _ints(data["act"], "action-shape", 2),
         None if ins is None else _ints(ins, "insertion-shape", 2),
     )

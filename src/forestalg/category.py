@@ -741,14 +741,17 @@ def check_identities(cat) -> IdentityReport:
 # The canonical flat cover and covering verification
 
 
-@dataclass
+@dataclass(eq=False)
 class Covering:
-    """A candidate division of a category by a forest algebra: a nonempty set
-    of H elements per half-arrow and of V elements per arrow."""
+    """A candidate division of a category by a forest algebra, as indicator
+    rows: half_cover[c, x] says H element x covers half-arrow c, and
+    arrow_cover[u, w] that V element w covers arrow u.  They are bool arrays
+    of harr_size x algebra.h_size and arr_size x algebra.v_size; over a
+    FlatMaskAlgebra each row is indexed by all 2^n_symbols masks."""
 
     algebra: ForestAlgebra
-    half_cover: tuple  # per half-arrow: frozenset of H indices
-    arrow_cover: tuple  # per arrow: frozenset of V indices
+    half_cover: np.ndarray
+    arrow_cover: np.ndarray
 
 
 @dataclass
@@ -817,66 +820,60 @@ def _target_escapes(zeta, inside, n, clauses, target):
 
 
 def verify_covering(cat, alg, cov: Covering) -> CoverReport:
-    """Exhaustive check of the division clauses: every cover is nonempty,
-    holds only elements of the algebra, is closed under each clause of
-    `_clauses`, and is disjoint from the covers of the coterminal elements.
-    Covers that are empty or hold a member out of range are reported alone.
+    """Exhaustive check of the division clauses: every cover is nonempty, is
+    closed under each clause of `_clauses`, and is disjoint from the covers
+    of the coterminal elements.  Cover rows that are not bool arrays of the
+    shape `Covering` names, and then covers that are empty, are reported
+    alone.
 
-    The algebra only needs the elementwise protocol; cover members are its
-    elements (indices below h_size or v_size for table algebras, masks below
-    2^n_symbols for FlatMaskAlgebra).  A
-    table algebra is checked member pair by member pair, and a failure names
-    the clause with the pair appended.  Over a FlatMaskAlgebra the covers are
-    zeta-transformed once, one sum of union-convolutions per target finds the
-    targets that fail, and only the clauses aimed at those are convolved one
-    by one; a failure names the clause.
+    The algebra only needs the elementwise protocol and h_size and v_size.
+    A table algebra is checked member pair by member pair, and a failure
+    names the clause with the pair appended.  Over a FlatMaskAlgebra the
+    covers are zeta-transformed once, one sum of union-convolutions per
+    target finds the targets that fail, and only the clauses aimed at those
+    are convolved one by one; a failure names the clause.
     """
     rep = CoverReport(True)
-    covers, nh = tuple(cov.half_cover) + tuple(cov.arrow_cover), cat.harr_size
-    mask = isinstance(alg, FlatMaskAlgebra)
-    if mask:
-        n = alg.n_symbols
-        inside = np.zeros((len(covers), 1 << n), dtype=bool)
-    for i, members in enumerate(covers):
-        if mask:
-            try:
-                m = np.fromiter(members, np.int64, len(members))
-                fits = not (m >> n).any()  # no bit from bit n up, as a negative mask has
-            except OverflowError:  # beyond int64
-                fits = False
-            if fits:
-                inside[i, m] = True
-        else:
-            fits = all(0 <= m < (alg.h_size if i < nh else alg.v_size) for m in members)
-        if not members or not fits:
-            kind, at = ("half", i) if i < nh else ("arrow", i - nh)
-            rep.fail("%s-cover-%s" % (kind, "range" if members else "nonempty"), (at,))
+    kinds = (
+        ("half", cov.half_cover, (cat.harr_size, alg.h_size)),
+        ("arrow", cov.arrow_cover, (cat.arr_size, alg.v_size)),
+    )
+    for kind, rows, shape in kinds:
+        if not (isinstance(rows, np.ndarray) and rows.dtype == bool and rows.shape == shape):
+            rep.fail(kind + "-cover-shape", ())
+    if rep.ok:
+        for kind, rows, _ in kinds:
+            for i in np.flatnonzero(~rows.any(axis=1)).tolist():
+                rep.fail(kind + "-cover-nonempty", (i,))
     if not rep.ok:
         return rep
-    if mask:
+    if isinstance(alg, FlatMaskAlgebra):
+        n, inside = alg.n_symbols, np.concatenate((cov.half_cover, cov.arrow_cover))
         zeta = _subset_sums(inside, n, 1)
         clauses = _clauses(cat)
         rows = [c[3:] for c in clauses]
-        failing = [_target_escapes(zeta, inside[t], n, rows, t).any() for t in range(len(covers))]
+        failing = [_target_escapes(zeta, inside[t], n, rows, t).any() for t in range(len(inside))]
         # a target fails exactly when one of the clauses aimed at it does
         for name, where, _, left, right, t in clauses:
             if failing[t] and _target_escapes(zeta, inside[t], n, [(left, right, t)], t).any():
                 rep.fail(name, where)
     else:
+        inside = [*cov.half_cover, *cov.arrow_cover]
+        members = [np.flatnonzero(row).tolist() for row in inside]
         for name, where, op, left, right, target in _clauses(cat):
-            f, allowed = getattr(alg, op), covers[target]
-            for p in covers[left]:
-                for q in covers[right]:
-                    if f(p, q) not in allowed:
+            f, allowed = getattr(alg, op), inside[target]
+            for p in members[left]:
+                for q in members[right]:
+                    if not allowed[f(p, q)]:
                         rep.fail(name, where + (p, q))
     # injectivity on coterminal elements
     arrow_ends = list(zip(cat.arr_start, cat.arr_end))
-    for kind, ends, members in (
+    for kind, ends, rows in (
         ("arrows", arrow_ends, cov.arrow_cover),
         ("halfarrows", cat.harr_end, cov.half_cover),
     ):
         for i, j in itertools.combinations(range(len(ends)), 2):
-            if ends[i] == ends[j] and members[i] & members[j]:
+            if ends[i] == ends[j] and (rows[i] & rows[j]).any():
                 rep.fail("injectivity-" + kind, (i, j))
     return rep
 
@@ -897,7 +894,8 @@ def canonical_flat_cover(cat, max_symbols=18):
     of the clauses that read it.  The subset monoid has 2^(half-arrows +
     arrows) elements, so the symbol count is capped.
 
-    Returns (Covering over a FlatMaskAlgebra, stats).
+    Returns (Covering over a FlatMaskAlgebra, stats): the covering's rows
+    are the fixpoint's own, and the stats count their members.
     """
     nh = cat.harr_size
     nsym = nh + cat.arr_size
@@ -924,12 +922,10 @@ def canonical_flat_cover(cat, max_symbols=18):
             zeta[t] = _subset_sums(inside[t], nsym, 1)
             queue.extend(s for s in readers[t] if s not in queue)
 
-    alg = FlatMaskAlgebra(nsym)
-    covers = [frozenset(np.flatnonzero(r).tolist()) for r in inside]
-    cov = Covering(alg, tuple(covers[:nh]), tuple(covers[nh:]))
+    cov = Covering(FlatMaskAlgebra(nsym), inside[:nh], inside[nh:])
     stats = {
-        "forest_pairs": sum(len(s) for s in cov.half_cover),
-        "context_pairs": sum(len(s) for s in cov.arrow_cover),
+        "forest_pairs": int(cov.half_cover.sum()),
+        "context_pairs": int(cov.arrow_cover.sum()),
         "symbols": nsym,
     }
     return cov, stats

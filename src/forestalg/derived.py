@@ -39,6 +39,7 @@ from .algebra import (
     WreathOps,
     _as_map,
     _classes,
+    _first,
     _freeze,
     _gen_arrays,
     _row_keys,
@@ -184,10 +185,10 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
 
     A covered pair (cover element, object value) names the alpha value of the
     covered half-arrow; hat(v) picks a realizing context for v and covers its
-    arrow at each object by the smallest covering element.  K is generated:
-    one smallest cover element per half-arrow, closed under addition and the
-    hat actions, so the witness stays small.  Returns (witness, WreathOps
-    ambient); the witness passes verify_tm_division.
+    arrow at each object by the first member of its cover row.  K is
+    generated: the first member of each half-arrow's row, closed under
+    addition and the hat actions, so the witness stays small.  Returns
+    (witness, WreathOps ambient); the witness passes verify_tm_division.
 
     K and psi are the horizontal part of the closure `algebra.generate`
     builds in the product of the wreath and the alpha algebra, with the
@@ -200,14 +201,6 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
         raise ValueError("covering does not verify: %r" % rep.violations[:3])
     a1, a2 = pa.alpha.algebra, pa.beta.algebra
     ops = WreathOps(cov.algebra, a2)
-
-    # psi on all covered pairs, for consistency checks during the closure
-    covered = {}
-    for ci, (h1, h2) in enumerate(pa.h_pairs):
-        for x in cov.half_cover[ci]:
-            key = (x, h2)
-            if covered.setdefault(key, h1) != h1:
-                raise ValueError("covering is not injective on half-arrows")
 
     first_vp = {}  # alpha V value -> its first V pair
     for j, (v1, _) in enumerate(pa.v_pairs):
@@ -227,20 +220,22 @@ def dct_forward(dc: DerivedCategory, cov: Covering, budget=100000):
             if oi is None:
                 f.append(cov.algebra.v_one)  # unreachable object, never touched from K
                 continue
-            f.append(min(cov.arrow_cover[dc.arrow_at[vp_idx, oi]]))
+            f.append(_first(cov.arrow_cover[dc.arrow_at[vp_idx, oi]]))
         hat[v1] = (tuple(f), v2)
 
     # K is generated from one covered element per half-arrow, jointly with
     # psi: the pairs (k, alpha value) close under addition and the hat actions
-    seeds = [((min(cov.half_cover[ci]), h2), h1) for ci, (h1, h2) in enumerate(pa.h_pairs)]
+    seeds = [((_first(cov.half_cover[ci]), h2), h1) for ci, (h1, h2) in enumerate(pa.h_pairs)]
     letters = {v1: (vhat, v1) for v1, vhat in hat.items()}
     gen = generate(PairOps(ops, a1), letters, seeds, budget=budget)
     psi = _as_map(gen.h_elems)
     if isinstance(psi, tuple):
         raise ValueError("covering is not functional at %r" % (gen.h_elems[psi[1]][0],))
-    for key, value in psi.items():
-        if covered.get(key, value) != value:
-            raise ValueError("covering violates psi-consistency at %r" % (key,))
+    # psi-consistency: every half-arrow (h1, h2) that x covers has h1 = psi(x, h2)
+    h1s, h2s = np.array(pa.h_pairs).T
+    for (x, h2), h1 in psi.items():
+        if (h1s[cov.half_cover[:, x] & (h2s == h2)] != h1).any():
+            raise ValueError("covering violates psi-consistency at %r" % ((x, h2),))
     return TmDivisionWitness(tuple(sorted(psi)), psi, hat), ops
 
 
@@ -251,10 +246,10 @@ def dct_backward(dc: DerivedCategory, delta: Morphism, budget=200000) -> Coverin
     `WreathOps(outer, beta algebra)`, whose letters are (f tuple, inner V)
     pairs.
 
-    Half-arrow covers collect the outer coordinates of delta on realizing
-    forests; arrow covers collect f_q(h) over realizing contexts q.  The
-    construction checks the factorization hypotheses and the result passes
-    verify_covering.
+    Half-arrow cover rows mark the outer coordinates of delta on realizing
+    forests; arrow cover rows mark f_q(h) over realizing contexts q, in
+    rows as wide as outer's H and V.  The construction checks the
+    factorization hypotheses and the result passes verify_covering.
     """
     pa = dc.pa
     alpha, beta = pa.alpha, pa.beta
@@ -284,28 +279,24 @@ def dct_backward(dc: DerivedCategory, delta: Morphism, budget=200000) -> Coverin
                 witness=tuple(replay(gen, i) for i in clash),
             )
 
-    half_cover = [set() for _ in range(len(pa.h_pairs))]
+    half_cover = np.zeros((len(pa.h_pairs), outer.h_size), dtype=bool)
     for (dh, ah) in gen.h_elems:
         ho, hi = dh
         ci = pa.h_index.get((ah, hi))
         if ci is None:
             raise FactorizationError("delta inner coordinate strays off the pair closure")
-        half_cover[ci].add(ho)
+        half_cover[ci, ho] = True
 
-    arrow_cover = [set() for _ in range(dc.category.arr_size)]
+    arrow_cover = np.zeros((dc.category.arr_size, outer.v_size), dtype=bool)
     for (dv, av) in gen.v_elems:
         f, vi = dv
         vp_idx = pa.v_index.get((av, vi))
         if vp_idx is None:
             raise FactorizationError("delta vertical coordinate strays off the pair closure")
         for arrow, h2 in zip(dc.arrow_at[vp_idx].tolist(), dc.objects):
-            arrow_cover[arrow].add(f[h2])
+            arrow_cover[arrow, f[h2]] = True
 
-    cov = Covering(
-        outer,
-        tuple(frozenset(s) for s in half_cover),
-        tuple(frozenset(s) for s in arrow_cover),
-    )
+    cov = Covering(outer, half_cover, arrow_cover)
     rep = verify_covering(dc.category, outer, cov)
     if not rep.ok:
         raise FactorizationError("constructed covering does not verify: %r" % rep.violations[:3])

@@ -81,7 +81,7 @@ class _Universe:
 
     def truncate(self, tid, j):
         depth = self._entries[tid][0]
-        if j > depth:
+        if not 0 <= j <= depth:
             raise ValueError("cannot truncate a depth-%d type to depth %d" % (depth, j))
         if j == depth:
             return tid
@@ -168,12 +168,16 @@ def _tree_type(tree, k, memo):
 
 def root_types(s: Forest, k: int) -> frozenset:
     """The set of depth-k types of the root nodes of s."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     memo = {}
     return frozenset(_tree_type(t, k, memo) for t in s.trees)
 
 
 def node_types(s: Forest, k: int) -> frozenset:
     """The set of depth-k types over all nodes of s."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     memo = {}
     out = set()
     stack = list(reversed(s.trees))

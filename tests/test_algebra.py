@@ -161,6 +161,10 @@ MALFORMED_JSON = [
     (("act", 1), [1], "action-shape", ()),
     (("ins", 0), [0, 1, 1], "insertion-shape", ()),
     (("act", 0, 0), 1, "action-identity", (0,)),
+    # a size that disagrees with its table was ignored
+    (("h", "size"), 5, "h-shape", ()),
+    (("v", "size"), 1, "v-shape", ()),
+    (("h", "size"), "2", "h-shape", ()),
 ]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 from derived_identities import check_derived_identities, eval_forest_diagram_alt
@@ -472,7 +473,7 @@ def test_empty_cover_rejected():
 
     cat = or_cat()
     cov, _ = canonical_flat_cover(cat)
-    broken = Covering(cov.algebra, (frozenset(),) * cat.harr_size, cov.arrow_cover)
+    broken = Covering(cov.algebra, np.zeros_like(cov.half_cover), cov.arrow_cover)
     rep = verify_covering(cat, cov.algebra, broken)
     assert not rep.ok
     assert rep.violations[0][0] == "half-cover-nonempty"

@@ -1,10 +1,13 @@
 """The canonical flat cover and the covering check.
 
-`verify_covering` takes either a table algebra, whose cover members it
-checks one by one, or a `FlatMaskAlgebra`, whose covers it checks by
-union-convolution.  `samples.flat_subsets(n)` is the table algebra with the
-same elements (index = bitmask), so both must reach the same verdict and
-name the same clause instances, in the same order.
+A `Covering` is two bool indicator arrays, one row per half-arrow or arrow
+and one column per element of the covering algebra.  `verify_covering`
+takes either a table algebra, whose cover members it checks one by one, or
+a `FlatMaskAlgebra`, whose covers it checks by union-convolution.
+`samples.flat_subsets(n)` is the table algebra with the same elements
+(index = bitmask), so both must reach the same verdict and name the same
+clause instances, in the same order.  Rows of the wrong shape or dtype are
+reported as such, whatever the algebra.
 
 `canonical_flat_cover` is checked against the four-rule fixpoint over
 forest and context diagrams that it replaced, kept here as the reference.
@@ -59,10 +62,10 @@ SMALL = list(_small_categories())
 def _dropped(cov, i):
     """The covering with the least member of cover i (half-arrows first,
     then arrows) removed."""
-    covers = list(cov.half_cover) + list(cov.arrow_cover)
-    covers[i] = covers[i] - {min(covers[i])}
-    nh = len(cov.half_cover)
-    return Covering(cov.algebra, tuple(covers[:nh]), tuple(covers[nh:]))
+    half, arrow = cov.half_cover.copy(), cov.arrow_cover.copy()
+    rows, at = (half, i) if i < len(half) else (arrow, i - len(half))
+    rows[at, np.flatnonzero(rows[at])[0]] = False
+    return Covering(cov.algebra, half, arrow)
 
 
 def _cases():
@@ -112,32 +115,34 @@ def test_mask_and_table_paths_agree(case):
         assert got == mask.violations
 
 
-def _with_member(cov, kind, i, member):
-    """The covering with `member` added to half cover i or arrow cover i."""
-    covers = {"half": list(cov.half_cover), "arrow": list(cov.arrow_cover)}
-    covers[kind][i] = covers[kind][i] | {member}
-    return Covering(cov.algebra, tuple(covers["half"]), tuple(covers["arrow"]))
+# rows one short raised an IndexError, and an extra row passed unnoticed
+MALFORMED_ROWS = {
+    "half-short": ("half", lambda rows: rows[:-1]),
+    "arrow-extra": ("arrow", lambda rows: np.concatenate((rows, rows[:1]))),
+    "arrow-narrow": ("arrow", lambda rows: rows[:, :8]),
+    "half-int": ("half", lambda rows: rows.astype(np.int64)),
+    "half-tuple": ("half", lambda rows: tuple(map(tuple, rows))),
+}
 
 
-# a member outside the algebra raised an IndexError, or an OverflowError
-# beyond int64, and a negative mask was read from the end of the mask rows
-OUT_OF_RANGE = [("half", 0, -1), ("arrow", 1, 1 << 20), ("half", 1, 1 << 63), ("arrow", 0, 1 << 70)]
-
-
-@pytest.mark.parametrize("kind, i, member", OUT_OF_RANGE, ids=["%s%d=%d" % r for r in OUT_OF_RANGE])
-def test_a_mask_outside_the_subset_monoid_is_reported(kind, i, member):
-    # flat-or's category has four symbols, so the masks run below 2^4
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_cover_rows_of_the_wrong_shape_are_reported(case):
+    # flat-or's category has four symbols, so the rows are 2^4 masks wide
+    kind, change = MALFORMED_ROWS[case]
     cat = one_object_category(samples.flat_or())
     cov, _ = canonical_flat_cover(cat)
-    rep = verify_covering(cat, cov.algebra, _with_member(cov, kind, i, member))
-    assert rep.violations == [(kind + "-cover-range", (i,))]
+    rows = {"half": cov.half_cover, "arrow": cov.arrow_cover}
+    rows[kind] = change(rows[kind])
+    rep = verify_covering(cat, cov.algebra, Covering(cov.algebra, rows["half"], rows["arrow"]))
+    assert rep.violations == [(kind + "-cover-shape", ())]
 
 
-def test_a_member_outside_a_table_algebra_is_reported():
+def test_rows_wider_than_a_table_algebra_are_reported():
     alg = samples.flat_or()
-    cov = Covering(alg, (frozenset({0}), frozenset({7})), (frozenset({0}), frozenset({1})))
+    half = np.array([[True, False, False], [False, True, False]])
+    cov = Covering(alg, half, np.eye(2, dtype=bool))
     rep = verify_covering(one_object_category(alg), alg, cov)
-    assert rep.violations == [("half-cover-range", (1,))]
+    assert rep.violations == [("half-cover-shape", ())]
 
 
 def test_canonical_flat_cover_refuses_more_symbols_than_its_cap():
@@ -258,14 +263,12 @@ def ref_canonical_flat_cover(cat):
                 if cp[v].any() and fp[c].any():
                     changed |= grow(cp, cat.insert(v, c), _ref_or_convolve(cp[v], fp[c], nsym))
 
-    half_cover = tuple(frozenset(int(m) for m in np.nonzero(f)[0]) for f in fp)
-    arrow_cover = tuple(frozenset(int(m) for m in np.nonzero(f)[0]) for f in cp)
     stats = {
-        "forest_pairs": sum(len(s) for s in half_cover),
-        "context_pairs": sum(len(s) for s in arrow_cover),
+        "forest_pairs": sum(int(f.sum()) for f in fp),
+        "context_pairs": sum(int(f.sum()) for f in cp),
         "symbols": nsym,
     }
-    return half_cover, arrow_cover, stats
+    return np.array(fp), np.array(cp), stats
 
 
 def _derived_categories():
@@ -297,8 +300,9 @@ def test_canonical_flat_cover_matches_reference(case):
     _, cat = REFERENCE[case]
     cov, stats = canonical_flat_cover(cat)
     half_cover, arrow_cover, ref_stats = ref_canonical_flat_cover(cat)
-    assert cov.half_cover == half_cover
-    assert cov.arrow_cover == arrow_cover
+    assert cov.half_cover.dtype == cov.arrow_cover.dtype == bool
+    assert np.array_equal(cov.half_cover, half_cover)
+    assert np.array_equal(cov.arrow_cover, arrow_cover)
     # perfbench's tracer reads "symbols" off these stats
     assert set(stats) == {"forest_pairs", "context_pairs", "symbols"}
     assert stats == ref_stats

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from forestalg import samples
@@ -191,10 +192,10 @@ def test_dct_forward_rejects_bad_cover():
 
     dc = derived_category(contains_a_beta(A, 1))
     cov, _ = canonical_flat_cover(dc.category)
-    # merge all half-arrow covers: breaks injectivity
-    merged = frozenset().union(*cov.half_cover)
-    broken = Covering(cov.algebra, tuple(merged for _ in cov.half_cover), cov.arrow_cover)
-    with pytest.raises(ValueError):
+    # merge all half-arrow covers: the merged rows break the preservation clauses
+    merged = cov.half_cover.any(axis=0)
+    broken = Covering(cov.algebra, np.tile(merged, (len(cov.half_cover), 1)), cov.arrow_cover)
+    with pytest.raises(ValueError, match="does not verify"):
         dct_forward(dc, broken)
 
 

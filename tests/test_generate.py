@@ -13,6 +13,7 @@ tables and witnesses, and every derivation must replay to its element.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from forestalg import algebra, decide, derived, ktypes, samples
@@ -231,19 +232,16 @@ def ref_dct_backward_covering(dc, delta):
     """The covering the old `dct_backward` built, for a delta that factors."""
     pa = dc.pa
     h_elems, v_elems = ref_dct_closure(delta, pa.alpha)
-    half_cover = [set() for _ in range(len(pa.h_pairs))]
+    outer = delta.algebra.outer
+    half_cover = np.zeros((len(pa.h_pairs), outer.h_size), dtype=bool)
     for (ho, hi), ah in h_elems:
-        half_cover[pa.h_index[(ah, hi)]].add(ho)
-    arrow_cover = [set() for _ in range(dc.category.arr_size)]
+        half_cover[pa.h_index[(ah, hi)], ho] = True
+    arrow_cover = np.zeros((dc.category.arr_size, outer.v_size), dtype=bool)
     for (f, vi), av in v_elems:
         vp_idx = pa.v_index[(av, vi)]
         for oi, h2 in enumerate(dc.objects):
-            arrow_cover[dc.arrow_at[vp_idx, oi]].add(f[h2])
-    return Covering(
-        delta.algebra.outer,
-        tuple(frozenset(s) for s in half_cover),
-        tuple(frozenset(s) for s in arrow_cover),
-    )
+            arrow_cover[dc.arrow_at[vp_idx, oi], f[h2]] = True
+    return Covering(outer, half_cover, arrow_cover)
 
 
 def ref_tm_to_division(target, ambient, w):
@@ -450,7 +448,7 @@ def ref_dct_forward(dc, cov):
     ops = WreathOps(cov.algebra, a2)
     covered = {}
     for ci, (h1, h2) in enumerate(pa.h_pairs):
-        for x in cov.half_cover[ci]:
+        for x in np.flatnonzero(cov.half_cover[ci]).tolist():
             if covered.setdefault((x, h2), h1) != h1:
                 raise ValueError("covering is not injective on half-arrows")
     hat = {}
@@ -463,13 +461,13 @@ def ref_dct_forward(dc, cov):
             if oi is None:
                 f.append(cov.algebra.v_one)
                 continue
-            f.append(min(cov.arrow_cover[dc.arrow_at[vp_idx, oi]]))
+            f.append(min(np.flatnonzero(cov.arrow_cover[dc.arrow_at[vp_idx, oi]]).tolist()))
         hat[v1] = (tuple(f), v2)
 
     psi = {ops.h_zero: a1.zero}
     work = [ops.h_zero]
     for ci, (h1, h2) in enumerate(pa.h_pairs):
-        key = (min(cov.half_cover[ci]), h2)
+        key = (min(np.flatnonzero(cov.half_cover[ci]).tolist()), h2)
         if key not in psi:
             psi[key] = h1
             work.append(key)
@@ -855,7 +853,11 @@ def test_pair_closure_matches_reference_and_replays(index, k):
 def test_dct_backward_matches_reference_and_replays(case):
     dc, delta = list(_factorizations())[case]
     alpha = dc.pa.alpha
-    assert dct_backward(dc, delta) == ref_dct_backward_covering(dc, delta)
+    got, want = dct_backward(dc, delta), ref_dct_backward_covering(dc, delta)
+    assert got.algebra == want.algebra
+    assert got.half_cover.dtype == got.arrow_cover.dtype == bool
+    assert np.array_equal(got.half_cover, want.half_cover)
+    assert np.array_equal(got.arrow_cover, want.arrow_cover)
     letters = {a: (delta.letters[a], alpha.letters[a]) for a in alpha.alphabet}
     gen = generate(PairOps(delta.algebra, alpha.algebra), letters, budget=200000)
     assert (set(gen.h_elems), set(gen.v_elems)) == ref_dct_closure(delta, alpha)

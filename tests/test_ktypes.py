@@ -72,6 +72,23 @@ def test_truncate():
         truncate(t1, 2)
 
 
+def test_negative_depths_are_refused_without_interning():
+    # root_types and node_types raised a KeyError on a memo key, and
+    # truncate interned a depth -1 type that rendered as b{}
+    s = f("a(b)+b")
+    [t] = root_types(f("b"), 1)
+    size = len(ktypes._UNIVERSE._entries)
+    for call in (
+        lambda: root_types(s, -1),
+        lambda: node_types(s, -2),
+        lambda: truncate(t, -1),
+        lambda: ktype_algebra(AB, -1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert len(ktypes._UNIVERSE._entries) == size
+
+
 def test_truncate_commutes_with_formation():
     for s in enumerate_forests(AB, 4):
         r3 = root_types(s, 3)
